@@ -235,7 +235,8 @@ def riemann_stieltjes_integral(
     The variation condition (index of u below 1/(1-H)) is probed with the
     variation-index estimator; a failed or impossible check is reported in
     the diagnostic and the sums are computed anyway, the condition being
-    sufficient rather than necessary.
+    sufficient rather than necessary.  A constant u has bounded variation
+    (p = 1 < 1/(1-H)) and is not probed.
     """
     uv = _grid_values(u, g.grid, "u")
     n = g.grid.n_steps
@@ -246,7 +247,7 @@ def riemann_stieltjes_integral(
     notes = []
     if g.hurst is None:
         notes.append("variation condition unchecked: unknown Hurst index")
-    else:
+    elif np.ptp(uv) > 0.0:
         u_path = u if isinstance(u, SamplePath) else SamplePath(g.grid, uv - uv[0], None)
         try:
             p_u = 1.0 / variation_index(u_path).h_hat
@@ -313,6 +314,8 @@ def extended_forward_integral(
         raise ValueError("need at least 3 epsilon levels")
     if eps_levels > 12:
         raise ValueError("epsilon ladder below 1e-12 underflows the weight differences")
+    if u_points < 1:
+        raise ValueError(f"u_points must be at least 1, got {u_points}")
     fv = _grid_values(f, g.grid, "f")
     h, T = g.dt, g.grid.t_max
     times, gv = g.times, g.values

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma as _gamma
 
+from ._csvio import read_csv, write_csv
+
 __all__ = [
     "Side",
     "OperatorKind",
@@ -312,38 +314,10 @@ def fractal_integral(f: GridFunction, g: GridFunction, alpha: float) -> float:
 
 def write_grid_csv(f: GridFunction, path) -> None:
     """Two-column CSV (t,value) with 17 significant digits."""
-    t = f.times
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,value\n")
-        for tk, vk in zip(t, f.values):
-            fh.write(f"{tk:.17g},{vk:.17g}\n")
+    write_csv(path, f.times, f.values)
 
 
 def read_grid_csv(path) -> GridFunction:
-    """Read a (t,value) CSV produced by write_grid_csv; validates uniform spacing."""
-    times: list[float] = []
-    vals: list[float] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if lineno == 1 or (line.split(",")[0].strip() == "t"):
-                if line.lower().replace(" ", "") == "t,value":
-                    continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ValueError(f"malformed CSV at line {lineno}: {raw!r}")
-            try:
-                times.append(float(parts[0]))
-                vals.append(float(parts[1]))
-            except ValueError as exc:
-                raise ValueError(f"malformed CSV at line {lineno}: {raw!r}") from exc
-    if len(times) < 3:
-        raise ValueError("grid CSV must hold at least 3 samples")
-    t = np.asarray(times)
-    steps = np.diff(t)
-    h = (t[-1] - t[0]) / (t.size - 1)
-    if h <= 0 or np.max(np.abs(steps - h)) > 1e-9 * max(abs(h), 1.0):
-        raise ValueError("grid CSV must be uniformly spaced in t")
-    return GridFunction(t[0], t[-1], np.asarray(vals))
+    """Read a uniformly spaced (t,value) CSV, e.g. from write_grid_csv or write_path_csv."""
+    _, t, v = read_csv(path, "grid", 3)
+    return GridFunction(t[0], t[-1], v)

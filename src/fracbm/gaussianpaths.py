@@ -11,6 +11,11 @@ circulant embedding of the increment covariance (long grids), and a
 truncated moving-average discretization of the kernel representation
 
     Z(t) = (1/C(H)) int [ (t-s)_+^(H-1/2) - (-s)_+^(H-1/2) ] dB(s).
+
+Every generator, Brownian increments included, is set up once per call and
+then maps one seeded stream to one path; single paths and ensembles run the
+same draw, so ensemble row r equals the stream-r single draw bitwise by
+construction.
 """
 
 from __future__ import annotations
@@ -18,13 +23,15 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Optional
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import cholesky as _cholesky
 from scipy.linalg import LinAlgError
+
+from ._csvio import read_csv, write_csv
 
 __all__ = [
     "GridSpec",
@@ -59,6 +66,10 @@ Z_CONFIDENCE = 5.0
 CHOLESKY_MAX_NODES = 4096
 
 
+def _is_integer(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform time grid 0 = t_0 < ... < t_n = t_max with n = n_steps."""
@@ -69,8 +80,8 @@ class GridSpec:
     def __post_init__(self) -> None:
         if not (np.isfinite(self.t_max) and self.t_max > 0):
             raise ValueError("t_max must be positive and finite")
-        if self.n_steps < 1:
-            raise ValueError("n_steps must be at least 1")
+        if not _is_integer(self.n_steps) or self.n_steps < 1:
+            raise ValueError(f"n_steps must be an integer of at least 1, got {self.n_steps!r}")
 
     @property
     def dt(self) -> float:
@@ -90,7 +101,7 @@ class RngSeed:
 
     def __post_init__(self) -> None:
         for name, v in (("root", self.root), ("stream", self.stream)):
-            if not isinstance(v, (int, np.integer)) or not 0 <= int(v) < 2**64:
+            if not _is_integer(v) or not 0 <= int(v) < 2**64:
                 raise ValueError(f"{name} must be an integer in [0, 2**64)")
 
     def generator(self) -> np.random.Generator:
@@ -233,18 +244,41 @@ def normalizing_constant(H: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# generators
+# generators: each law factory validates and sets up once, then maps one
+# seeded stream to node values; _draw is the only loop over streams
 
 
-def _bm_values(rng: np.random.Generator, grid: GridSpec) -> np.ndarray:
-    incr = rng.standard_normal(grid.n_steps) * math.sqrt(grid.dt)
-    return np.concatenate(([0.0], np.cumsum(incr)))
+def _draw(law, grid: GridSpec, seeds) -> np.ndarray:
+    out = np.empty((len(seeds), grid.n_steps + 1))
+    for r, seed in enumerate(seeds):
+        out[r] = law(seed.generator())
+    return out
+
+
+def _streams(root: int, replicates: int) -> list:
+    if replicates < 0:
+        raise ValueError(f"replicates must be nonnegative, got {replicates}")
+    return [RngSeed(root, r) for r in range(replicates)]
+
+
+def _bm_law(grid: GridSpec):
+    scale = math.sqrt(grid.dt)
+
+    def law(rng: np.random.Generator) -> np.ndarray:
+        incr = rng.standard_normal(grid.n_steps) * scale
+        return np.concatenate(([0.0], np.cumsum(incr)))
+
+    return law
 
 
 def generate_bm(grid: GridSpec, seed: RngSeed) -> SamplePath:
     """Standard Brownian motion from scaled i.i.d. Gaussian increments."""
-    values = _bm_values(seed.generator(), grid)
+    values = _draw(_bm_law(grid), grid, [seed])[0]
     return SamplePath(grid, values, 0.5, seed, PathGenerator.BM_INCREMENTS)
+
+
+def bm_ensemble(grid: GridSpec, root: int, replicates: int) -> np.ndarray:
+    return _draw(_bm_law(grid), grid, _streams(root, replicates))
 
 
 @lru_cache(maxsize=3)
@@ -269,9 +303,14 @@ def _cholesky_factor(t_max: float, n_steps: int, H: float) -> np.ndarray:
             ) from exc
 
 
-def _fbm_cholesky_values(rng: np.random.Generator, grid: GridSpec, L: np.ndarray) -> np.ndarray:
-    z = rng.standard_normal(grid.n_steps)
-    return np.concatenate(([0.0], L @ z))
+def _cholesky_law(grid: GridSpec, H: float, max_nodes: int):
+    H = _check_hurst(H)
+    if grid.n_steps > max_nodes:
+        raise ValueError(
+            f"n_steps={grid.n_steps} exceeds the factorization cap {max_nodes}"
+        )
+    L = _cholesky_factor(grid.t_max, grid.n_steps, H)
+    return lambda rng: np.concatenate(([0.0], L @ rng.standard_normal(grid.n_steps)))
 
 
 def generate_fbm_cholesky(
@@ -283,14 +322,14 @@ def generate_fbm_cholesky(
     cost is cubic in n_steps and grids are capped at max_nodes.  The factor
     is cached, so replicated draws pay it once.
     """
-    _check_hurst(H)
-    if grid.n_steps > max_nodes:
-        raise ValueError(
-            f"n_steps={grid.n_steps} exceeds the factorization cap {max_nodes}"
-        )
-    L = _cholesky_factor(grid.t_max, grid.n_steps, float(H))
-    values = _fbm_cholesky_values(seed.generator(), grid, L)
+    values = _draw(_cholesky_law(grid, H, max_nodes), grid, [seed])[0]
     return SamplePath(grid, values, float(H), seed, PathGenerator.FBM_CHOLESKY)
+
+
+def fbm_cholesky_ensemble(
+    grid: GridSpec, H: float, root: int, replicates: int, max_nodes: int = CHOLESKY_MAX_NODES
+) -> np.ndarray:
+    return _draw(_cholesky_law(grid, H, max_nodes), grid, _streams(root, replicates))
 
 
 def _fgn_autocovariance(H: float, n: int) -> np.ndarray:
@@ -312,22 +351,26 @@ def _circulant_sqrt_eigenvalues(H: float, n: int) -> np.ndarray:
     return np.sqrt(np.clip(eig, 0.0, None))
 
 
-def _fbm_circulant_values(
-    rng: np.random.Generator, grid: GridSpec, H: float, sqrt_eig: np.ndarray
-) -> np.ndarray:
-    # spectral synthesis: E|w_k|^2 = eig_k / m makes fft(w).real ~ N(0, circulant)
+def _circulant_law(grid: GridSpec, H: float):
+    H = _check_hurst(H)
     n = grid.n_steps
     m = 2 * n
-    z = rng.standard_normal(m)
-    w = np.empty(m, dtype=complex)
-    w[0] = z[0]
-    w[n] = z[1]
-    half = (z[2::2] + 1j * z[3::2]) / math.sqrt(2.0)
-    w[1:n] = half
-    w[n + 1 :] = np.conj(half[::-1])
-    fgn = np.fft.fft(sqrt_eig / math.sqrt(m) * w).real[:n]
-    incr = fgn * grid.dt**H
-    return np.concatenate(([0.0], np.cumsum(incr)))
+    # spectral synthesis: E|w_k|^2 = eig_k / m makes fft(w).real ~ N(0, circulant)
+    amplitude = _circulant_sqrt_eigenvalues(H, n) / math.sqrt(m)
+    scale = grid.dt**H
+
+    def law(rng: np.random.Generator) -> np.ndarray:
+        z = rng.standard_normal(m)
+        w = np.empty(m, dtype=complex)
+        w[0] = z[0]
+        w[n] = z[1]
+        half = (z[2::2] + 1j * z[3::2]) / math.sqrt(2.0)
+        w[1:n] = half
+        w[n + 1 :] = np.conj(half[::-1])
+        fgn = np.fft.fft(amplitude * w).real[:n]
+        return np.concatenate(([0.0], np.cumsum(fgn * scale)))
+
+    return law
 
 
 def generate_fbm_circulant(grid: GridSpec, H: float, seed: RngSeed) -> SamplePath:
@@ -337,10 +380,12 @@ def generate_fbm_circulant(grid: GridSpec, H: float, seed: RngSeed) -> SamplePat
     (it is for fractional Gaussian noise at any Hurst index in practice),
     with O(n log n) cost; the generator of choice for long grids.
     """
-    _check_hurst(H)
-    sqrt_eig = _circulant_sqrt_eigenvalues(float(H), grid.n_steps)
-    values = _fbm_circulant_values(seed.generator(), grid, H, sqrt_eig)
+    values = _draw(_circulant_law(grid, H), grid, [seed])[0]
     return SamplePath(grid, values, float(H), seed, PathGenerator.FBM_CIRCULANT)
+
+
+def fbm_circulant_ensemble(grid: GridSpec, H: float, root: int, replicates: int) -> np.ndarray:
+    return _draw(_circulant_law(grid, H), grid, _streams(root, replicates))
 
 
 def _ma_weight_row(t_k: float, edges: np.ndarray, H: float) -> np.ndarray:
@@ -350,7 +395,12 @@ def _ma_weight_row(t_k: float, edges: np.ndarray, H: float) -> np.ndarray:
     return np.diff(prim) / np.diff(edges)
 
 
-def _ma_setup(grid: GridSpec, H: float, truncation: float, kernel_mesh: int):
+def _moving_average_law(
+    grid: GridSpec, H: float, truncation: Optional[float], kernel_mesh: int, streams: int
+):
+    H = _check_hurst(H)
+    if truncation is None:
+        truncation = 50.0 * grid.t_max
     if truncation < grid.t_max:
         raise ValueError("truncation must be at least t_max")
     if kernel_mesh < 1:
@@ -359,28 +409,22 @@ def _ma_setup(grid: GridSpec, H: float, truncation: float, kernel_mesh: int):
     m = int(round((truncation + grid.t_max) / aux_h))
     edges = -truncation + aux_h * np.arange(m + 1)
     c = normalizing_constant(H)
-    return edges, aux_h, m, c
+    node_times = grid.times[1:]
+    row = partial(_ma_weight_row, edges=edges, H=H)
+    # n rows of m weights: shared when several streams reuse them, otherwise
+    # built one at a time, since all of them would not fit for long grids
+    shared = list(map(row, node_times)) if streams > 1 else None
 
+    def law(rng: np.random.Generator) -> np.ndarray:
+        db = rng.standard_normal(m) * math.sqrt(aux_h)
+        rows = shared if shared is not None else map(row, node_times)
+        # per-row np.dot: a matmul over the rows is not bitwise stable across batch shapes
+        values = np.array([0.0] + [float(np.dot(w, db)) / c for w in rows])
+        if not np.isfinite(values).all():
+            raise ValueError("moving-average kernel overflowed; refine kernel_mesh")
+        return values
 
-def _ma_values(
-    rng: np.random.Generator,
-    grid: GridSpec,
-    H: float,
-    edges: np.ndarray,
-    aux_h: float,
-    c: float,
-    rows: Optional[list] = None,
-) -> np.ndarray:
-    # per-row np.dot keeps ensemble rows bitwise equal to single-path draws
-    db = rng.standard_normal(edges.size - 1) * math.sqrt(aux_h)
-    values = np.empty(grid.n_steps + 1)
-    values[0] = 0.0
-    for k, t_k in enumerate(grid.times[1:], start=1):
-        w = rows[k - 1] if rows is not None else _ma_weight_row(t_k, edges, H)
-        values[k] = float(np.dot(w, db)) / c
-    if not np.isfinite(values).all():
-        raise ValueError("moving-average kernel overflowed; refine kernel_mesh")
-    return values
+    return law
 
 
 def moving_average_truncation_bias(H: float, truncation: float, t: float) -> float:
@@ -416,47 +460,9 @@ def generate_fbm_moving_average(
     Truncation defaults to 50 * t_max; the induced variance deficit is
     bounded by moving_average_truncation_bias.
     """
-    _check_hurst(H)
-    if truncation is None:
-        truncation = 50.0 * grid.t_max
-    edges, aux_h, _, c = _ma_setup(grid, H, truncation, kernel_mesh)
-    values = _ma_values(seed.generator(), grid, H, edges, aux_h, c)
+    law = _moving_average_law(grid, H, truncation, kernel_mesh, streams=1)
+    values = _draw(law, grid, [seed])[0]
     return SamplePath(grid, values, float(H), seed, PathGenerator.FBM_MOVING_AVERAGE)
-
-
-# ---------------------------------------------------------------------------
-# ensembles (replicate r draws from stream r; rows match the single-path API bitwise)
-
-
-def bm_ensemble(grid: GridSpec, root: int, replicates: int) -> np.ndarray:
-    out = np.empty((replicates, grid.n_steps + 1))
-    for r in range(replicates):
-        out[r] = _bm_values(RngSeed(root, r).generator(), grid)
-    return out
-
-
-def fbm_cholesky_ensemble(
-    grid: GridSpec, H: float, root: int, replicates: int, max_nodes: int = CHOLESKY_MAX_NODES
-) -> np.ndarray:
-    _check_hurst(H)
-    if grid.n_steps > max_nodes:
-        raise ValueError(
-            f"n_steps={grid.n_steps} exceeds the factorization cap {max_nodes}"
-        )
-    L = _cholesky_factor(grid.t_max, grid.n_steps, float(H))
-    out = np.empty((replicates, grid.n_steps + 1))
-    for r in range(replicates):
-        out[r] = _fbm_cholesky_values(RngSeed(root, r).generator(), grid, L)
-    return out
-
-
-def fbm_circulant_ensemble(grid: GridSpec, H: float, root: int, replicates: int) -> np.ndarray:
-    _check_hurst(H)
-    sqrt_eig = _circulant_sqrt_eigenvalues(float(H), grid.n_steps)
-    out = np.empty((replicates, grid.n_steps + 1))
-    for r in range(replicates):
-        out[r] = _fbm_circulant_values(RngSeed(root, r).generator(), grid, H, sqrt_eig)
-    return out
 
 
 def fbm_moving_average_ensemble(
@@ -467,16 +473,13 @@ def fbm_moving_average_ensemble(
     truncation: Optional[float] = None,
     kernel_mesh: int = 16,
 ) -> np.ndarray:
-    _check_hurst(H)
-    if truncation is None:
-        truncation = 50.0 * grid.t_max
-    edges, aux_h, _, c = _ma_setup(grid, H, truncation, kernel_mesh)
-    rows = [_ma_weight_row(t_k, edges, H) for t_k in grid.times[1:]]
-    out = np.empty((replicates, grid.n_steps + 1))
-    for r in range(replicates):
-        out[r] = _ma_values(RngSeed(root, r).generator(), grid, H, edges, aux_h, c, rows)
-    return out
+    seeds = _streams(root, replicates)
+    law = _moving_average_law(grid, H, truncation, kernel_mesh, streams=len(seeds))
+    return _draw(law, grid, seeds)
 
+
+# ---------------------------------------------------------------------------
+# ensemble bookkeeping
 
 def ensemble_manifest(
     grid: GridSpec, hurst: Optional[float], generator: PathGenerator, root: int, replicates: int
@@ -544,61 +547,23 @@ def time_invert_bm(path: SamplePath) -> SamplePath:
 def write_path_csv(path: SamplePath, dest) -> None:
     """Path CSV: provenance header comments then t,value rows at 17 digits."""
     seed = path.seed
-    with open(dest, "w", encoding="utf-8") as fh:
-        fh.write(f"# hurst={'' if path.hurst is None else repr(path.hurst)}\n")
-        fh.write(f"# seed={'' if seed is None else f'{seed.root}/{seed.stream}'}\n")
-        fh.write(f"# generator={path.generator.value}\n")
-        fh.write("t,value\n")
-        for tk, vk in zip(path.times, path.values):
-            fh.write(f"{tk:.17g},{vk:.17g}\n")
+    header = {
+        "hurst": "" if path.hurst is None else repr(path.hurst),
+        "seed": "" if seed is None else f"{seed.root}/{seed.stream}",
+        "generator": path.generator.value,
+    }
+    write_csv(dest, path.times, path.values, header)
 
 
 def read_path_csv(source) -> SamplePath:
     """Inverse of write_path_csv; unheadered two-column CSVs import as EXTERNAL."""
-    hurst: Optional[float] = None
-    seed: Optional[RngSeed] = None
-    generator = PathGenerator.EXTERNAL
-    times: list[float] = []
-    vals: list[float] = []
-    with open(source, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, _, val = body.partition("=")
-                    key, val = key.strip(), val.strip()
-                    if key == "hurst" and val:
-                        hurst = float(val)
-                    elif key == "seed" and val:
-                        r, _, s = val.partition("/")
-                        seed = RngSeed(int(r), int(s or 0))
-                    elif key == "generator" and val:
-                        generator = PathGenerator(val)
-                continue
-            if line.split(",")[0].strip() == "t":
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ValueError(f"malformed CSV at line {lineno}: {raw!r}")
-            try:
-                times.append(float(parts[0]))
-                vals.append(float(parts[1]))
-            except ValueError as exc:
-                raise ValueError(f"malformed CSV at line {lineno}: {raw!r}") from exc
-    if len(times) < 2:
-        raise ValueError("path CSV must hold at least 2 samples")
-    t = np.asarray(times)
-    v = np.asarray(vals)
-    steps = np.diff(t)
-    h = (t[-1] - t[0]) / (t.size - 1)
-    if h <= 0 or np.max(np.abs(steps - h)) > 1e-9 * max(abs(h), 1.0):
-        raise ValueError("path CSV must be uniformly spaced in t")
+    header, t, v = read_csv(source, "path", 2)
+    hurst = float(header["hurst"]) if header.get("hurst") else None
+    root, _, stream = header.get("seed", "").partition("/")
+    seed = RngSeed(int(root), int(stream or 0)) if root else None
+    generator = PathGenerator(header.get("generator") or PathGenerator.EXTERNAL.value)
     if t[0] != 0.0 or v[0] != 0.0:
         # imported series: re-anchor at the origin without changing increments
         t = t - t[0]
         v = v - v[0]
-    grid = GridSpec(float(t[-1]), t.size - 1)
-    return SamplePath(grid, v, hurst, seed, generator)
+    return SamplePath(GridSpec(float(t[-1]), t.size - 1), v, hurst, seed, generator)

@@ -89,16 +89,10 @@ class AdaptedIntegrand:
 
     @classmethod
     def deterministic(cls, fn: Callable[[float], float]) -> "AdaptedIntegrand":
-        def on_grid(times, values):
-            try:
-                out = np.asarray(fn(times), dtype=float)
-                if out.shape == times.shape:
-                    return out
-            except (TypeError, ValueError):
-                pass
-            return np.array([float(fn(t)) for t in times])
-
-        return cls(lambda t, prefix: float(fn(t)), on_grid)
+        return cls(
+            lambda t, prefix: float(fn(t)),
+            lambda times, values: _eval2(lambda t, x: fn(t), times, values),
+        )
 
     @classmethod
     def path_value(cls) -> "AdaptedIntegrand":

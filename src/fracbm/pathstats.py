@@ -102,7 +102,7 @@ def _dyadic_sums(values: np.ndarray, dt: float, p: float, levels: int):
 def _loglog_slope(pairs):
     x = np.log([m for m, v in pairs])
     y = np.log([v for m, v in pairs])
-    return float(np.polyfit(x, y, 1)[0])
+    return _ols_slope(x, y)[0]
 
 
 def p_variation(path: SamplePath, p: float, levels: int = 5) -> VariationEstimate:

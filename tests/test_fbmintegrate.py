@@ -170,6 +170,11 @@ class TestRiemannStieltjes:
         with pytest.raises(ValueError):
             riemann_stieltjes_integral(1.0, g75, levels=2)
 
+    def test_constant_integrand_meets_the_variation_condition(self, g75):
+        # a constant has bounded variation, so no heuristic probe is needed
+        res = riemann_stieltjes_integral(1.0, g75)
+        assert "heuristic" not in res.diagnostic
+
 
 class TestCovariation:
     def test_brownian_self_covariation_is_the_clock(self, bm):
@@ -236,6 +241,11 @@ class TestExtendedForward:
             extended_forward_integral(1.0, g75, eps_levels=2)
         with pytest.raises(ValueError):
             extended_forward_integral(1.0, g75, eps_levels=13)
+
+    @pytest.mark.parametrize("u_points", [0, -3])
+    def test_u_points_must_be_positive(self, g75, u_points):
+        with pytest.raises(ValueError, match="u_points"):
+            extended_forward_integral(1.0, g75, u_points=u_points)
 
 
 class TestForwardProcess:

@@ -3,6 +3,7 @@ import pytest
 from math import gamma
 from scipy.integrate import cumulative_trapezoid, quad
 
+from fracbm.gaussianpaths import GridSpec, RngSeed, generate_fbm_circulant, write_path_csv
 from fracbm.fraccalc import (
     DifferintegralSpec,
     GridFunction,
@@ -277,3 +278,27 @@ def test_grid_csv_round_trip(tmp_path):
     back = read_grid_csv(dest)
     assert back.a == f.a and back.b == f.b
     assert np.array_equal(back.values, f.values)
+
+
+def test_grid_csv_malformed_row_reports_the_line(tmp_path):
+    dest = tmp_path / "bad.csv"
+    dest.write_text("t,value\n0.0,0.0\n0.5,1.0\n1.0,oops\n1.5,2.0\n")
+    with pytest.raises(ValueError, match="line 4"):
+        read_grid_csv(dest)
+
+
+def test_grid_csv_uneven_spacing_rejected(tmp_path):
+    dest = tmp_path / "uneven.csv"
+    dest.write_text("t,value\n0.0,0.0\n0.1,0.2\n0.9,0.3\n")
+    with pytest.raises(ValueError, match="uniformly spaced"):
+        read_grid_csv(dest)
+
+
+def test_grid_csv_reads_a_path_file(tmp_path):
+    # the `fracbm fracint --input run/path.csv` workflow: provenance lines are skipped
+    p = generate_fbm_circulant(GridSpec(2.0, 64), 0.7, RngSeed(5, 1))
+    dest = tmp_path / "path.csv"
+    write_path_csv(p, dest)
+    f = read_grid_csv(dest)
+    assert f.a == 0.0 and f.b == 2.0
+    assert np.array_equal(f.values, p.values)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from math import gamma, pi, sin
 
 from fracbm.gaussianpaths import (
@@ -129,6 +129,18 @@ class TestSeedsAndGrids:
         with pytest.raises(ValueError):
             GridSpec(1.0, 0)
 
+    @pytest.mark.parametrize("n_steps", [10.5, True, "16"])
+    def test_step_count_must_be_an_integer(self, n_steps):
+        with pytest.raises(ValueError, match="n_steps"):
+            GridSpec(1.0, n_steps)
+
+    @pytest.mark.parametrize(
+        "root, stream, field", [(True, 0, "root"), (1, False, "stream"), (1.5, 0, "root")]
+    )
+    def test_seed_parts_must_be_integers(self, root, stream, field):
+        with pytest.raises(ValueError, match=field):
+            RngSeed(root, stream)
+
     def test_times_span_the_interval(self):
         g = GridSpec(2.0, 8)
         assert g.times[0] == 0.0 and g.times[-1] == pytest.approx(2.0)
@@ -171,12 +183,29 @@ class TestBrownianGenerator:
         assert p.seed == RngSeed(1, 2)
 
 
+SINGLE_AND_ENSEMBLE = {
+    "bm": (generate_bm, bm_ensemble, ()),
+    "cholesky": (generate_fbm_cholesky, fbm_cholesky_ensemble, (0.7,)),
+    "circulant": (generate_fbm_circulant, fbm_circulant_ensemble, (0.7,)),
+    "moving-average": (generate_fbm_moving_average, fbm_moving_average_ensemble, (0.7,)),
+}
+
+
 class TestFbmGenerators:
-    def test_cholesky_single_matches_ensemble_row(self):
+    @pytest.mark.parametrize("kind", sorted(SINGLE_AND_ENSEMBLE))
+    def test_single_matches_ensemble_row(self, kind):
+        single_fn, ensemble_fn, args = SINGLE_AND_ENSEMBLE[kind]
         grid = GridSpec(1.0, 16)
-        single = generate_fbm_cholesky(grid, 0.7, RngSeed(101, 3))
-        ens = fbm_cholesky_ensemble(grid, 0.7, 101, 5)
+        single = single_fn(grid, *args, RngSeed(101, 3))
+        ens = ensemble_fn(grid, *args, 101, 5)
         assert np.array_equal(single.values, ens[3])
+
+    @pytest.mark.parametrize("kind", sorted(SINGLE_AND_ENSEMBLE))
+    def test_replicate_count_must_be_nonnegative(self, kind):
+        _, ensemble_fn, args = SINGLE_AND_ENSEMBLE[kind]
+        assert ensemble_fn(GridSpec(1.0, 8), *args, 101, 0).shape == (0, 9)
+        with pytest.raises(ValueError, match="replicates"):
+            ensemble_fn(GridSpec(1.0, 8), *args, 101, -1)
 
     def test_cholesky_covariance(self):
         grid = GridSpec(1.0, 8)
@@ -333,3 +362,17 @@ class TestCsvRoundTrip:
         dest.write_text("t,value\n0.0,0.0\n0.1,0.2\n0.9,0.3\n")
         with pytest.raises(ValueError):
             read_path_csv(dest)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        t_max=st.floats(1e-3, 1e3),
+        tail=st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=40),
+        hurst=st.none() | st.floats(0.01, 0.99),
+    )
+    def test_round_trip_is_bitwise_for_any_finite_path(self, tmp_path_factory, t_max, tail, hurst):
+        p = SamplePath(GridSpec(t_max, len(tail)), [0.0] + tail, hurst)
+        dest = tmp_path_factory.mktemp("csv") / "path.csv"
+        write_path_csv(p, dest)
+        back = read_path_csv(dest)
+        assert back.grid == p.grid and back.hurst == p.hurst
+        assert np.array_equal(back.values, p.values)
