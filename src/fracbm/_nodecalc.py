@@ -1,0 +1,47 @@
+"""Node arithmetic shared by the Ito and the pathwise calculus.
+
+Both change-of-variables formulas compare g(t, X) - g(0, X(0)) with running
+left-point sums of g_t dt + g_x dX on the path grid; the Ito version adds
+1/2 g_xx nu^2 dt, the version for persistent fBm paths drops it.  For a
+Brownian driver the forward sum is the Ito sum, so one accumulation builds
+the processes of both calculi.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+
+def eval2(fn, t: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """fn over node arrays: one vectorised call, else one call per node."""
+    try:
+        out = np.asarray(fn(t, x), dtype=float)
+        if out.shape == t.shape:
+            return out
+    except (TypeError, ValueError):
+        pass
+    return np.array([float(fn(tk, xk)) for tk, xk in zip(t, x)])
+
+
+def accumulate(x0: float, a: np.ndarray, dt: float, b: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """x0 plus running sums of a dt + b dx, both coefficients taken at left points."""
+    values = np.concatenate(([x0], x0 + np.cumsum(a[:-1] * dt + b[:-1] * dx)))
+    if not np.isfinite(values).all():
+        raise ValueError("accumulated process is not finite")
+    return values
+
+
+def change_of_variables(g, g_t, g_x, t, x, dt, second_order=None):
+    """(lhs, rhs) node arrays of the change-of-variables formula for g(t, X).
+
+    lhs holds g(t_k, X_k) - g(0, X_0); rhs accumulates g_t dt + g_x dX at
+    left points, plus second_order (one value per step) when given.
+    """
+    gv = eval2(g, t, x)
+    lhs = gv - gv[0]
+    incr = eval2(g_t, t[:-1], x[:-1]) * dt + eval2(g_x, t[:-1], x[:-1]) * np.diff(x)
+    if second_order is not None:
+        incr = incr + second_order
+    if not (np.isfinite(lhs).all() and np.isfinite(incr).all()):
+        raise ValueError("formula terms are not finite")
+    return lhs, np.concatenate(([0.0], np.cumsum(incr)))

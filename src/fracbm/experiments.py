@@ -381,21 +381,22 @@ def _e10(cfg: VerifyConfig):
     seeds = cfg.scaled(50)
     roots = {"rescaled-range": 11, "variation-index": 4}
     targets = (0.25, 0.5, 0.75)
+    sizes = (2**10, 2**12, 2**14)
     checks = []
     for method, root in roots.items():
+        medians = {
+            H: [float(np.median(_hurst_sweep(method, H, n, root, seeds))) for n in sizes]
+            for H in targets
+        }
         for H in targets:
-            est = _hurst_sweep(method, H, 4096, root, seeds)
             checks.append(_close(
-                f"{method}-H{H}", H, float(np.median(est)), 0.1,
+                f"{method}-H{H}", H, medians[H][1], 0.1,
                 f"median over {seeds} paths of 4096 steps",
             ))
         mono_ok = 0
         details = []
         for H in targets:
-            errs = [
-                abs(float(np.median(_hurst_sweep(method, H, n, root, seeds))) - H)
-                for n in (2**10, 2**12, 2**14)
-            ]
+            errs = [abs(m - H) for m in medians[H]]
             if errs[0] > errs[1] > errs[2]:
                 mono_ok += 1
             details.append(f"H={H}: " + " > ".join(f"{m:.4f}" for m in errs))

@@ -22,8 +22,8 @@ from typing import Optional, Union
 import numpy as np
 from scipy.special import gamma as _gamma
 
+from ._nodecalc import accumulate, change_of_variables
 from .gaussianpaths import GridSpec, SamplePath
-from .itocalc import _eval2
 from .pathstats import quadratic_variation, variation_index
 
 __all__ = [
@@ -126,9 +126,7 @@ def _grid_values(f, grid: GridSpec, name: str) -> np.ndarray:
         ):
             raise ValueError(f"{name} lives on a different grid")
         return f.values
-    if np.isscalar(f):
-        return np.full(grid.n_steps + 1, float(f))
-    vals = np.asarray(f, dtype=float)
+    vals = np.full(grid.n_steps + 1, float(f)) if np.isscalar(f) else np.asarray(f, dtype=float)
     if vals.shape != (grid.n_steps + 1,):
         raise ValueError(f"{name} must provide one value per grid node")
     if not np.isfinite(vals).all():
@@ -342,11 +340,7 @@ def fractional_forward_process(x0: float, alpha, f, g: SamplePath) -> ForwardPro
     """X = x0 + int alpha dt + forward sums of f against g on the grid."""
     av = _grid_values(alpha, g.grid, "alpha")
     fv = _grid_values(f, g.grid, "f")
-    incr = av[:-1] * g.dt + fv[:-1] * np.diff(g.values)
-    values = np.concatenate(([x0], x0 + np.cumsum(incr)))
-    if not np.isfinite(values).all():
-        raise ValueError("accumulated process is not finite")
-    return ForwardProcess(g.grid, values, g.hurst)
+    return ForwardProcess(g.grid, accumulate(x0, av, g.dt, fv, np.diff(g.values)), g.hurst)
 
 
 def fbm_ito_formula_check(g_fn, g_t, g_x, X: Union[SamplePath, ForwardProcess]):
@@ -359,13 +353,7 @@ def fbm_ito_formula_check(g_fn, g_t, g_x, X: Union[SamplePath, ForwardProcess]):
     """
     if X.hurst is None or X.hurst <= 0.5:
         raise ValueError("the formula needs a known Hurst index above 1/2")
-    t, xv = X.times, X.values
-    gv = _eval2(g_fn, t, xv)
-    lhs = gv - gv[0]
-    incr = _eval2(g_t, t[:-1], xv[:-1]) * X.dt + _eval2(g_x, t[:-1], xv[:-1]) * np.diff(xv)
-    if not (np.isfinite(lhs).all() and np.isfinite(incr).all()):
-        raise ValueError("formula terms are not finite")
-    rhs = np.concatenate(([0.0], np.cumsum(incr)))
+    lhs, rhs = change_of_variables(g_fn, g_t, g_x, X.times, X.values, X.dt)
     return lhs, rhs, float(np.max(np.abs(lhs - rhs)))
 
 

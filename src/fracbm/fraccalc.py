@@ -271,10 +271,6 @@ def whole_line_fractional_integral(
     return fractional_integral(f, DifferintegralSpec(alpha, one_sided, OperatorKind.INTEGRAL))
 
 
-def _classical_gradient(vals: np.ndarray, h: float) -> np.ndarray:
-    return np.gradient(vals, h)
-
-
 def fractal_integral(f: GridFunction, g: GridFunction, alpha: float) -> float:
     """Stieltjes integral of f against g via compensated fractional derivatives.
 
@@ -301,9 +297,9 @@ def fractal_integral(f: GridFunction, g: GridFunction, alpha: float) -> float:
     g_up = gv - gv[-1]
     if alpha == 0.0:
         df = f_low
-        dg = -_classical_gradient(g_up, h)
+        dg = -np.gradient(g_up, h)
     elif alpha == 1.0:
-        df = _classical_gradient(f_low, h)
+        df = np.gradient(f_low, h)
         dg = g_up
     else:
         df = _left_derivative(f_low, alpha, h)

@@ -38,7 +38,6 @@ __all__ = [
     "RngSeed",
     "PathGenerator",
     "SamplePath",
-    "EnsembleStats",
     "bm_covariance",
     "fbm_covariance",
     "increment_cross_covariance",
@@ -141,8 +140,8 @@ class SamplePath:
             raise ValueError("path values must be finite")
         if vals[0] != 0.0:
             raise ValueError("paths start at exactly zero")
-        if self.hurst is not None and not 0.0 < self.hurst < 1.0:
-            raise ValueError(f"hurst must lie in (0, 1), got {self.hurst}")
+        if self.hurst is not None:
+            _check_hurst(self.hurst)
 
     @property
     def times(self) -> np.ndarray:
@@ -154,24 +153,6 @@ class SamplePath:
 
     def increments(self) -> np.ndarray:
         return np.diff(self.values)
-
-
-@dataclass(frozen=True)
-class EnsembleStats:
-    """Mean, variance and a confidence half-width for a scalar functional."""
-
-    mean: float
-    variance: float
-    replicates: int
-    half_width: float
-
-    @classmethod
-    def from_samples(cls, samples, z: float = Z_CONFIDENCE) -> "EnsembleStats":
-        x = np.asarray(samples, dtype=float)
-        if x.size < 2:
-            raise ValueError("need at least two replicates")
-        var = float(np.var(x, ddof=1))
-        return cls(float(np.mean(x)), var, x.size, z * math.sqrt(var / x.size))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._nodecalc import accumulate, change_of_variables, eval2
 from .gaussianpaths import GridSpec, SamplePath, Z_CONFIDENCE
 
 __all__ = [
@@ -91,7 +92,7 @@ class AdaptedIntegrand:
     def deterministic(cls, fn: Callable[[float], float]) -> "AdaptedIntegrand":
         return cls(
             lambda t, prefix: float(fn(t)),
-            lambda times, values: _eval2(lambda t, x: fn(t), times, values),
+            lambda times, values: eval2(lambda t, x: fn(t), times, values),
         )
 
     @classmethod
@@ -138,17 +139,24 @@ class SimpleProcess:
 
         def step_rule(t: float, prefix: PathPrefix) -> float:
             i = int(np.searchsorted(part, t + 1e-12 * max(abs(t), 1.0), side="right")) - 1
-            i = max(min(i, part.size - 2), 0)
+            if i < 0:
+                return 0.0  # the step process is zero before its first time
+            i = min(i, part.size - 2)
             return float(self.rule(i, float(part[i]), prefix.up_to(float(part[i]))))
 
         return AdaptedIntegrand(step_rule)
 
 
-def _node_index(t: float, grid: GridSpec, what: str) -> int:
-    k = int(round(t / grid.dt))
-    if not 0 <= k <= grid.n_steps or abs(t - k * grid.dt) > 1e-9 * max(grid.t_max, 1.0):
-        raise ValueError(f"{what} {t} does not lie on the path grid")
-    return k
+def _node_index(t, grid: GridSpec, what: str) -> np.ndarray:
+    """Node indices of the grid times t, by one vectorised round-and-check."""
+    t = np.asarray(t, dtype=float)
+    if not np.isfinite(t).all():
+        raise ValueError(f"{what} must be finite, got {t[~np.isfinite(t)][0]}")
+    k = np.rint(t / grid.dt)
+    off = (k < 0) | (k > grid.n_steps) | (np.abs(t - k * grid.dt) > 1e-9 * max(grid.t_max, 1.0))
+    if off.any():
+        raise ValueError(f"{what} {t[off][0]} does not lie on the path grid")
+    return k.astype(int)
 
 
 def _require_bm(path: SamplePath) -> None:
@@ -174,17 +182,10 @@ def ito_integral(
         part = np.asarray(sub_partition, dtype=float)
         if part.size < 2 or np.any(np.diff(part) < 0):
             raise ValueError("sub-partition must be nondecreasing with at least 2 times")
-        idx = np.array([_node_index(t, path.grid, "partition time") for t in part])
+        idx = _node_index(part, path.grid, "partition time")
     left = idx[:-1]
     steps = values[idx[1:]] - values[left]
-    if f.grid_eval is not None:
-        e = f.on_nodes(times, values)[left]
-    else:
-        e = np.empty(left.size)
-        for j, k in enumerate(left):
-            e[j] = f.rule(float(times[k]), PathPrefix(times[: k + 1], values[: k + 1]))
-        if not np.isfinite(e).all():
-            raise ValueError("integrand produced non-finite values")
+    e = f.on_nodes(times, values)[left]
     return float(np.dot(e, steps))
 
 
@@ -208,7 +209,7 @@ def endpoint_comparison(values: np.ndarray, grid: GridSpec, T: float):
     right sums to T.
     """
     v = _check_ensemble(values, grid)
-    k = _node_index(T, grid, "T")
+    k = int(_node_index(T, grid, "T"))
     if k < 1:
         raise ValueError("T must cover at least one step")
     steps = np.diff(v[:, : k + 1], axis=1)
@@ -272,23 +273,7 @@ class ItoProcess:
         path = self.driving_path
         mu = self.drift.on_nodes(path.times, path.values)
         nu = self.diffusion.on_nodes(path.times, path.values)
-        db = np.diff(path.values)
-        x = np.empty(path.values.size)
-        x[0] = self.x0
-        x[1:] = self.x0 + np.cumsum(mu[:-1] * path.dt + nu[:-1] * db)
-        if not np.isfinite(x).all():
-            raise ValueError("realized process is not finite")
-        return x, nu
-
-
-def _eval2(fn, t: np.ndarray, x: np.ndarray) -> np.ndarray:
-    try:
-        out = np.asarray(fn(t, x), dtype=float)
-        if out.shape == t.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(fn(tk, xk)) for tk, xk in zip(t, x)])
+        return accumulate(self.x0, mu, path.dt, nu, np.diff(path.values)), nu
 
 
 def ito_formula_apply(g, g_t, g_x, g_xx, process: ItoProcess):
@@ -301,15 +286,5 @@ def ito_formula_apply(g, g_t, g_x, g_xx, process: ItoProcess):
     x, nu = process.realize()
     t = process.driving_path.times
     dt = process.driving_path.dt
-    gv = _eval2(g, t, x)
-    lhs = gv - gv[0]
-    dx = np.diff(x)
-    incr = (
-        _eval2(g_t, t[:-1], x[:-1]) * dt
-        + _eval2(g_x, t[:-1], x[:-1]) * dx
-        + 0.5 * _eval2(g_xx, t[:-1], x[:-1]) * nu[:-1] ** 2 * dt
-    )
-    if not (np.isfinite(lhs).all() and np.isfinite(incr).all()):
-        raise ValueError("formula terms are not finite")
-    rhs = np.concatenate(([0.0], np.cumsum(incr)))
-    return lhs, rhs
+    second_order = 0.5 * eval2(g_xx, t[:-1], x[:-1]) * nu[:-1] ** 2 * dt
+    return change_of_variables(g, g_t, g_x, t, x, dt, second_order)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussianpaths import SamplePath
+from .gaussianpaths import SamplePath, _check_hurst
 
 __all__ = [
     "VariationVerdict",
@@ -222,8 +222,7 @@ def rescaled_range_hurst(series) -> HurstEstimate:
 
 def theoretical_acf(H: float, n: int) -> float:
     """Autocorrelation of unit-spaced increments at lag n: ½((n+1)^2H − 2n^2H + (n−1)^2H)."""
-    if not 0.0 < H < 1.0:
-        raise ValueError(f"Hurst index must lie in (0, 1), got {H}")
+    _check_hurst(H)
     if n < 0:
         raise ValueError("lag must be nonnegative")
     if n == 0:
@@ -269,8 +268,7 @@ def lrd_diagnostic(H: float, N: int):
     n^2H is evaluated through expm1/log1p so the heavy cancellation at large
     n costs no accuracy.
     """
-    if not 0.0 < H < 1.0:
-        raise ValueError(f"Hurst index must lie in (0, 1), got {H}")
+    _check_hurst(H)
     if H == 0.5:
         raise ValueError("H = 1/2 is degenerate: every correlation is zero")
     if N < 1:

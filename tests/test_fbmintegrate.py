@@ -11,7 +11,7 @@ from fracbm.gaussianpaths import (
     generate_bm,
     generate_fbm_circulant,
 )
-from fracbm.itocalc import AdaptedIntegrand, ito_integral
+from fracbm.itocalc import AdaptedIntegrand, ItoProcess, ito_integral
 from fracbm.fbmintegrate import (
     EpsilonSchedule,
     backward_integral,
@@ -107,6 +107,10 @@ class TestQuotientLadders:
         assert res.converged
         assert abs(res.value - left) <= 0.03
 
+    def test_non_finite_scalar_integrand_rejected(self, g75):
+        with pytest.raises(ValueError, match="f must be finite"):
+            forward_integral(float("inf"), g75)
+
     def test_forward_diverges_on_rough_input(self):
         g = generate_fbm_circulant(G12, 0.25, RngSeed(21, 1))
         assert not forward_integral(g, g).converged
@@ -174,6 +178,10 @@ class TestRiemannStieltjes:
         # a constant has bounded variation, so no heuristic probe is needed
         res = riemann_stieltjes_integral(1.0, g75)
         assert "heuristic" not in res.diagnostic
+
+    def test_non_finite_scalar_integrand_rejected(self, g75):
+        with pytest.raises(ValueError, match="u must be finite"):
+            riemann_stieltjes_integral(float("nan"), g75)
 
 
 class TestCovariation:
@@ -254,6 +262,14 @@ class TestForwardProcess:
         proc = fractional_forward_process(x0, 0.0, 1.0, g75)
         assert np.abs(proc.values - (x0 + g75.values)).max() <= 1e-12
         assert proc.hurst == g75.hurst
+
+    def test_brownian_driver_matches_the_ito_process_bitwise(self, bm):
+        # for a Brownian driver the forward sum is the Ito sum
+        ito, _ = ItoProcess(
+            0.4, AdaptedIntegrand.constant(-0.3), AdaptedIntegrand.path_value(), bm
+        ).realize()
+        fwd = fractional_forward_process(0.4, -0.3, bm.values, bm)
+        assert np.array_equal(ito, fwd.values)
 
     def test_pure_drift_accumulation_is_a_line(self, g75):
         proc = fractional_forward_process(1.2, 1.0, 0.0, g75)

@@ -91,6 +91,27 @@ class TestIntegralExactCases:
         rhs = 2.0 * ito_integral(fa, p) - 3.0 * ito_integral(fb, p)
         assert abs(lhs - rhs) <= 1e-12
 
+    @pytest.mark.parametrize("stride", [1, 4, 64])
+    @pytest.mark.parametrize(
+        "f",
+        [
+            AdaptedIntegrand.constant(2.5),
+            AdaptedIntegrand.deterministic(lambda t: np.cos(t)),
+            AdaptedIntegrand.path_value(),
+        ],
+        ids=["constant", "deterministic", "path-value"],
+    )
+    def test_rule_alone_matches_the_grid_evaluation_bitwise(self, f, stride):
+        p = generate_bm(GridSpec(1.0, 1024), RngSeed(13, 4))
+        sub = p.times[::stride]
+        assert ito_integral(AdaptedIntegrand(f.rule), p, sub) == ito_integral(f, p, sub)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_partition_time_rejected(self, bad):
+        p = generate_bm(GridSpec(1.0, 64), RngSeed(13, 5))
+        with pytest.raises(ValueError, match="partition time"):
+            ito_integral(AdaptedIntegrand.constant(1.0), p, sub_partition=[0.0, bad])
+
 
 class TestEnsembleChecks:
     def test_martingale_mean_is_statistically_zero(self):
@@ -111,6 +132,12 @@ class TestEnsembleChecks:
     def test_degenerate_ensemble_gives_zeros(self):
         grid = GridSpec(2.0, 512)
         assert endpoint_comparison(np.zeros((2000, 513)), grid, 2.0) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_horizon_rejected(self, bad):
+        grid = GridSpec(1.0, 16)
+        with pytest.raises(ValueError, match="T must be finite"):
+            endpoint_comparison(np.zeros((REPLICATE_FLOOR, 17)), grid, bad)
 
     def test_small_ensembles_warn(self):
         grid = GridSpec(1.0, 16)
@@ -161,6 +188,14 @@ class TestSimpleProcess:
         fine = ito_integral(sp.as_integrand(), p)
         coarse = float(np.dot(p.values[::64][:-1], np.diff(p.values[::64])))
         assert abs(fine - coarse) <= 1e-10
+
+    def test_late_start_is_zero_before_the_first_time(self):
+        p = generate_bm(GRID, RngSeed(19, 1))
+        part = p.times[4096::64]
+        sp = SimpleProcess(part, lambda i, ti, prefix: prefix.latest)
+        coarse = float(np.dot(p.values[4096::64][:-1], np.diff(p.values[4096::64])))
+        assert abs(ito_integral(sp.as_integrand(), p, sub_partition=part) - coarse) <= 1e-12
+        assert abs(ito_integral(sp.as_integrand(), p) - coarse) <= 1e-10
 
     def test_repeated_times_contribute_nothing(self):
         p = generate_bm(GRID, RngSeed(19, 0))
