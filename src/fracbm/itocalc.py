@@ -100,15 +100,19 @@ class AdaptedIntegrand:
         """The integrand f(t, omega) = value of the path at t."""
         return cls(lambda t, prefix: prefix.latest, lambda times, values: values)
 
-    def on_nodes(self, times: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Per-node integrand values, causally evaluated."""
+    def on_nodes(self, times: np.ndarray, values: np.ndarray, nodes=slice(None)) -> np.ndarray:
+        """Integrand values at the node indices `nodes` (all by default), causally evaluated.
+
+        grid_eval sees the whole grid and is then indexed; the rule is called
+        once per selected node.
+        """
         if self.grid_eval is not None:
-            out = np.asarray(self.grid_eval(times, values), dtype=float)
+            out = np.asarray(self.grid_eval(times, values), dtype=float)[nodes]
         else:
             out = np.array(
                 [
                     self.rule(float(times[k]), PathPrefix(times[: k + 1], values[: k + 1]))
-                    for k in range(times.size)
+                    for k in np.arange(times.size)[nodes]
                 ]
             )
         if not np.isfinite(out).all():
@@ -185,7 +189,7 @@ def ito_integral(
         idx = _node_index(part, path.grid, "partition time")
     left = idx[:-1]
     steps = values[idx[1:]] - values[left]
-    e = f.on_nodes(times, values)[left]
+    e = f.on_nodes(times, values, left)
     return float(np.dot(e, steps))
 
 

@@ -201,15 +201,13 @@ def rescaled_range_hurst(series) -> HurstEstimate:
     block_data = []
     size = 16
     while size <= x.size // 8:
-        ratios = []
-        for start in range(0, x.size - size + 1, size):
-            block = x[start : start + size]
-            s = float(np.std(block))
-            if s == 0.0:
-                continue
-            y = np.cumsum(block - block.mean())
-            ratios.append((float(np.max(y)) - float(np.min(y))) / s)
-        if ratios:
+        blocks = x[: x.size // size * size].reshape(-1, size)
+        s = np.std(blocks, axis=1)
+        keep = s != 0.0  # a constant block has no rescaled range
+        if keep.any():
+            kept = blocks[keep]
+            y = np.cumsum(kept - kept.mean(axis=1, keepdims=True), axis=1)
+            ratios = (np.max(y, axis=1) - np.min(y, axis=1)) / s[keep]
             block_data.append((size, float(np.mean(ratios))))
         size *= 2
     if len(block_data) < 3:

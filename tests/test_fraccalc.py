@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 from math import gamma
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import cumulative_trapezoid, quad
+from scipy.special import gammaln
 
+from fracbm import fraccalc
 from fracbm.gaussianpaths import GridSpec, RngSeed, generate_fbm_circulant, write_path_csv
 from fracbm.fraccalc import (
     DifferintegralSpec,
@@ -93,6 +96,71 @@ class TestIntegralExactCases:
         assert np.abs(out.values[1:] - closed).max() <= 1e-12
         # the base node itself blows up and is reported as inf
         assert np.isposinf(out.values[0])
+
+
+class TestFftEvaluation:
+    """The quadrature sums are FFT convolutions; the direct sum is the reference."""
+
+    @pytest.mark.parametrize(
+        "op,spec",
+        [
+            (fractional_integral, DifferintegralSpec(0.5)),
+            (fractional_integral, DifferintegralSpec(1.0)),
+            (fractional_integral, DifferintegralSpec(3.0)),
+            (fractional_derivative, DifferintegralSpec(0.4, kind=D)),
+        ],
+        ids=["integral-0.5", "integral-1", "integral-3", "derivative-0.4"],
+    )
+    def test_agrees_with_the_direct_sum(self, monkeypatch, op, spec):
+        f = GridFunction(0.0, 1.0, generate_fbm_circulant(GridSpec(1.0, 2**12), 0.7, RngSeed(8, 0)).values)
+        out = op(f, spec).values
+        monkeypatch.setattr(fraccalc, "_causal_conv", lambda x, w, n: np.convolve(x[:n], w[:n])[:n])
+        ref = op(f, spec).values
+        finite = np.isfinite(ref)
+        assert np.array_equal(finite, np.isfinite(out))
+        assert np.abs(out[finite] - ref[finite]).max() <= 1e-12 * np.abs(ref[finite]).max()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 2**11),
+        seed=st.integers(0, 2**32 - 1),
+        alpha=st.floats(0.01, 6.0),
+        beta=st.floats(0.01, 0.99),
+    )
+    def test_right_side_is_bitwise_the_reflected_left_side(self, n, seed, alpha, beta):
+        f = GridFunction(0.0, 1.0, np.random.default_rng(seed).standard_normal(n + 1))
+        for op, spec in [
+            (fractional_integral, DifferintegralSpec(alpha, Side.RIGHT)),
+            (fractional_derivative, DifferintegralSpec(beta, Side.RIGHT, D)),
+        ]:
+            left = DifferintegralSpec(spec.alpha, Side.LEFT, spec.kind)
+            mirrored = op(f.reflected(), left).reflected()
+            assert np.array_equal(op(f, spec).values, mirrored.values)
+
+
+class TestHighOrders:
+    def test_order_200_underflows_to_zero_on_the_unit_interval(self):
+        # t**200 / 200! is below the smallest double everywhere on [0, 1]
+        f = GridFunction(0.0, 1.0, np.ones(65))
+        out = fractional_integral(f, DifferintegralSpec(200.0))
+        assert np.array_equal(out.values, np.zeros(65))
+
+    def test_order_200_of_one_is_the_power_law(self):
+        f = GridFunction(0.0, 128.0, np.ones(65))
+        out = fractional_integral(f, DifferintegralSpec(200.0))
+        closed = np.exp(200.0 * np.log(f.times[1:]) - gammaln(201.0))
+        assert out.values[0] == 0.0
+        assert np.abs(out.values[1:] - closed).max() <= 1e-12 * closed.max()
+
+    def test_unrepresentable_order_is_named(self):
+        f = GridFunction(0.0, 1e4, np.ones(65))
+        with pytest.raises(ValueError, match="order 200.0 overflows"):
+            fractional_integral(f, DifferintegralSpec(200.0))
+
+    def test_overflowing_samples_are_named(self):
+        f = GridFunction(0.0, 4.0, np.full(65, 1e308))  # reaches 2.3e308 at t = 4
+        with pytest.raises(ValueError, match="order 0.5 overflows"):
+            fractional_integral(f, DifferintegralSpec(0.5))
 
 
 class TestRoundTrips:

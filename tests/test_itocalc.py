@@ -106,6 +106,20 @@ class TestIntegralExactCases:
         sub = p.times[::stride]
         assert ito_integral(AdaptedIntegrand(f.rule), p, sub) == ito_integral(f, p, sub)
 
+    @pytest.mark.parametrize("stride", [1, 4, 64])
+    def test_rule_is_called_only_at_the_left_sub_partition_nodes(self, stride):
+        p = generate_bm(GridSpec(1.0, 1024), RngSeed(13, 6))
+        sub = p.times[::stride]
+        f = AdaptedIntegrand.path_value()
+        calls = []
+
+        def counting_rule(t, prefix):
+            calls.append(t)
+            return f.rule(t, prefix)
+
+        assert ito_integral(AdaptedIntegrand(counting_rule), p, sub) == ito_integral(f, p, sub)
+        assert calls == list(sub[:-1])
+
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_partition_time_rejected(self, bad):
         p = generate_bm(GridSpec(1.0, 64), RngSeed(13, 5))

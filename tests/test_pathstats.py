@@ -92,6 +92,33 @@ class TestRescaledRange:
         p = fbm(0.25, 7, 0, GridSpec(1.0, 4096))
         assert abs(rescaled_range_hurst(np.diff(p.values)).h_hat - 0.25) <= 0.12
 
+    @staticmethod
+    def looped_block_data(x):
+        # block-by-block statement of the statistic
+        out = []
+        size = 16
+        while size <= x.size // 8:
+            ratios = []
+            for start in range(0, x.size - size + 1, size):
+                block = x[start : start + size]
+                s = float(np.std(block))
+                if s == 0.0:
+                    continue
+                y = np.cumsum(block - block.mean())
+                ratios.append((float(np.max(y)) - float(np.min(y))) / s)
+            if ratios:
+                out.append((size, float(np.mean(ratios))))
+            size *= 2
+        return tuple(out)
+
+    @pytest.mark.parametrize("n", [2**12, 2**14, 5000])
+    def test_block_data_is_bitwise_the_block_loop(self, n):
+        x = RngSeed(6, 2).generator().standard_normal(n)
+        x[:64] = 1.5  # constant blocks up to size 64 are skipped
+        x[640:672] = -0.25
+        est = rescaled_range_hurst(x)
+        assert est.block_data == self.looped_block_data(x)
+
     def test_short_series_rejected(self):
         with pytest.raises(ValueError, match="256"):
             rescaled_range_hurst(np.zeros(100))
