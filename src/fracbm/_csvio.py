@@ -2,12 +2,22 @@
 
 A file holds optional `# key=value` header lines, a `t,value` column header
 and one row per grid node, written at 17 significant digits so every float
-survives a round trip bitwise.  Other `#` lines and blank lines are skipped.
+survives a round trip bitwise.  Header lines come before the first row;
+other `#` lines, text after a `#` and blank lines are skipped.
+
+Rows are formatted a block at a time and the body is parsed by numpy's
+`loadtxt`, so neither direction loops over rows in Python; a malformed file
+is scanned again, on the error path only, to name its first bad line.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
+
+_BLOCK = 4096  # rows per formatted write; bounds the text held at once
+_ROW = "%.17g,%.17g\n"
 
 
 def write_csv(dest, t, v, header: dict | None = None) -> None:
@@ -15,37 +25,62 @@ def write_csv(dest, t, v, header: dict | None = None) -> None:
         for key, val in (header or {}).items():
             fh.write(f"# {key}={val}\n")
         fh.write("t,value\n")
-        for tk, vk in zip(t, v):
-            fh.write(f"{tk:.17g},{vk:.17g}\n")
+        for i in range(0, len(t), _BLOCK):
+            cells = np.column_stack((t[i : i + _BLOCK], v[i : i + _BLOCK])).ravel().tolist()
+            fh.write(_ROW * (len(cells) // 2) % tuple(cells))
+
+
+def _parse(lines) -> np.ndarray:
+    return np.loadtxt(lines, delimiter=",", comments="#", ndmin=2)
+
+
+def _skip_header(lines, header: dict) -> tuple[int, str] | None:
+    """Consumes `#` lines, blank lines and the column header from (lineno, line)
+    pairs, filling header; returns the first data line, or None at the end."""
+    for lineno, raw in lines:
+        line = raw.strip()
+        if line.startswith("#"):
+            key, eq, val = line[1:].partition("=")
+            if eq:
+                header[key.strip()] = val.strip()
+        elif line and line.split(",")[0].strip().lower() != "t":
+            return lineno, raw
+    return None
+
+
+def _first_bad_line(fh) -> ValueError:
+    """Error naming the first data line of fh that is not two numbers."""
+    lines = enumerate(fh, start=1)
+    for lineno, raw in itertools.chain([_skip_header(lines, {})], lines):
+        if raw.partition("#")[0].strip():
+            try:
+                ok = _parse([raw]).shape == (1, 2)
+            except ValueError:
+                ok = False
+            if not ok:
+                return ValueError(f"malformed CSV at line {lineno}: {raw!r}")
+    return ValueError("malformed CSV")
 
 
 def read_csv(source, what: str, min_samples: int):
-    """Returns (header dict, t, v); the t column must be uniformly spaced."""
+    """Returns (header dict, t, v); the t column must be finite and uniformly spaced."""
     header: dict[str, str] = {}
-    times: list[float] = []
-    vals: list[float] = []
     with open(source, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if line.startswith("#"):
-                key, eq, val = line[1:].partition("=")
-                if eq:
-                    header[key.strip()] = val.strip()
-                continue
-            parts = line.split(",")
-            if not line or parts[0].strip().lower() == "t":
-                continue
-            if len(parts) != 2:
-                raise ValueError(f"malformed CSV at line {lineno}: {raw!r}")
-            try:
-                times.append(float(parts[0]))
-                vals.append(float(parts[1]))
-            except ValueError as exc:
-                raise ValueError(f"malformed CSV at line {lineno}: {raw!r}") from exc
-    if len(times) < min_samples:
+        first = _skip_header(enumerate(fh, start=1), header)
+        try:
+            rows = _parse(itertools.chain([first[1]], fh)) if first else np.empty((0, 2))
+        except ValueError:
+            rows = None
+        if rows is None or rows.shape[1] != 2:
+            fh.seek(0)
+            raise _first_bad_line(fh)
+    if len(rows) < min_samples:
         raise ValueError(f"{what} CSV must hold at least {min_samples} samples")
-    t = np.asarray(times)
+    # contiguous copies: BLAS dot products round differently on strided columns
+    t, v = rows[:, 0].copy(), rows[:, 1].copy()
+    if not np.isfinite(t).all():
+        raise ValueError(f"{what} CSV column 't' must hold finite times")
     h = (t[-1] - t[0]) / (t.size - 1)
     if h <= 0 or np.max(np.abs(np.diff(t) - h)) > 1e-9 * max(abs(h), 1.0):
         raise ValueError(f"{what} CSV must be uniformly spaced in t")
-    return header, t, np.asarray(vals)
+    return header, t, v

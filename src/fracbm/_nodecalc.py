@@ -13,9 +13,15 @@ import numpy as np
 
 
 def eval2(fn, t: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """fn over node arrays: one vectorised call, else one call per node."""
+    """fn over node arrays: one vectorised call, else one call per node.
+
+    A scalar (0-d) result of the vectorised call is the value at every node,
+    so a constant such as `lambda t, x: 0.0` costs one call.
+    """
     try:
         out = np.asarray(fn(t, x), dtype=float)
+        if out.ndim == 0:
+            return np.full(t.shape, out)
         if out.shape == t.shape:
             return out
     except (TypeError, ValueError):

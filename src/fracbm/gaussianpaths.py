@@ -536,13 +536,27 @@ def write_path_csv(path: SamplePath, dest) -> None:
     write_csv(dest, path.times, path.values, header)
 
 
+def _parse_seed(text: str) -> Optional[RngSeed]:
+    root, _, stream = text.partition("/")
+    return RngSeed(int(root), int(stream or 0)) if root else None
+
+
+def _header_value(header: dict, key: str, parse):
+    """parse(header[key]), None when the line is absent or empty."""
+    if not header.get(key):
+        return None
+    try:
+        return parse(header[key])
+    except ValueError as exc:
+        raise ValueError(f"malformed path CSV header {key}={header[key]}: {exc}") from exc
+
+
 def read_path_csv(source) -> SamplePath:
     """Inverse of write_path_csv; unheadered two-column CSVs import as EXTERNAL."""
     header, t, v = read_csv(source, "path", 2)
-    hurst = float(header["hurst"]) if header.get("hurst") else None
-    root, _, stream = header.get("seed", "").partition("/")
-    seed = RngSeed(int(root), int(stream or 0)) if root else None
-    generator = PathGenerator(header.get("generator") or PathGenerator.EXTERNAL.value)
+    hurst = _header_value(header, "hurst", float)
+    seed = _header_value(header, "seed", _parse_seed)
+    generator = _header_value(header, "generator", PathGenerator) or PathGenerator.EXTERNAL
     if t[0] != 0.0 or v[0] != 0.0:
         # imported series: re-anchor at the origin without changing increments
         t = t - t[0]

@@ -362,6 +362,14 @@ def test_grid_csv_uneven_spacing_rejected(tmp_path):
         read_grid_csv(dest)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_grid_csv_non_finite_time_rejected(tmp_path, bad):
+    dest = tmp_path / "bad.csv"
+    dest.write_text(f"t,value\n0,1\n{bad},2\n2,3\n")
+    with pytest.raises(ValueError, match="column 't'"):
+        read_grid_csv(dest)
+
+
 def test_grid_csv_reads_a_path_file(tmp_path):
     # the `fracbm fracint --input run/path.csv` workflow: provenance lines are skipped
     p = generate_fbm_circulant(GridSpec(2.0, 64), 0.7, RngSeed(5, 1))

@@ -363,6 +363,23 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError):
             read_path_csv(dest)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_time_rejected(self, tmp_path, bad):
+        dest = tmp_path / "bad.csv"
+        dest.write_text(f"t,value\n0,1\n{bad},2\n2,3\n")
+        with pytest.raises(ValueError, match="column 't'"):
+            read_path_csv(dest)
+
+    @pytest.mark.parametrize(
+        "line", ["hurst=abc", "seed=x", "seed=1/y", "seed=-1/0", "generator=nope"]
+    )
+    def test_malformed_header_names_its_key(self, tmp_path, line):
+        dest = tmp_path / "bad.csv"
+        dest.write_text(f"# {line}\nt,value\n0,0\n1,1\n")
+        key = line.partition("=")[0]
+        with pytest.raises(ValueError, match=f"header {key}="):
+            read_path_csv(dest)
+
     @settings(max_examples=40, deadline=None)
     @given(
         t_max=st.floats(1e-3, 1e3),

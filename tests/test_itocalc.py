@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from fracbm.gaussianpaths import (
     generate_bm,
     generate_fbm_circulant,
 )
+from fracbm._nodecalc import eval2
 from fracbm.itocalc import (
     REPLICATE_FLOOR,
     AdaptedIntegrand,
@@ -53,6 +56,27 @@ class TestAdaptedIntegrand:
         bad = AdaptedIntegrand.deterministic(lambda t: np.where(t < 0.5, 0.0, np.inf))
         with pytest.raises(ValueError):
             ito_integral(bad, p)
+
+
+class TestNodeEvaluation:
+    @pytest.mark.parametrize("const", [0.0, 1.0, -0.0, 3, np.float64(0.25)], ids=repr)
+    def test_scalar_result_is_the_value_at_every_node_from_one_call(self, const):
+        p = generate_bm(GridSpec(1.0, 2**14), RngSeed(14, 0))
+        calls = []
+
+        def fn(t, x):
+            calls.append(t)
+            return const
+
+        out = eval2(fn, p.times, p.values)
+        assert len(calls) == 1
+        per_node = np.array([float(fn(tk, xk)) for tk, xk in zip(p.times, p.values)])
+        assert out.shape == p.times.shape and out.tobytes() == per_node.tobytes()
+
+    def test_scalar_only_callable_falls_back_to_one_call_per_node(self):
+        t, x = np.linspace(0.0, 1.0, 9), np.linspace(0.0, 2.0, 9)
+        out = eval2(lambda s, y: math.cos(s) * y, t, x)
+        assert out.tobytes() == np.array([math.cos(s) * y for s, y in zip(t, x)]).tobytes()
 
 
 class TestIntegralExactCases:
