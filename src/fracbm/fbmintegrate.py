@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 from ._nodecalc import accumulate, change_of_variables
 from .gaussianpaths import GridSpec, SamplePath
@@ -330,8 +329,8 @@ def extended_forward_integral(
     levels = []
     for j in range(1, eps_levels + 1):
         e = 10.0**-j
-        cell = edges[:-1] ** e * math.expm1(e * log_ratio) / _gamma(1.0 + e)
-        est = float(np.dot(cell, i_mid)) + i_floor * h**e / _gamma(1.0 + e)
+        cell = edges[:-1] ** e * math.expm1(e * log_ratio) / math.gamma(1.0 + e)
+        est = float(np.dot(cell, i_mid)) + i_floor * h**e / math.gamma(1.0 + e)
         levels.append((e, est))
     return _ladder_result(levels, tol, "extended-forward")
 

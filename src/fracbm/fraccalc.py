@@ -14,10 +14,10 @@ reflection identity then holds bitwise.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as _gamma, gammaln as _gammaln
 
 from ._csvio import read_csv, write_csv
 
@@ -144,6 +144,14 @@ def _diffpow(d: np.ndarray, p: float) -> np.ndarray:
         return d**p * (-np.expm1(p * np.log1p(-1.0 / d)))
 
 
+def _gammaln(x: float) -> float:
+    """log Gamma(x) for x > 0; inf where it overflows, where math.lgamma raises."""
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        return math.inf
+
+
 def _integral_weights(alpha: float, h: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Moments of (t_k - u)**(alpha-1) / Gamma(alpha) over one cell, d = k - j = 1..n.
 
@@ -200,7 +208,7 @@ def _left_derivative(vals: np.ndarray, alpha: float, h: float) -> np.ndarray:
         far -= _causal_conv(slope[:-1], p1, n - 1)
         core[1:] += far
     out = np.empty_like(vals)
-    out[1:] = (boundary + alpha * core) / _gamma(1.0 - alpha)
+    out[1:] = (boundary + alpha * core) / math.gamma(1.0 - alpha)
     # one-sided limit at the base point: divergent unless the sample vanishes
     if vals[0] == 0.0:
         out[0] = 0.0

@@ -27,9 +27,6 @@ from functools import lru_cache, partial
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.linalg import cholesky as _cholesky
-from scipy.linalg import LinAlgError
 
 from ._csvio import read_csv, write_csv
 
@@ -165,18 +162,21 @@ def _check_hurst(H: float) -> float:
     return float(H)
 
 
+def _check_times(*times: float) -> None:
+    if not all(0.0 <= x < math.inf for x in times):
+        raise ValueError(f"times must be finite and nonnegative, got {times}")
+
+
 def bm_covariance(s: float, t: float) -> float:
     """E[B(s) B(t)] = min(s, t) for standard Brownian motion."""
-    if s < 0 or t < 0:
-        raise ValueError("times must be nonnegative")
+    _check_times(s, t)
     return float(min(s, t))
 
 
 def fbm_covariance(H: float, s: float, t: float) -> float:
     """E[B_H(s) B_H(t)] = (s^2H + t^2H - |t-s|^2H) / 2."""
     _check_hurst(H)
-    if s < 0 or t < 0:
-        raise ValueError("times must be nonnegative")
+    _check_times(s, t)
     return 0.5 * (s ** (2 * H) + t ** (2 * H) - abs(t - s) ** (2 * H))
 
 
@@ -187,8 +187,7 @@ def increment_cross_covariance(H: float, s: float, t: float, u: float, v: float)
     identical intervals return the increment variance |t-s|^2H.
     """
     _check_hurst(H)
-    if min(s, t, u, v) < 0:
-        raise ValueError("times must be nonnegative")
+    _check_times(s, t, u, v)
     p = 2 * H
     return 0.5 * (
         abs(t - u) ** p + abs(s - v) ** p - abs(s - u) ** p - abs(t - v) ** p
@@ -208,6 +207,8 @@ def normalizing_constant(H: float) -> float:
     beta = H - 0.5
     if beta == 0.0:
         return 1.0
+    from scipy.integrate import quad
+
     p = 2.0 * H
     opts = dict(epsabs=1e-13, epsrel=1e-12)
     cross = quad(
@@ -264,17 +265,19 @@ def bm_ensemble(grid: GridSpec, root: int, replicates: int) -> np.ndarray:
 
 @lru_cache(maxsize=3)
 def _cholesky_factor(t_max: float, n_steps: int, H: float) -> np.ndarray:
+    from scipy.linalg import LinAlgError, cholesky
+
     t = GridSpec(t_max, n_steps).times[1:]
     p = 2 * H
     tp = t**p
     cov = 0.5 * (tp[:, None] + tp[None, :] - np.abs(t[:, None] - t[None, :]) ** p)
     cov = 0.5 * (cov + cov.T)
     try:
-        return _cholesky(cov, lower=True, check_finite=False)
+        return cholesky(cov, lower=True, check_finite=False)
     except LinAlgError:
         jitter = 1e-12 * float(np.max(np.diag(cov)))
         try:
-            return _cholesky(
+            return cholesky(
                 cov + jitter * np.eye(cov.shape[0]), lower=True, check_finite=False
             )
         except LinAlgError as exc:
@@ -382,8 +385,8 @@ def _moving_average_law(
     H = _check_hurst(H)
     if truncation is None:
         truncation = 50.0 * grid.t_max
-    if truncation < grid.t_max:
-        raise ValueError("truncation must be at least t_max")
+    if not grid.t_max <= truncation < math.inf:
+        raise ValueError(f"truncation must be finite and at least t_max, got {truncation}")
     if kernel_mesh < 1:
         raise ValueError("kernel_mesh must be a positive integer")
     aux_h = grid.dt / kernel_mesh
@@ -417,10 +420,11 @@ def moving_average_truncation_bias(H: float, truncation: float, t: float) -> flo
     H = 1/2, where the kernel has compact support.
     """
     _check_hurst(H)
+    _check_times(t)
+    if not truncation > 0:
+        raise ValueError(f"truncation must be positive, got {truncation}")
     if H == 0.5:
         return 0.0
-    if truncation <= 0:
-        raise ValueError("truncation must be positive")
     beta = H - 0.5
     tail = beta**2 * t**2 * truncation ** (2.0 * H - 2.0) / (2.0 - 2.0 * H)
     return tail / normalizing_constant(H) ** 2

@@ -230,6 +230,8 @@ def isometry_check(f: AdaptedIntegrand, values: np.ndarray, grid: GridSpec):
     is separate from the Monte Carlo spread that ci measures.
     """
     v = _check_ensemble(values, grid)
+    if v.shape[0] < 2:
+        raise ValueError(f"isometry_check needs at least 2 replicates, got {v.shape[0]}")
     times = np.linspace(0.0, grid.t_max, grid.n_steps + 1)
     lhs_samples = np.empty(v.shape[0])
     rhs_samples = np.empty(v.shape[0])

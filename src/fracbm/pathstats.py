@@ -112,8 +112,8 @@ def p_variation(path: SamplePath, p: float, levels: int = 5) -> VariationEstimat
     slope means the sums shrink under refinement, a negative slope that they
     blow up, and a flat profile that they stabilize.
     """
-    if p <= 0:
-        raise ValueError("p must be positive")
+    if not 0.0 < p < math.inf:
+        raise ValueError(f"p must be positive and finite, got {p}")
     if levels < 3:
         raise ValueError("need at least 3 mesh levels")
     pairs = _dyadic_sums(path.values, path.dt, p, levels)

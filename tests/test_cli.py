@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import fracbm
 import fracbm.cli as cli
 from fracbm import __version__
 from fracbm.cli import RunConfig, main
@@ -250,3 +256,38 @@ class TestRunConfig:
 def test_version_flag(runner):
     result = run_ok(runner, ["--version"])
     assert __version__ in result.output
+
+
+def test_scipy_loads_only_where_it_is_used(tmp_path):
+    # a fresh interpreter: this test process has scipy loaded already
+    script = textwrap.dedent(
+        """
+        import json, sys
+        import fracbm.cli
+
+        def scipy_modules():
+            return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+        def run(*args):
+            fracbm.cli.main(list(args), standalone_mode=False)
+            return scipy_modules()
+
+        seen = {"import": scipy_modules()}
+        run("generate", "--generator", "circulant", "--steps", "1024", "--out", "c")
+        run("fracint", "--input", "c/path.csv", "--alpha", "0.5", "--out", "i.csv")
+        seen["chain"] = run("stats", "--input", "c/path.csv")
+        seen["cholesky"] = run("generate", "--generator", "cholesky", "--steps", "64", "--out", "k")
+        print(json.dumps(seen))
+        """
+    )
+    src = str(Path(fracbm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert seen["import"] == []
+    assert seen["chain"] == []
+    assert "scipy.linalg" in seen["cholesky"]
+    assert "scipy.special" not in seen["cholesky"]

@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from math import gamma
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import cumulative_trapezoid, quad
-from scipy.special import gammaln
+from scipy.special import gamma as scipy_gamma, gammaln
 
 from fracbm import fraccalc
 from fracbm.gaussianpaths import GridSpec, RngSeed, generate_fbm_circulant, write_path_csv
@@ -161,6 +163,36 @@ class TestHighOrders:
         f = GridFunction(0.0, 4.0, np.full(65, 1e308))  # reaches 2.3e308 at t = 4
         with pytest.raises(ValueError, match="order 0.5 overflows"):
             fractional_integral(f, DifferintegralSpec(0.5))
+
+    @pytest.mark.parametrize(
+        "b, alpha, overflows",
+        [(1.0, 1e307, False), (128.0, 1e307, False), (1.0, 1.7e308, False), (128.0, 1.7e308, True)],
+    )
+    def test_huge_orders(self, b, alpha, overflows):
+        # log Gamma(alpha+1) overflows a double here; the weights underflow to
+        # zero unless alpha*log(b) overflows too, which is named
+        f = GridFunction(0.0, b, np.ones(65))
+        if overflows:
+            with pytest.raises(ValueError, match=re.escape(f"integral of order {alpha} overflows")):
+                fractional_integral(f, DifferintegralSpec(alpha))
+        else:
+            out = fractional_integral(f, DifferintegralSpec(alpha))
+            assert np.array_equal(out.values, np.zeros(65))
+
+    def test_gamma_constants_match_scipy(self):
+        # the orders the operators use: Gamma(1-alpha) for derivatives,
+        # log Gamma(alpha+1) for integrals up to order 200, and Gamma(1+eps)
+        # in extended_forward_integral.  The weights carry exp(-log Gamma), so
+        # below 1 in magnitude its absolute error is the weights' relative one.
+        # Measured: 1.0e-15 at most on these grids (a few ulp).
+        orders = np.linspace(0.0, 1.0, 4001)[1:-1]
+        eps = 10.0 ** -np.arange(1, 13)
+        for x in np.concatenate([1.0 - orders, 1.0 + eps]):
+            want = scipy_gamma(x)
+            assert abs(gamma(x) - want) <= 2e-15 * want
+        for x in np.linspace(0.0, 200.0, 8001)[1:] + 1.0:
+            want = gammaln(x)
+            assert abs(fraccalc._gammaln(x) - want) <= 2e-15 * max(1.0, abs(want))
 
 
 class TestRoundTrips:

@@ -90,6 +90,23 @@ class TestCovarianceFormulas:
         with pytest.raises(ValueError):
             fbm_covariance(H, 0.5, 1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda x: bm_covariance(x, 1.0),
+            lambda x: fbm_covariance(0.7, x, 1.0),
+            lambda x: fbm_covariance(0.7, 1.0, x),
+            lambda x: increment_cross_covariance(0.7, 0.0, 1.0, x, 2.0),
+            lambda x: moving_average_truncation_bias(0.7, 10.0, x),
+            lambda x: moving_average_truncation_bias(0.5, 10.0, x),
+        ],
+        ids=["bm", "fbm-s", "fbm-t", "increment", "truncation-bias", "truncation-bias-half"],
+    )
+    def test_times_must_be_finite_and_nonnegative(self, call, bad):
+        with pytest.raises(ValueError, match="times must be finite and nonnegative"):
+            call(bad)
+
 
 class TestNormalizingConstant:
     def test_brownian_case_is_exactly_one(self):
@@ -233,6 +250,17 @@ class TestFbmGenerators:
         cov_ma = empirical_covariance(fbm_moving_average_ensemble(grid, 0.75, 104, 5000))
         cov_ch = empirical_covariance(fbm_cholesky_ensemble(grid, 0.75, 105, 5000))
         assert np.abs(cov_ma - cov_ch).max() <= 0.06
+
+    @pytest.mark.parametrize("H", [0.5, 0.75])
+    @pytest.mark.parametrize("bad", [np.nan, 0.0, -1.0])
+    def test_truncation_bias_needs_a_positive_window(self, H, bad):
+        with pytest.raises(ValueError, match="truncation must be positive"):
+            moving_average_truncation_bias(H, bad, 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.5])
+    def test_moving_average_truncation_is_named(self, bad):
+        with pytest.raises(ValueError, match="truncation must be finite and at least t_max"):
+            generate_fbm_moving_average(GridSpec(1.0, 8), 0.7, RngSeed(1, 0), truncation=bad)
 
     def test_truncation_bias_shrinks_with_the_window(self):
         bias = [moving_average_truncation_bias(0.75, w, 1.0) for w in (10.0, 50.0, 250.0)]

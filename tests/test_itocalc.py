@@ -177,6 +177,12 @@ class TestEnsembleChecks:
         with pytest.raises(ValueError, match="T must be finite"):
             endpoint_comparison(np.zeros((REPLICATE_FLOOR, 17)), grid, bad)
 
+    @pytest.mark.parametrize("replicates", [0, 1])
+    def test_isometry_needs_two_replicates(self, replicates):
+        grid = GridSpec(1.0, 16)
+        with pytest.warns(UserWarning), pytest.raises(ValueError, match="at least 2 replicates"):
+            isometry_check(AdaptedIntegrand.constant(1.0), bm_ensemble(grid, 12, replicates), grid)
+
     def test_small_ensembles_warn(self):
         grid = GridSpec(1.0, 16)
         with pytest.warns(UserWarning, match=str(REPLICATE_FLOOR)):

@@ -60,6 +60,11 @@ class TestPvariation:
         path = generate_bm(GRID, RngSeed(3, 0)) if H == 0.5 else fbm(H, 3, 0)
         assert p_variation(path, 2.0).verdict is want
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -2.0])
+    def test_order_must_be_positive_and_finite(self, bad):
+        with pytest.raises(ValueError, match="p must be positive and finite"):
+            p_variation(generate_bm(GridSpec(1.0, 64), RngSeed(3, 1)), bad)
+
     def test_mesh_levels_decrease(self):
         est = p_variation(generate_bm(GRID, RngSeed(3, 1)), 2.0)
         meshes = [m for m, _ in est.mesh_levels]
