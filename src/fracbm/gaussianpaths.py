@@ -4,7 +4,9 @@ Randomness contract: every path is drawn from a counter-based Philox bit
 generator keyed directly by (root, stream), so a seed pair fully determines
 the path, replicate r of an ensemble uses stream r, and distinct streams are
 independent by construction.  Gaussian variates come from numpy's ziggurat
-transform of that stream, which is stable for a fixed bit generator.
+transform of that stream, which is stable for a fixed bit generator.  A draw
+builds one Philox and re-keys it to each stream's fresh state, which costs
+far less than building a generator per stream.
 
 Generators: exact covariance via Cholesky (reference, small grids), exact
 circulant embedding of the increment covariance (long grids), and a
@@ -12,9 +14,13 @@ truncated moving-average discretization of the kernel representation
 
     Z(t) = (1/C(H)) int [ (t-s)_+^(H-1/2) - (-s)_+^(H-1/2) ] dB(s).
 
-Every generator, Brownian increments included, is set up once per call and
-then maps one seeded stream to one path; single paths and ensembles run the
-same draw, so ensemble row r equals the stream-r single draw bitwise by
+Every generator, Brownian increments included, is set up once per call.
+Each stream then draws its normals into one row of a block of streams, and
+the block is shaped into paths by operations that treat each row on its own:
+cumulative sums and FFTs along the rows, one matrix-vector product per row
+for Cholesky (a matrix product over the rows would round differently) and
+per-row dot products for the moving average.  A single path is a block of
+one, so ensemble row r equals the stream-r single draw bitwise by
 construction.
 """
 
@@ -22,6 +28,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Optional
@@ -61,6 +68,10 @@ Z_CONFIDENCE = 5.0
 
 CHOLESKY_MAX_NODES = 4096
 
+#: normals per block of streams (2^17 float64, 1 MiB); a longer stream fills
+#: a block of one row
+_BLOCK_NORMALS = 2**17
+
 
 def _is_integer(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
@@ -88,6 +99,22 @@ class GridSpec:
         return np.linspace(0.0, self.t_max, self.n_steps + 1)
 
 
+def _keyed_generator():
+    """A Generator over one Philox, and rekey(root, stream) to restart it.
+
+    rekey loads a fresh state (counter and buffer at zero) keyed [root, stream]:
+    the stream a new Philox(key=[root, stream]) gives, without building one.
+    """
+    bits = np.random.Philox(0)  # a seed, not None: reads no OS entropy
+    fresh = bits.state
+
+    def rekey(root: int, stream: int) -> None:
+        fresh["state"]["key"] = np.array([root, stream], dtype=np.uint64)
+        bits.state = fresh
+
+    return np.random.Generator(bits), rekey
+
+
 @dataclass(frozen=True)
 class RngSeed:
     """Root seed plus a stream index; the pair fully determines a path."""
@@ -101,8 +128,9 @@ class RngSeed:
                 raise ValueError(f"{name} must be an integer in [0, 2**64)")
 
     def generator(self) -> np.random.Generator:
-        key = np.array([self.root, self.stream], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        rng, rekey = _keyed_generator()
+        rekey(self.root, self.stream)
+        return rng
 
 
 class PathGenerator(enum.Enum):
@@ -157,8 +185,8 @@ class SamplePath:
 
 
 def _check_hurst(H: float) -> float:
-    if not 0.0 < H < 1.0:
-        raise ValueError(f"Hurst index must lie in (0, 1), got {H}")
+    if not (isinstance(H, numbers.Real) and 0.0 < H < 1.0):
+        raise ValueError(f"Hurst index must lie in (0, 1), got {H!r}")
     return float(H)
 
 
@@ -226,41 +254,47 @@ def normalizing_constant(H: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# generators: each law factory validates and sets up once, then maps one
-# seeded stream to node values; _draw is the only loop over streams
+# generators: each law factory validates and sets up once and returns
+# (count, shape): every stream draws `count` normals into one row of a block,
+# and shape maps the block to node values after the origin, treating each row
+# on its own; _draw is the only loop over streams
 
 
-def _draw(law, grid: GridSpec, seeds) -> np.ndarray:
-    out = np.empty((len(seeds), grid.n_steps + 1))
-    for r, seed in enumerate(seeds):
-        out[r] = law(seed.generator())
+def _draw(law, grid: GridSpec, root: int, streams) -> np.ndarray:
+    count, shape = law
+    out = np.zeros((len(streams), grid.n_steps + 1))
+    rows = max(1, _BLOCK_NORMALS // count)
+    z = np.empty((min(rows, len(streams)), count))
+    rng, rekey = _keyed_generator()
+    for lo in range(0, len(streams), rows):
+        block = z[: len(streams) - lo]
+        for zr, r in zip(block, streams[lo : lo + rows]):
+            rekey(root, r)
+            rng.standard_normal(out=zr)
+        out[lo : lo + len(block), 1:] = shape(block)
     return out
 
 
-def _streams(root: int, replicates: int) -> list:
-    if replicates < 0:
-        raise ValueError(f"replicates must be nonnegative, got {replicates}")
-    return [RngSeed(root, r) for r in range(replicates)]
+def _streams(root: int, replicates: int) -> range:
+    RngSeed(root)  # validates the root once, for every stream
+    if not _is_integer(replicates) or replicates < 0:
+        raise ValueError(f"replicates must be a nonnegative integer, got {replicates!r}")
+    return range(replicates)
 
 
 def _bm_law(grid: GridSpec):
     scale = math.sqrt(grid.dt)
-
-    def law(rng: np.random.Generator) -> np.ndarray:
-        incr = rng.standard_normal(grid.n_steps) * scale
-        return np.concatenate(([0.0], np.cumsum(incr)))
-
-    return law
+    return grid.n_steps, lambda z: np.cumsum(z * scale, axis=1)
 
 
 def generate_bm(grid: GridSpec, seed: RngSeed) -> SamplePath:
     """Standard Brownian motion from scaled i.i.d. Gaussian increments."""
-    values = _draw(_bm_law(grid), grid, [seed])[0]
+    values = _draw(_bm_law(grid), grid, seed.root, [seed.stream])[0]
     return SamplePath(grid, values, 0.5, seed, PathGenerator.BM_INCREMENTS)
 
 
 def bm_ensemble(grid: GridSpec, root: int, replicates: int) -> np.ndarray:
-    return _draw(_bm_law(grid), grid, _streams(root, replicates))
+    return _draw(_bm_law(grid), grid, root, _streams(root, replicates))
 
 
 @lru_cache(maxsize=3)
@@ -294,7 +328,9 @@ def _cholesky_law(grid: GridSpec, H: float, max_nodes: int):
             f"n_steps={grid.n_steps} exceeds the factorization cap {max_nodes}"
         )
     L = _cholesky_factor(grid.t_max, grid.n_steps, H)
-    return lambda rng: np.concatenate(([0.0], L @ rng.standard_normal(grid.n_steps)))
+    # one gemv per row, as L @ z is for one stream; z @ L.T would be one gemm,
+    # which rounds differently
+    return grid.n_steps, lambda z: np.matmul(L, z[:, :, None])[:, :, 0]
 
 
 def generate_fbm_cholesky(
@@ -306,14 +342,14 @@ def generate_fbm_cholesky(
     cost is cubic in n_steps and grids are capped at max_nodes.  The factor
     is cached, so replicated draws pay it once.
     """
-    values = _draw(_cholesky_law(grid, H, max_nodes), grid, [seed])[0]
+    values = _draw(_cholesky_law(grid, H, max_nodes), grid, seed.root, [seed.stream])[0]
     return SamplePath(grid, values, float(H), seed, PathGenerator.FBM_CHOLESKY)
 
 
 def fbm_cholesky_ensemble(
     grid: GridSpec, H: float, root: int, replicates: int, max_nodes: int = CHOLESKY_MAX_NODES
 ) -> np.ndarray:
-    return _draw(_cholesky_law(grid, H, max_nodes), grid, _streams(root, replicates))
+    return _draw(_cholesky_law(grid, H, max_nodes), grid, root, _streams(root, replicates))
 
 
 def _fgn_autocovariance(H: float, n: int) -> np.ndarray:
@@ -343,18 +379,17 @@ def _circulant_law(grid: GridSpec, H: float):
     amplitude = _circulant_sqrt_eigenvalues(H, n) / math.sqrt(m)
     scale = grid.dt**H
 
-    def law(rng: np.random.Generator) -> np.ndarray:
-        z = rng.standard_normal(m)
-        w = np.empty(m, dtype=complex)
-        w[0] = z[0]
-        w[n] = z[1]
-        half = (z[2::2] + 1j * z[3::2]) / math.sqrt(2.0)
-        w[1:n] = half
-        w[n + 1 :] = np.conj(half[::-1])
-        fgn = np.fft.fft(amplitude * w).real[:n]
-        return np.concatenate(([0.0], np.cumsum(fgn * scale)))
+    def shape(z: np.ndarray) -> np.ndarray:
+        w = np.empty(z.shape, dtype=complex)
+        w[:, 0] = z[:, 0]
+        w[:, n] = z[:, 1]
+        half = (z[:, 2::2] + 1j * z[:, 3::2]) / math.sqrt(2.0)
+        w[:, 1:n] = half
+        w[:, n + 1 :] = np.conj(half[:, ::-1])
+        fgn = np.fft.fft(amplitude * w, axis=1).real[:, :n]
+        return np.cumsum(fgn * scale, axis=1)
 
-    return law
+    return m, shape
 
 
 def generate_fbm_circulant(grid: GridSpec, H: float, seed: RngSeed) -> SamplePath:
@@ -364,12 +399,12 @@ def generate_fbm_circulant(grid: GridSpec, H: float, seed: RngSeed) -> SamplePat
     (it is for fractional Gaussian noise at any Hurst index in practice),
     with O(n log n) cost; the generator of choice for long grids.
     """
-    values = _draw(_circulant_law(grid, H), grid, [seed])[0]
+    values = _draw(_circulant_law(grid, H), grid, seed.root, [seed.stream])[0]
     return SamplePath(grid, values, float(H), seed, PathGenerator.FBM_CIRCULANT)
 
 
 def fbm_circulant_ensemble(grid: GridSpec, H: float, root: int, replicates: int) -> np.ndarray:
-    return _draw(_circulant_law(grid, H), grid, _streams(root, replicates))
+    return _draw(_circulant_law(grid, H), grid, root, _streams(root, replicates))
 
 
 def _ma_weight_row(t_k: float, edges: np.ndarray, H: float) -> np.ndarray:
@@ -394,21 +429,22 @@ def _moving_average_law(
     edges = -truncation + aux_h * np.arange(m + 1)
     c = normalizing_constant(H)
     node_times = grid.times[1:]
-    row = partial(_ma_weight_row, edges=edges, H=H)
+    weights = partial(_ma_weight_row, edges=edges, H=H)
     # n rows of m weights: shared when several streams reuse them, otherwise
     # built one at a time, since all of them would not fit for long grids
-    shared = list(map(row, node_times)) if streams > 1 else None
+    shared = list(map(weights, node_times)) if streams > 1 else None
 
-    def law(rng: np.random.Generator) -> np.ndarray:
-        db = rng.standard_normal(m) * math.sqrt(aux_h)
-        rows = shared if shared is not None else map(row, node_times)
+    def shape(z: np.ndarray) -> np.ndarray:
+        db = z * math.sqrt(aux_h)
         # per-row np.dot: a matmul over the rows is not bitwise stable across batch shapes
-        values = np.array([0.0] + [float(np.dot(w, db)) / c for w in rows])
+        values = np.array(
+            [[np.dot(w, x) for w in shared or map(weights, node_times)] for x in db]
+        ) / c
         if not np.isfinite(values).all():
             raise ValueError("moving-average kernel overflowed; refine kernel_mesh")
         return values
 
-    return law
+    return m, shape
 
 
 def moving_average_truncation_bias(H: float, truncation: float, t: float) -> float:
@@ -446,7 +482,7 @@ def generate_fbm_moving_average(
     bounded by moving_average_truncation_bias.
     """
     law = _moving_average_law(grid, H, truncation, kernel_mesh, streams=1)
-    values = _draw(law, grid, [seed])[0]
+    values = _draw(law, grid, seed.root, [seed.stream])[0]
     return SamplePath(grid, values, float(H), seed, PathGenerator.FBM_MOVING_AVERAGE)
 
 
@@ -458,9 +494,9 @@ def fbm_moving_average_ensemble(
     truncation: Optional[float] = None,
     kernel_mesh: int = 16,
 ) -> np.ndarray:
-    seeds = _streams(root, replicates)
-    law = _moving_average_law(grid, H, truncation, kernel_mesh, streams=len(seeds))
-    return _draw(law, grid, seeds)
+    streams = _streams(root, replicates)
+    law = _moving_average_law(grid, H, truncation, kernel_mesh, streams=len(streams))
+    return _draw(law, grid, root, streams)
 
 
 # ---------------------------------------------------------------------------

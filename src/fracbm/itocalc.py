@@ -35,6 +35,10 @@ __all__ = [
 #: below this many replicates, ensemble confidence intervals are flagged as wide
 REPLICATE_FLOOR = 1000
 
+#: ensemble rows per isometry_check block: array work per block, not per row,
+#: with no integrand array the size of the whole ensemble
+_ISOMETRY_ROWS = 128
+
 
 class AdaptednessError(RuntimeError):
     """An integrand asked for path information beyond its evaluation time."""
@@ -229,19 +233,23 @@ def isometry_check(f: AdaptedIntegrand, values: np.ndarray, grid: GridSpec):
     right side uses trapezoid quadrature, so its O(dt) discretization bias
     is separate from the Monte Carlo spread that ci measures.
     """
-    v = _check_ensemble(values, grid)
-    if v.shape[0] < 2:
+    v = np.asarray(values, dtype=float)
+    if v.ndim == 2 and v.shape[0] < 2:
         raise ValueError(f"isometry_check needs at least 2 replicates, got {v.shape[0]}")
+    v = _check_ensemble(v, grid)
+    n = v.shape[0]
     times = np.linspace(0.0, grid.t_max, grid.n_steps + 1)
-    lhs_samples = np.empty(v.shape[0])
-    rhs_samples = np.empty(v.shape[0])
-    for r in range(v.shape[0]):
-        e = f.on_nodes(times, v[r])
-        lhs_samples[r] = np.dot(e[:-1], np.diff(v[r])) ** 2
-        rhs_samples[r] = np.trapezoid(e**2, dx=grid.dt)
+    lhs_samples = np.empty(n)
+    rhs_samples = np.empty(n)
+    for lo in range(0, n, _ISOMETRY_ROWS):
+        block = v[lo : lo + _ISOMETRY_ROWS]
+        e = np.array([f.on_nodes(times, x) for x in block])
+        # one dot product per row, the ddot that np.dot makes for a single row
+        dots = np.matmul(e[:, None, :-1], np.diff(block, axis=1)[:, :, None])[:, 0, 0]
+        lhs_samples[lo : lo + len(block)] = dots**2
+        rhs_samples[lo : lo + len(block)] = np.trapezoid(e**2, dx=grid.dt, axis=1)
     lhs = float(np.mean(lhs_samples))
     rhs = float(np.mean(rhs_samples))
-    n = v.shape[0]
     ci = Z_CONFIDENCE * math.sqrt(
         (np.var(lhs_samples, ddof=1) + np.var(rhs_samples, ddof=1)) / n
     )

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +30,11 @@ from fracbm.gaussianpaths import (
     scale_path,
     time_invert_bm,
     write_path_csv,
+    _BLOCK_NORMALS,
+    _circulant_sqrt_eigenvalues,
+    _cholesky_factor,
+    _keyed_generator,
+    _ma_weight_row,
 )
 
 
@@ -208,14 +215,86 @@ SINGLE_AND_ENSEMBLE = {
 }
 
 
+#: a grid per generator and the normals one of its streams draws
+BLOCK_SPANNING = {
+    "bm": (GridSpec(1.0, 1024), 1024),
+    "cholesky": (GridSpec(1.0, 256), 256),
+    "circulant": (GridSpec(1.0, 1024), 2048),
+    "moving-average": (GridSpec(1.0, 8), 51 * 16 * 8),
+}
+
+
+def fresh_philox(root, stream):
+    return np.random.Generator(np.random.Philox(key=np.array([root, stream], dtype=np.uint64)))
+
+
+def per_stream_reference(kind, grid, H, root, replicates):
+    """Ensemble rows drawn one stream at a time, each from a newly built Philox."""
+    n = grid.n_steps
+    rows = []
+    for r in range(replicates):
+        rng = fresh_philox(root, r)
+        if kind == "bm":
+            x = np.cumsum(rng.standard_normal(n) * math.sqrt(grid.dt))
+        elif kind == "cholesky":
+            x = _cholesky_factor(grid.t_max, n, H) @ rng.standard_normal(n)
+        elif kind == "circulant":
+            m = 2 * n
+            z = rng.standard_normal(m)
+            w = np.empty(m, dtype=complex)
+            w[0], w[n] = z[0], z[1]
+            half = (z[2::2] + 1j * z[3::2]) / math.sqrt(2.0)
+            w[1:n] = half
+            w[n + 1 :] = np.conj(half[::-1])
+            amplitude = _circulant_sqrt_eigenvalues(H, n) / math.sqrt(m)
+            x = np.cumsum(np.fft.fft(amplitude * w).real[:n] * grid.dt**H)
+        else:  # default truncation 50 * t_max and kernel mesh 16
+            aux_h = grid.dt / 16
+            m = int(round(51.0 * grid.t_max / aux_h))
+            edges = -50.0 * grid.t_max + aux_h * np.arange(m + 1)
+            db = rng.standard_normal(m) * math.sqrt(aux_h)
+            c = normalizing_constant(H)
+            x = [float(np.dot(_ma_weight_row(t, edges, H), db)) / c for t in grid.times[1:]]
+        rows.append(np.concatenate(([0.0], x)))
+    return np.array(rows)
+
+
+class TestStreamKeying:
+    @pytest.mark.parametrize(
+        "root, stream", [(0, 0), (7, 1), (2**64 - 1, 0), (2**64 - 1, 2**64 - 1), (1, 2**63)]
+    )
+    def test_rekeyed_stream_is_the_fresh_one(self, root, stream):
+        rng, rekey = _keyed_generator()
+        rekey(root, stream)
+        assert np.array_equal(rng.standard_normal(37), fresh_philox(root, stream).standard_normal(37))
+        assert np.array_equal(
+            RngSeed(root, stream).generator().standard_normal(37),
+            fresh_philox(root, stream).standard_normal(37),
+        )
+
+    def test_rekeying_forgets_the_previous_draw(self):
+        rng, rekey = _keyed_generator()
+        rekey(2**64 - 1, 5)
+        rng.standard_normal(1001)
+        rng.random(3, dtype=np.float32)  # leaves half a 64-bit word buffered
+        for k in (1, 6, 513):
+            rekey(2**64 - 1, 6)
+            assert np.array_equal(rng.standard_normal(k), fresh_philox(2**64 - 1, 6).standard_normal(k))
+        rekey(3, 4)
+        assert np.array_equal(rng.random(5, dtype=np.float32), fresh_philox(3, 4).random(5, dtype=np.float32))
+
+
 class TestFbmGenerators:
     @pytest.mark.parametrize("kind", sorted(SINGLE_AND_ENSEMBLE))
     def test_single_matches_ensemble_row(self, kind):
+        # the first and last rows of the first block of streams and of the next
         single_fn, ensemble_fn, args = SINGLE_AND_ENSEMBLE[kind]
-        grid = GridSpec(1.0, 16)
-        single = single_fn(grid, *args, RngSeed(101, 3))
-        ens = ensemble_fn(grid, *args, 101, 5)
-        assert np.array_equal(single.values, ens[3])
+        grid, count = BLOCK_SPANNING[kind]
+        rows = _BLOCK_NORMALS // count
+        replicates = rows + rows // 2 + 1
+        ens = ensemble_fn(grid, *args, 101, replicates)
+        for r in (0, rows - 1, rows, replicates - 1):
+            assert np.array_equal(ens[r], single_fn(grid, *args, RngSeed(101, r)).values)
 
     @pytest.mark.parametrize("kind", sorted(SINGLE_AND_ENSEMBLE))
     def test_replicate_count_must_be_nonnegative(self, kind):
@@ -223,6 +302,38 @@ class TestFbmGenerators:
         assert ensemble_fn(GridSpec(1.0, 8), *args, 101, 0).shape == (0, 9)
         with pytest.raises(ValueError, match="replicates"):
             ensemble_fn(GridSpec(1.0, 8), *args, 101, -1)
+
+    @pytest.mark.parametrize("kind", sorted(SINGLE_AND_ENSEMBLE))
+    @pytest.mark.parametrize("bad", [2.5, True, None, "3"])
+    def test_replicate_count_must_be_an_integer(self, kind, bad):
+        _, ensemble_fn, args = SINGLE_AND_ENSEMBLE[kind]
+        with pytest.raises(ValueError, match="replicates"):
+            ensemble_fn(GridSpec(1.0, 8), *args, 101, bad)
+
+    @pytest.mark.parametrize("kind", sorted(SINGLE_AND_ENSEMBLE))
+    @pytest.mark.parametrize("bad", [-1, 2**64, 1.0, True])
+    def test_root_is_checked_before_any_draw(self, kind, bad):
+        _, ensemble_fn, args = SINGLE_AND_ENSEMBLE[kind]
+        with pytest.raises(ValueError, match="root"):
+            ensemble_fn(GridSpec(1.0, 8), *args, bad, 0)
+
+    @pytest.mark.parametrize("kind", ["cholesky", "circulant", "moving-average"])
+    @pytest.mark.parametrize("bad", [None, "0.5", 0.5j])
+    def test_hurst_index_must_be_a_real_number(self, kind, bad):
+        single_fn, ensemble_fn, _ = SINGLE_AND_ENSEMBLE[kind]
+        grid = GridSpec(1.0, 8)
+        with pytest.raises(ValueError, match="Hurst index"):
+            single_fn(grid, bad, RngSeed(1, 0))
+        with pytest.raises(ValueError, match="Hurst index"):
+            ensemble_fn(grid, bad, 1, 2)
+
+    @pytest.mark.parametrize("kind", sorted(SINGLE_AND_ENSEMBLE))
+    def test_ensembles_match_the_per_stream_draw(self, kind):
+        _, ensemble_fn, args = SINGLE_AND_ENSEMBLE[kind]
+        grid, count = BLOCK_SPANNING[kind]
+        replicates = _BLOCK_NORMALS // count + 2
+        want = per_stream_reference(kind, grid, *args or (0.5,), 2**64 - 1, replicates)
+        assert np.array_equal(ensemble_fn(grid, *args, 2**64 - 1, replicates), want)
 
     def test_cholesky_covariance(self):
         grid = GridSpec(1.0, 8)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -180,8 +181,11 @@ class TestEnsembleChecks:
     @pytest.mark.parametrize("replicates", [0, 1])
     def test_isometry_needs_two_replicates(self, replicates):
         grid = GridSpec(1.0, 16)
-        with pytest.warns(UserWarning), pytest.raises(ValueError, match="at least 2 replicates"):
-            isometry_check(AdaptedIntegrand.constant(1.0), bm_ensemble(grid, 12, replicates), grid)
+        ens = bm_ensemble(grid, 12, replicates)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a call that fails warns of nothing
+            with pytest.raises(ValueError, match="at least 2 replicates"):
+                isometry_check(AdaptedIntegrand.constant(1.0), ens, grid)
 
     def test_small_ensembles_warn(self):
         grid = GridSpec(1.0, 16)
@@ -202,6 +206,28 @@ class TestEnsembleChecks:
         ens = bm_ensemble(grid, 12, 3000)
         lhs, rhs, ci = isometry_check(f, ens, grid)
         assert abs(lhs - rhs) <= ci
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            AdaptedIntegrand.constant(1.0),
+            AdaptedIntegrand.deterministic(lambda t: t),
+            AdaptedIntegrand.path_value(),
+            AdaptedIntegrand(lambda t, prefix: prefix.latest**2),
+        ],
+        ids=["one", "time", "path", "rule-only"],
+    )
+    def test_isometry_blocks_match_the_row_loop(self, f):
+        # 300 rows span three blocks; the reference takes one replicate at a time
+        grid = GridSpec(2.0, 64)
+        ens = bm_ensemble(grid, 21, 300)
+        e = [f.on_nodes(grid.times, x) for x in ens]
+        lhs = np.array([np.dot(er[:-1], np.diff(x)) ** 2 for er, x in zip(e, ens)])
+        rhs = np.array([np.trapezoid(er**2, dx=grid.dt) for er in e])
+        ci = 5.0 * math.sqrt((np.var(lhs, ddof=1) + np.var(rhs, ddof=1)) / ens.shape[0])
+        with pytest.warns(UserWarning, match=str(REPLICATE_FLOOR)):
+            got = isometry_check(f, ens, grid)
+        assert got == (float(np.mean(lhs)), float(np.mean(rhs)), ci)
 
 
 class TestQuadraticVariationOfIntegral:
