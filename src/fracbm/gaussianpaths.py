@@ -22,6 +22,13 @@ for Cholesky (a matrix product over the rows would round differently) and
 per-row dot products for the moving average.  A single path is a block of
 one, so ensemble row r equals the stream-r single draw bitwise by
 construction.
+
+An ensemble of several blocks is drawn by one worker thread per usable CPU
+(the affinity mask, as `taskset` sets it, is the only limit), each with its
+own re-keyed Philox and block buffer, taking blocks from a shared iterator.
+Since streams are keyed one by one, blocks do not depend on the worker
+count and shaping is row-wise, the output is bitwise the same for any worker
+count and schedule.  A draw of one block runs on the caller's thread.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from __future__ import annotations
 import enum
 import math
 import numbers
+import os
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Optional
@@ -85,8 +93,8 @@ class GridSpec:
     n_steps: int
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.t_max) and self.t_max > 0):
-            raise ValueError("t_max must be positive and finite")
+        if not (isinstance(self.t_max, numbers.Real) and 0.0 < self.t_max < math.inf):
+            raise ValueError(f"t_max must be positive and finite, got {self.t_max!r}")
         if not _is_integer(self.n_steps) or self.n_steps < 1:
             raise ValueError(f"n_steps must be an integer of at least 1, got {self.n_steps!r}")
 
@@ -255,23 +263,46 @@ def normalizing_constant(H: float) -> float:
 
 # ---------------------------------------------------------------------------
 # generators: each law factory validates and sets up once and returns
-# (count, shape): every stream draws `count` normals into one row of a block,
-# and shape maps the block to node values after the origin, treating each row
-# on its own; _draw is the only loop over streams
+# (count, shape): every stream draws `count` normals into one row of a block z,
+# and shape(z, dest) writes the node values after the origin into dest,
+# treating each row on its own (z may be overwritten); shapes run concurrently
+# and only read what the law set up; _draw is the only loop over streams
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
 
 
 def _draw(law, grid: GridSpec, root: int, streams) -> np.ndarray:
     count, shape = law
     out = np.zeros((len(streams), grid.n_steps + 1))
     rows = max(1, _BLOCK_NORMALS // count)
-    z = np.empty((min(rows, len(streams)), count))
-    rng, rekey = _keyed_generator()
-    for lo in range(0, len(streams), rows):
-        block = z[: len(streams) - lo]
-        for zr, r in zip(block, streams[lo : lo + rows]):
-            rekey(root, r)
-            rng.standard_normal(out=zr)
-        out[lo : lo + len(block), 1:] = shape(block)
+
+    def work(starts) -> None:
+        # one Philox and one block buffer per worker; blocks never share rows
+        rng, rekey = _keyed_generator()
+        z = np.empty((min(rows, len(streams)), count))
+        for lo in starts:
+            block = z[: len(streams) - lo]
+            for zr, r in zip(block, streams[lo : lo + rows]):
+                rekey(root, r)
+                rng.standard_normal(out=zr)
+            shape(block, out[lo : lo + len(block), 1:])
+
+    starts = range(0, len(streams), rows)
+    workers = min(len(starts), _usable_cpus())
+    if workers < 2:
+        work(starts)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        shared = iter(starts)  # next() on a range iterator runs under the GIL: each block once
+        with ThreadPoolExecutor(workers) as pool:
+            for done in [pool.submit(work, shared) for _ in range(workers)]:
+                done.result()
     return out
 
 
@@ -284,7 +315,11 @@ def _streams(root: int, replicates: int) -> range:
 
 def _bm_law(grid: GridSpec):
     scale = math.sqrt(grid.dt)
-    return grid.n_steps, lambda z: np.cumsum(z * scale, axis=1)
+
+    def shape(z: np.ndarray, dest: np.ndarray) -> None:
+        np.cumsum(np.multiply(z, scale, out=z), axis=1, out=dest)
+
+    return grid.n_steps, shape
 
 
 def generate_bm(grid: GridSpec, seed: RngSeed) -> SamplePath:
@@ -323,6 +358,8 @@ def _cholesky_factor(t_max: float, n_steps: int, H: float) -> np.ndarray:
 
 def _cholesky_law(grid: GridSpec, H: float, max_nodes: int):
     H = _check_hurst(H)
+    if not _is_integer(max_nodes) or max_nodes < 1:
+        raise ValueError(f"max_nodes must be a positive integer, got {max_nodes!r}")
     if grid.n_steps > max_nodes:
         raise ValueError(
             f"n_steps={grid.n_steps} exceeds the factorization cap {max_nodes}"
@@ -330,7 +367,10 @@ def _cholesky_law(grid: GridSpec, H: float, max_nodes: int):
     L = _cholesky_factor(grid.t_max, grid.n_steps, H)
     # one gemv per row, as L @ z is for one stream; z @ L.T would be one gemm,
     # which rounds differently
-    return grid.n_steps, lambda z: np.matmul(L, z[:, :, None])[:, :, 0]
+    def shape(z: np.ndarray, dest: np.ndarray) -> None:
+        dest[:] = np.matmul(L, z[:, :, None])[:, :, 0]
+
+    return grid.n_steps, shape
 
 
 def generate_fbm_cholesky(
@@ -379,7 +419,7 @@ def _circulant_law(grid: GridSpec, H: float):
     amplitude = _circulant_sqrt_eigenvalues(H, n) / math.sqrt(m)
     scale = grid.dt**H
 
-    def shape(z: np.ndarray) -> np.ndarray:
+    def shape(z: np.ndarray, dest: np.ndarray) -> None:
         w = np.empty(z.shape, dtype=complex)
         w[:, 0] = z[:, 0]
         w[:, n] = z[:, 1]
@@ -387,7 +427,7 @@ def _circulant_law(grid: GridSpec, H: float):
         w[:, 1:n] = half
         w[:, n + 1 :] = np.conj(half[:, ::-1])
         fgn = np.fft.fft(amplitude * w, axis=1).real[:, :n]
-        return np.cumsum(fgn * scale, axis=1)
+        np.cumsum(fgn * scale, axis=1, out=dest)
 
     return m, shape
 
@@ -422,8 +462,8 @@ def _moving_average_law(
         truncation = 50.0 * grid.t_max
     if not grid.t_max <= truncation < math.inf:
         raise ValueError(f"truncation must be finite and at least t_max, got {truncation}")
-    if kernel_mesh < 1:
-        raise ValueError("kernel_mesh must be a positive integer")
+    if not _is_integer(kernel_mesh) or kernel_mesh < 1:
+        raise ValueError(f"kernel_mesh must be a positive integer, got {kernel_mesh!r}")
     aux_h = grid.dt / kernel_mesh
     m = int(round((truncation + grid.t_max) / aux_h))
     edges = -truncation + aux_h * np.arange(m + 1)
@@ -434,15 +474,14 @@ def _moving_average_law(
     # built one at a time, since all of them would not fit for long grids
     shared = list(map(weights, node_times)) if streams > 1 else None
 
-    def shape(z: np.ndarray) -> np.ndarray:
-        db = z * math.sqrt(aux_h)
+    def shape(z: np.ndarray, dest: np.ndarray) -> None:
+        db = np.multiply(z, math.sqrt(aux_h), out=z)
         # per-row np.dot: a matmul over the rows is not bitwise stable across batch shapes
-        values = np.array(
-            [[np.dot(w, x) for w in shared or map(weights, node_times)] for x in db]
-        ) / c
-        if not np.isfinite(values).all():
+        for x, d in zip(db, dest):
+            d[:] = [np.dot(w, x) for w in shared or map(weights, node_times)]
+        np.divide(dest, c, out=dest)
+        if not np.isfinite(dest).all():
             raise ValueError("moving-average kernel overflowed; refine kernel_mesh")
-        return values
 
     return m, shape
 

@@ -197,10 +197,15 @@ def ito_integral(
     return float(np.dot(e, steps))
 
 
-def _check_ensemble(values: np.ndarray, grid: GridSpec) -> np.ndarray:
+def _check_ensemble(values: np.ndarray, grid: GridSpec, what: str, least: int) -> np.ndarray:
+    """The ensemble as a float array; fewer than `least` rows raise before any warning."""
     v = np.asarray(values, dtype=float)
     if v.ndim != 2 or v.shape[1] != grid.n_steps + 1:
         raise ValueError("ensemble must be a (replicates, nodes) array matching the grid")
+    if v.shape[0] < least:
+        raise ValueError(
+            f"{what} needs at least {least} replicate{'s' * (least > 1)}, got {v.shape[0]}"
+        )
     if v.shape[0] < REPLICATE_FLOOR:
         warnings.warn(
             f"{v.shape[0]} replicates give wide confidence intervals "
@@ -216,7 +221,7 @@ def endpoint_comparison(values: np.ndarray, grid: GridSpec, T: float):
     The endpoint choice is the whole difference: left sums average to 0,
     right sums to T.
     """
-    v = _check_ensemble(values, grid)
+    v = _check_ensemble(values, grid, "endpoint_comparison", 1)
     k = int(_node_index(T, grid, "T"))
     if k < 1:
         raise ValueError("T must cover at least one step")
@@ -233,10 +238,7 @@ def isometry_check(f: AdaptedIntegrand, values: np.ndarray, grid: GridSpec):
     right side uses trapezoid quadrature, so its O(dt) discretization bias
     is separate from the Monte Carlo spread that ci measures.
     """
-    v = np.asarray(values, dtype=float)
-    if v.ndim == 2 and v.shape[0] < 2:
-        raise ValueError(f"isometry_check needs at least 2 replicates, got {v.shape[0]}")
-    v = _check_ensemble(v, grid)
+    v = _check_ensemble(values, grid, "isometry_check", 2)
     n = v.shape[0]
     times = np.linspace(0.0, grid.t_max, grid.n_steps + 1)
     lhs_samples = np.empty(n)

@@ -1,10 +1,13 @@
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from math import gamma, pi, sin
 
+from fracbm import gaussianpaths
 from fracbm.gaussianpaths import (
     CHOLESKY_MAX_NODES,
     GridSpec,
@@ -34,7 +37,9 @@ from fracbm.gaussianpaths import (
     _circulant_sqrt_eigenvalues,
     _cholesky_factor,
     _keyed_generator,
+    _draw,
     _ma_weight_row,
+    _usable_cpus,
 )
 
 
@@ -157,6 +162,11 @@ class TestSeedsAndGrids:
     def test_step_count_must_be_an_integer(self, n_steps):
         with pytest.raises(ValueError, match="n_steps"):
             GridSpec(1.0, n_steps)
+
+    @pytest.mark.parametrize("t_max", [None, "1", 1j, np.nan, np.inf, -1.0])
+    def test_horizon_must_be_a_positive_real(self, t_max):
+        with pytest.raises(ValueError, match="t_max"):
+            GridSpec(t_max, 4)
 
     @pytest.mark.parametrize(
         "root, stream, field", [(True, 0, "root"), (1, False, "stream"), (1.5, 0, "root")]
@@ -345,6 +355,22 @@ class TestFbmGenerators:
         with pytest.raises(ValueError):
             generate_fbm_cholesky(GridSpec(1.0, CHOLESKY_MAX_NODES + 1), 0.7, RngSeed(1, 0))
 
+    @pytest.mark.parametrize("bad", [None, 2.5, True, 0])
+    def test_cholesky_node_cap_must_be_a_positive_integer(self, bad):
+        grid = GridSpec(1.0, 8)
+        with pytest.raises(ValueError, match="max_nodes"):
+            generate_fbm_cholesky(grid, 0.7, RngSeed(1, 0), max_nodes=bad)
+        with pytest.raises(ValueError, match="max_nodes"):
+            fbm_cholesky_ensemble(grid, 0.7, 1, 2, max_nodes=bad)
+
+    @pytest.mark.parametrize("bad", [2.5, True, 0])
+    def test_kernel_mesh_must_be_a_positive_integer(self, bad):
+        grid = GridSpec(1.0, 16)
+        with pytest.raises(ValueError, match="kernel_mesh must be a positive integer"):
+            generate_fbm_moving_average(grid, 0.7, RngSeed(1, 0), kernel_mesh=bad)
+        with pytest.raises(ValueError, match="kernel_mesh must be a positive integer"):
+            fbm_moving_average_ensemble(grid, 0.7, 1, 2, kernel_mesh=bad)
+
     def test_circulant_covariance(self):
         grid = GridSpec(1.0, 16)
         ens = fbm_circulant_ensemble(grid, 0.25, 102, 5000)
@@ -389,6 +415,75 @@ class TestFbmGenerators:
         a = generate_fbm_moving_average(grid, 0.6, RngSeed(7, 2))
         b = generate_fbm_moving_average(grid, 0.6, RngSeed(7, 2))
         assert np.array_equal(a.values, b.values)
+
+
+class TestThreadedDraw:
+    """Blocks of streams are drawn by one worker per usable CPU."""
+
+    @pytest.mark.parametrize("kind", sorted(SINGLE_AND_ENSEMBLE))
+    def test_output_is_independent_of_the_worker_count(self, kind, monkeypatch):
+        single_fn, ensemble_fn, args = SINGLE_AND_ENSEMBLE[kind]
+        grid, count = BLOCK_SPANNING[kind]
+        rows = _BLOCK_NORMALS // count
+        replicates = 2 * rows + rows // 4 + 1  # three blocks, the last one short
+        draws = []
+        for cpus in (1, 2, 8):
+            monkeypatch.setattr(gaussianpaths, "_usable_cpus", lambda: cpus)
+            draws.append(ensemble_fn(grid, *args, 2**64 - 1, replicates))
+        assert all(np.array_equal(d, draws[0]) for d in draws[1:])
+        for r in (0, rows - 1, rows, 2 * rows, replicates - 1):
+            assert np.array_equal(draws[0][r], single_fn(grid, *args, RngSeed(2**64 - 1, r)).values)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    def test_each_block_is_drawn_once(self, cpus, monkeypatch):
+        # blocks of 2 streams of 4 normals: streams 0-1, 2-3, 4-5 and 6
+        monkeypatch.setattr(gaussianpaths, "_BLOCK_NORMALS", 8)
+        monkeypatch.setattr(gaussianpaths, "_usable_cpus", lambda: cpus)
+        shaped = []
+
+        def shape(z, dest):
+            shaped.append(len(z))
+            dest[:] = z
+
+        out = _draw((4, shape), GridSpec(1.0, 4), 5, range(7))
+        assert sorted(shaped) == [1, 2, 2, 2]
+        want = [fresh_philox(5, r).standard_normal(4) for r in range(7)]
+        assert np.array_equal(out[:, 1:], want) and not out[:, 0].any()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_shape_error_reaches_the_caller(self, cpus, monkeypatch):
+        # blocks of 2 streams of 4 normals; shaping fails on the block of streams 2-3
+        monkeypatch.setattr(gaussianpaths, "_BLOCK_NORMALS", 8)
+        monkeypatch.setattr(gaussianpaths, "_usable_cpus", lambda: cpus)
+        second = fresh_philox(5, 2).standard_normal()
+
+        def shape(z, dest):
+            if z[0, 0] == second:
+                raise ValueError("second block")
+            dest[:] = z
+
+        with pytest.raises(ValueError, match="second block"):
+            _draw((4, shape), GridSpec(1.0, 4), 5, range(6))
+
+    @pytest.mark.parametrize("kind", sorted(SINGLE_AND_ENSEMBLE))
+    def test_one_block_starts_no_thread(self, kind, monkeypatch):
+        single_fn, ensemble_fn, args = SINGLE_AND_ENSEMBLE[kind]
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t) or start(t))
+        monkeypatch.setattr(gaussianpaths, "_usable_cpus", lambda: 8)
+        grid, count = BLOCK_SPANNING[kind]
+        single_fn(grid, *args, RngSeed(3, 1))
+        ensemble_fn(grid, *args, 3, _BLOCK_NORMALS // count)
+        assert started == []
+        ensemble_fn(grid, *args, 3, _BLOCK_NORMALS // count + 1)
+        assert len(started) == 2
+
+    def test_usable_cpus_follow_the_affinity_mask(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert _usable_cpus() == len(os.sched_getaffinity(0))
+            monkeypatch.delattr(os, "sched_getaffinity")
+        assert _usable_cpus() == (os.cpu_count() or 1)
 
 
 class TestTransforms:

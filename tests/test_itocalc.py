@@ -187,6 +187,13 @@ class TestEnsembleChecks:
             with pytest.raises(ValueError, match="at least 2 replicates"):
                 isometry_check(AdaptedIntegrand.constant(1.0), ens, grid)
 
+    def test_endpoint_comparison_needs_a_replicate(self):
+        grid = GridSpec(1.0, 16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a call that fails warns of nothing
+            with pytest.raises(ValueError, match="at least 1 replicate, got 0"):
+                endpoint_comparison(np.zeros((0, 17)), grid, 1.0)
+
     def test_small_ensembles_warn(self):
         grid = GridSpec(1.0, 16)
         with pytest.warns(UserWarning, match=str(REPLICATE_FLOOR)):
