@@ -23,12 +23,13 @@ per-row dot products for the moving average.  A single path is a block of
 one, so ensemble row r equals the stream-r single draw bitwise by
 construction.
 
-An ensemble of several blocks is drawn by one worker thread per usable CPU
-(the affinity mask, as `taskset` sets it, is the only limit), each with its
-own re-keyed Philox and block buffer, taking blocks from a shared iterator.
-Since streams are keyed one by one, blocks do not depend on the worker
-count and shaping is row-wise, the output is bitwise the same for any worker
-count and schedule.  A draw of one block runs on the caller's thread.
+An ensemble of several blocks of long streams (1536 normals or more) is
+drawn by one worker thread per usable CPU (the affinity mask, as `taskset`
+sets it), at most two, each with its own re-keyed Philox and block buffer
+and a fixed share of the blocks.  Since streams are keyed one by one, blocks
+do not depend on the worker count and shaping is row-wise, the output is
+bitwise the same for any worker count and schedule.  A draw of one block,
+or of short streams, runs on the caller's thread.
 """
 
 from __future__ import annotations
@@ -79,6 +80,14 @@ CHOLESKY_MAX_NODES = 4096
 #: normals per block of streams (2^17 float64, 1 MiB); a longer stream fills
 #: a block of one row
 _BLOCK_NORMALS = 2**17
+
+#: worker threads drawing the blocks of one ensemble: at most the usable CPUs
+#: and at most this many, the largest count whose time and memory were measured
+_MAX_WORKERS = 2
+
+#: normals per stream from which a second worker pays; on shorter streams
+#: re-keying, which holds the GIL, outweighs the fill that releases it
+_THREAD_MIN_NORMALS = 1536
 
 
 def _is_integer(v) -> bool:
@@ -293,16 +302,17 @@ def _draw(law, grid: GridSpec, root: int, streams) -> np.ndarray:
             shape(block, out[lo : lo + len(block), 1:])
 
     starts = range(0, len(streams), rows)
-    workers = min(len(starts), _usable_cpus())
+    workers = 1
+    if count >= _THREAD_MIN_NORMALS:
+        workers = min(len(starts), _usable_cpus(), _MAX_WORKERS)
     if workers < 2:
         work(starts)
     else:
         from concurrent.futures import ThreadPoolExecutor
 
-        shared = iter(starts)  # next() on a range iterator runs under the GIL: each block once
+        # fixed shares of the block starts: each block is drawn once, by one worker
         with ThreadPoolExecutor(workers) as pool:
-            for done in [pool.submit(work, shared) for _ in range(workers)]:
-                done.result()
+            list(pool.map(work, [starts[i::workers] for i in range(workers)]))
     return out
 
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import os
 import threading
@@ -417,8 +418,31 @@ class TestFbmGenerators:
         assert np.array_equal(a.values, b.values)
 
 
+def workers_on(monkeypatch, cpus):
+    """Let every draw of several blocks start up to `cpus` workers, whatever its stream length."""
+    monkeypatch.setattr(gaussianpaths, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(gaussianpaths, "_MAX_WORKERS", cpus)
+    monkeypatch.setattr(gaussianpaths, "_THREAD_MIN_NORMALS", 1)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker count of every thread pool started, and every thread started."""
+    sizes, started = [], []
+
+    class Recording(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, workers):
+            sizes.append(workers)
+            super().__init__(workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t) or start(t))
+    return sizes, started
+
+
 class TestThreadedDraw:
-    """Blocks of streams are drawn by one worker per usable CPU."""
+    """Blocks of long streams are drawn by one worker per usable CPU, at most two."""
 
     @pytest.mark.parametrize("kind", sorted(SINGLE_AND_ENSEMBLE))
     def test_output_is_independent_of_the_worker_count(self, kind, monkeypatch):
@@ -428,7 +452,7 @@ class TestThreadedDraw:
         replicates = 2 * rows + rows // 4 + 1  # three blocks, the last one short
         draws = []
         for cpus in (1, 2, 8):
-            monkeypatch.setattr(gaussianpaths, "_usable_cpus", lambda: cpus)
+            workers_on(monkeypatch, cpus)
             draws.append(ensemble_fn(grid, *args, 2**64 - 1, replicates))
         assert all(np.array_equal(d, draws[0]) for d in draws[1:])
         for r in (0, rows - 1, rows, 2 * rows, replicates - 1):
@@ -438,7 +462,7 @@ class TestThreadedDraw:
     def test_each_block_is_drawn_once(self, cpus, monkeypatch):
         # blocks of 2 streams of 4 normals: streams 0-1, 2-3, 4-5 and 6
         monkeypatch.setattr(gaussianpaths, "_BLOCK_NORMALS", 8)
-        monkeypatch.setattr(gaussianpaths, "_usable_cpus", lambda: cpus)
+        workers_on(monkeypatch, cpus)
         shaped = []
 
         def shape(z, dest):
@@ -454,7 +478,7 @@ class TestThreadedDraw:
     def test_shape_error_reaches_the_caller(self, cpus, monkeypatch):
         # blocks of 2 streams of 4 normals; shaping fails on the block of streams 2-3
         monkeypatch.setattr(gaussianpaths, "_BLOCK_NORMALS", 8)
-        monkeypatch.setattr(gaussianpaths, "_usable_cpus", lambda: cpus)
+        workers_on(monkeypatch, cpus)
         second = fresh_philox(5, 2).standard_normal()
 
         def shape(z, dest):
@@ -466,18 +490,25 @@ class TestThreadedDraw:
             _draw((4, shape), GridSpec(1.0, 4), 5, range(6))
 
     @pytest.mark.parametrize("kind", sorted(SINGLE_AND_ENSEMBLE))
-    def test_one_block_starts_no_thread(self, kind, monkeypatch):
+    def test_one_block_starts_no_thread(self, kind, monkeypatch, pools):
         single_fn, ensemble_fn, args = SINGLE_AND_ENSEMBLE[kind]
-        started = []
-        start = threading.Thread.start
-        monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t) or start(t))
-        monkeypatch.setattr(gaussianpaths, "_usable_cpus", lambda: 8)
+        sizes, started = pools
+        workers_on(monkeypatch, 8)
         grid, count = BLOCK_SPANNING[kind]
         single_fn(grid, *args, RngSeed(3, 1))
         ensemble_fn(grid, *args, 3, _BLOCK_NORMALS // count)
-        assert started == []
+        assert sizes == [] and started == []
         ensemble_fn(grid, *args, 3, _BLOCK_NORMALS // count + 1)
-        assert len(started) == 2
+        # an idle pool thread may take the second share, so one or two threads start
+        assert sizes == [2] and 1 <= len(started) <= 2
+
+    @pytest.mark.parametrize("steps, workers", [(1535, []), (1536, [2])])
+    def test_short_streams_run_inline_and_workers_are_capped(self, steps, workers, monkeypatch, pools):
+        sizes, started = pools
+        monkeypatch.setattr(gaussianpaths, "_usable_cpus", lambda: 8)
+        bm_ensemble(GridSpec(1.0, steps), 3, 4 * (_BLOCK_NORMALS // steps))  # four blocks
+        assert sizes == workers
+        assert bool(started) == bool(workers)
 
     def test_usable_cpus_follow_the_affinity_mask(self, monkeypatch):
         if hasattr(os, "sched_getaffinity"):
