@@ -22,7 +22,7 @@ from typing import Optional, Union
 import numpy as np
 
 from ._nodecalc import accumulate, change_of_variables
-from .gaussianpaths import GridSpec, SamplePath
+from .gaussianpaths import GridSpec, SamplePath, _is_integer
 from .pathstats import quadratic_variation, variation_index
 
 __all__ = [
@@ -56,8 +56,8 @@ class EpsilonSchedule:
         object.__setattr__(self, "values", vals)
         if len(vals) < 3:
             raise ValueError("need at least 3 epsilon levels")
-        if any(e <= 0 for e in vals) or any(b >= a for a, b in zip(vals, vals[1:])):
-            raise ValueError("epsilon values must be positive and strictly decreasing")
+        if not all(0 < e < math.inf for e in vals) or any(b >= a for a, b in zip(vals, vals[1:])):
+            raise ValueError("epsilon values must be positive, finite and strictly decreasing")
 
     @classmethod
     def default_for(cls, grid: GridSpec) -> "EpsilonSchedule":
@@ -307,12 +307,12 @@ def extended_forward_integral(
     the weight concentrates at u = 0 and the value approaches the grid-scale
     forward quotient.
     """
-    if eps_levels < 3:
-        raise ValueError("need at least 3 epsilon levels")
+    if not _is_integer(eps_levels) or eps_levels < 3:
+        raise ValueError(f"eps_levels must be an integer of at least 3, got {eps_levels!r}")
     if eps_levels > 12:
         raise ValueError("epsilon ladder below 1e-12 underflows the weight differences")
-    if u_points < 1:
-        raise ValueError(f"u_points must be at least 1, got {u_points}")
+    if not _is_integer(u_points) or u_points < 1:
+        raise ValueError(f"u_points must be an integer of at least 1, got {u_points!r}")
     fv = _grid_values(f, g.grid, "f")
     h, T = g.dt, g.grid.t_max
     times, gv = g.times, g.values

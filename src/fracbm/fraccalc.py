@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,8 +77,9 @@ class DifferintegralSpec:
     kind: OperatorKind = OperatorKind.INTEGRAL
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.alpha):
-            raise ValueError("order must be finite")
+        a = self.alpha
+        if isinstance(a, bool) or not (isinstance(a, numbers.Real) and math.isfinite(a)):
+            raise ValueError(f"order must be a finite real number, got {a!r}")
         if self.kind is OperatorKind.INTEGRAL:
             if not self.alpha > 0:
                 raise ValueError(f"integral order must be positive, got {self.alpha}")
@@ -272,8 +274,8 @@ def cauchy_repeated_integral(f: GridFunction, m: int) -> GridFunction:
     (t - u)**(m-1) / (m-1)!; this delegates to the same quadrature path as
     fractional_integral with alpha = m, so the two agree bitwise at m = 1.
     """
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise ValueError(f"repetition count must be a positive integer, got {m!r}")
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
+        raise ValueError(f"repetition count m must be a positive integer, got {m!r}")
     return fractional_integral(f, DifferintegralSpec(float(m), Side.LEFT, OperatorKind.INTEGRAL))
 
 

@@ -1,12 +1,16 @@
 """Seeded generation of Brownian and fractional Brownian sample paths.
 
 Randomness contract: every path is drawn from a counter-based Philox bit
-generator keyed directly by (root, stream), so a seed pair fully determines
-the path, replicate r of an ensemble uses stream r, and distinct streams are
-independent by construction.  Gaussian variates come from numpy's ziggurat
-transform of that stream, which is stable for a fixed bit generator.  A draw
-builds one Philox and re-keys it to each stream's fresh state, which costs
-far less than building a generator per stream.
+generator keyed directly by (root, stream), so a seed pair fixes the normals
+a path is built from, replicate r of an ensemble uses stream r, and distinct
+streams are independent by construction.  Gaussian variates come from numpy's
+ziggurat transform of that stream, which is stable for a fixed bit generator.
+A draw builds one Philox and re-keys it to each stream's fresh state, which
+costs far less than building a generator per stream.  The path also depends
+on the BLAS where a law calls it: Cholesky draws of 128 or more steps differ
+bitwise between OpenBLAS thread counts, since the threaded factorization
+rounds differently; Brownian, circulant and moving-average paths do not
+depend on the thread count.
 
 Generators: exact covariance via Cholesky (reference, small grids), exact
 circulant embedding of the increment covariance (long grids), and a
@@ -14,14 +18,25 @@ truncated moving-average discretization of the kernel representation
 
     Z(t) = (1/C(H)) int [ (t-s)_+^(H-1/2) - (-s)_+^(H-1/2) ] dB(s).
 
+The moving average samples dB on cells of width h = dt/kernel_mesh back to
+-truncation.  On that uniform lattice the cell average of the kernel is
+stationary: node k weights cell j by g(Tc + k kernel_mesh - j) - g(Tc - j),
+with g(u) = u_+^q - (u-1)_+^q, q = H + 1/2 and Tc = truncation/h, so every
+node's weights are shifts of one sequence, formed once with h^H / (q C(H))
+folded in.  Grids whose n x m weight table has at most _MA_TABLE_MAX entries
+apply the table by one gemv per row; larger grids read one FFT causal
+convolution of each stream with the sequence at the n + 1 lattice points
+t_k and subtract the value at t_0.  The crossover depends only on the grid,
+so a single path and an ensemble row take the same route, and the table
+stays below the size from which OpenBLAS threads a gemv.
+
 Every generator, Brownian increments included, is set up once per call.
 Each stream then draws its normals into one row of a block of streams, and
 the block is shaped into paths by operations that treat each row on its own:
-cumulative sums and FFTs along the rows, one matrix-vector product per row
-for Cholesky (a matrix product over the rows would round differently) and
-per-row dot products for the moving average.  A single path is a block of
-one, so ensemble row r equals the stream-r single draw bitwise by
-construction.
+cumulative sums and FFTs along the rows, and one matrix-vector product per
+row for Cholesky and the moving-average table (a matrix product over the rows
+would round differently).  A single path is a block of one, so ensemble row r
+equals the stream-r single draw bitwise by construction.
 
 An ensemble of several blocks of long streams (1536 normals or more) is
 drawn by one worker thread per usable CPU (the affinity mask, as `taskset`
@@ -39,10 +54,11 @@ import math
 import numbers
 import os
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._csvio import read_csv, write_csv
 
@@ -88,6 +104,12 @@ _MAX_WORKERS = 2
 #: normals per stream from which a second worker pays; on shorter streams
 #: re-keying, which holds the GIL, outweighs the fill that releases it
 _THREAD_MIN_NORMALS = 1536
+
+#: entries of the moving-average weight table (nodes x auxiliary cells, 3 MiB)
+#: up to which a law applies the table by gemv; larger grids convolve by FFT.
+#: OpenBLAS (0.3.31) splits a gemv over threads from 460,800 entries, which
+#: rounds differently, so a smaller table keeps the path independent of BLAS threads
+_MA_TABLE_MAX = 400_000
 
 
 def _is_integer(v) -> bool:
@@ -457,41 +479,68 @@ def fbm_circulant_ensemble(grid: GridSpec, H: float, root: int, replicates: int)
     return _draw(_circulant_law(grid, H), grid, root, _streams(root, replicates))
 
 
-def _ma_weight_row(t_k: float, edges: np.ndarray, H: float) -> np.ndarray:
-    """Cell averages of the kernel (t-s)_+^(H-1/2) - (-s)_+^(H-1/2) between edges."""
-    q = H + 0.5
-    prim = (np.maximum(-edges, 0.0) ** q - np.maximum(t_k - edges, 0.0) ** q) / q
-    return np.diff(prim) / np.diff(edges)
+def _fft_size(n: int) -> int:
+    """The least 2^a 3^b 5^c >= n: a length numpy's FFT transforms fast."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < n:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _ma_kernel(u: np.ndarray, q: float) -> np.ndarray:
+    """u_+^q - (u-1)_+^q, formed as a product so that large u does not cancel."""
+    with np.errstate(divide="ignore"):
+        return np.maximum(u, 0.0) ** q * -np.expm1(q * np.log1p(-1.0 / np.maximum(u, 1.0)))
 
 
 def _moving_average_law(
-    grid: GridSpec, H: float, truncation: Optional[float], kernel_mesh: int, streams: int
+    grid: GridSpec, H: float, truncation: Optional[float], kernel_mesh: int
 ):
     H = _check_hurst(H)
     if truncation is None:
         truncation = 50.0 * grid.t_max
-    if not grid.t_max <= truncation < math.inf:
-        raise ValueError(f"truncation must be finite and at least t_max, got {truncation}")
+    if isinstance(truncation, bool) or not (
+        isinstance(truncation, numbers.Real) and grid.t_max <= truncation < math.inf
+    ):
+        raise ValueError(f"truncation must be finite and at least t_max, got {truncation!r}")
     if not _is_integer(kernel_mesh) or kernel_mesh < 1:
         raise ValueError(f"kernel_mesh must be a positive integer, got {kernel_mesh!r}")
-    aux_h = grid.dt / kernel_mesh
+    n, M = grid.n_steps, kernel_mesh
+    aux_h = grid.dt / M
     m = int(round((truncation + grid.t_max) / aux_h))
-    edges = -truncation + aux_h * np.arange(m + 1)
-    c = normalizing_constant(H)
-    node_times = grid.times[1:]
-    weights = partial(_ma_weight_row, edges=edges, H=H)
-    # n rows of m weights: shared when several streams reuse them, otherwise
-    # built one at a time, since all of them would not fit for long grids
-    shared = list(map(weights, node_times)) if streams > 1 else None
+    q = H + 0.5
+    # one stationary sequence r[i] = g(truncation/aux_h + nM - i), g the kernel's
+    # cell average with aux_h^(q-1) / q, sqrt(aux_h) and 1 / C(H) folded in:
+    # node k weights cell j by r[(n-k)M + j] - r[nM + j]
+    u = truncation / aux_h + n * M - np.arange(n * M + m)
+    r = _ma_kernel(u, q) * (aux_h**H / (q * normalizing_constant(H)))
+    if n * m <= _MA_TABLE_MAX:
+        w = sliding_window_view(r, m)[::M]  # w[i] = r[iM : iM + m], the row of node n - i
+        table = np.subtract(w[n - 1 :: -1], w[n], order="C")
 
-    def shape(z: np.ndarray, dest: np.ndarray) -> None:
-        db = np.multiply(z, math.sqrt(aux_h), out=z)
-        # per-row np.dot: a matmul over the rows is not bitwise stable across batch shapes
-        for x, d in zip(db, dest):
-            d[:] = [np.dot(w, x) for w in shared or map(weights, node_times)]
-        np.divide(dest, c, out=dest)
-        if not np.isfinite(dest).all():
-            raise ValueError("moving-average kernel overflowed; refine kernel_mesh")
+        # one gemv per row, as for Cholesky
+        def shape(z: np.ndarray, dest: np.ndarray) -> None:
+            dest[:] = np.matmul(table, z[:, :, None])[:, :, 0]
+
+    else:
+        # sum_j z[j] r[(n-k)M + j] is the causal convolution of z with r reversed,
+        # read at m - 1 + kM; no circular wrap reaches those terms at this size
+        size = _fft_size(r.size)
+        kernel = np.fft.rfft(r[::-1], size)
+
+        def shape(z: np.ndarray, dest: np.ndarray) -> None:
+            spectrum = np.fft.rfft(z, size, axis=1)
+            spectrum *= kernel
+            at = np.fft.irfft(spectrum, size, axis=1)[:, m - 1 : m + n * M : M]
+            np.subtract(at[:, 1:], at[:, :1], out=dest)
 
     return m, shape
 
@@ -530,7 +579,7 @@ def generate_fbm_moving_average(
     Truncation defaults to 50 * t_max; the induced variance deficit is
     bounded by moving_average_truncation_bias.
     """
-    law = _moving_average_law(grid, H, truncation, kernel_mesh, streams=1)
+    law = _moving_average_law(grid, H, truncation, kernel_mesh)
     values = _draw(law, grid, seed.root, [seed.stream])[0]
     return SamplePath(grid, values, float(H), seed, PathGenerator.FBM_MOVING_AVERAGE)
 
@@ -543,9 +592,8 @@ def fbm_moving_average_ensemble(
     truncation: Optional[float] = None,
     kernel_mesh: int = 16,
 ) -> np.ndarray:
-    streams = _streams(root, replicates)
-    law = _moving_average_law(grid, H, truncation, kernel_mesh, streams=len(streams))
-    return _draw(law, grid, root, streams)
+    law = _moving_average_law(grid, H, truncation, kernel_mesh)
+    return _draw(law, grid, root, _streams(root, replicates))
 
 
 # ---------------------------------------------------------------------------

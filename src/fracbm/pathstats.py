@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussianpaths import SamplePath, _check_hurst
+from .gaussianpaths import SamplePath, _check_hurst, _is_integer
 
 __all__ = [
     "VariationVerdict",
@@ -269,8 +269,8 @@ def lrd_diagnostic(H: float, N: int):
     _check_hurst(H)
     if H == 0.5:
         raise ValueError("H = 1/2 is degenerate: every correlation is zero")
-    if N < 1:
-        raise ValueError("N must be positive")
+    if not _is_integer(N) or N < 1:
+        raise ValueError(f"N must be a positive integer, got {N!r}")
     p = 2.0 * H
     n = np.arange(1, N + 1, dtype=float)
     x = 1.0 / n

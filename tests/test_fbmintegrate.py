@@ -59,6 +59,11 @@ class TestEpsilonSchedule:
         with pytest.raises(ValueError):
             EpsilonSchedule((0.1, 0.1, 0.01))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_levels_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            EpsilonSchedule((bad, 2.0, 1.0))
+
     def test_sub_grid_epsilon_rejected(self):
         eps = EpsilonSchedule((0.5, 0.25, 1e-9))
         with pytest.raises(ValueError):
@@ -250,7 +255,12 @@ class TestExtendedForward:
         with pytest.raises(ValueError):
             extended_forward_integral(1.0, g75, eps_levels=13)
 
-    @pytest.mark.parametrize("u_points", [0, -3])
+    @pytest.mark.parametrize("eps_levels", [3.5, True, None])
+    def test_level_count_must_be_an_integer(self, g75, eps_levels):
+        with pytest.raises(ValueError, match="eps_levels"):
+            extended_forward_integral(1.0, g75, eps_levels=eps_levels)
+
+    @pytest.mark.parametrize("u_points", [0, -3, 2.5, True])
     def test_u_points_must_be_positive(self, g75, u_points):
         with pytest.raises(ValueError, match="u_points"):
             extended_forward_integral(1.0, g75, u_points=u_points)

@@ -68,6 +68,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             DifferintegralSpec(alpha, kind=D)
 
+    @pytest.mark.parametrize("alpha", [None, 1j, "0.5", True, np.nan, np.inf])
+    def test_order_must_be_a_finite_real_number(self, alpha):
+        with pytest.raises(ValueError, match="order must be a finite real number"):
+            DifferintegralSpec(alpha)
+        with pytest.raises(ValueError, match="order must be a finite real number"):
+            DifferintegralSpec(alpha, kind=D)
+
 
 class TestIntegralExactCases:
     def test_unit_order_of_one_is_the_ramp(self):
@@ -297,10 +304,10 @@ class TestRepeatedIntegral:
         b = fractional_integral(f, DifferintegralSpec(1.0))
         assert np.array_equal(a.values, b.values)
 
-    @pytest.mark.parametrize("m", [0, -1, 1.5])
+    @pytest.mark.parametrize("m", [0, -1, 1.5, True, None])
     def test_rejects_bad_repeat_counts(self, m):
         f = GridFunction.from_callable(lambda x: x, 0.0, 1.0, 64)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="repetition count m must be a positive integer"):
             cauchy_repeated_integral(f, m)
 
 

@@ -1,7 +1,12 @@
 import concurrent.futures
+import json
 import math
 import os
+import subprocess
+import sys
+import textwrap
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,7 +44,9 @@ from fracbm.gaussianpaths import (
     _cholesky_factor,
     _keyed_generator,
     _draw,
-    _ma_weight_row,
+    _MA_TABLE_MAX,
+    _fft_size,
+    _ma_kernel,
     _usable_cpus,
 )
 
@@ -235,6 +242,37 @@ BLOCK_SPANNING = {
 }
 
 
+def moving_average_table(grid, H, mesh=16):
+    """Weights W[k-1, j] = g(Tc + k mesh - j) - g(Tc - j) of node k on cell j, scaled.
+
+    g(u) = u_+^q - (u-1)_+^q at q = H + 1/2 on the auxiliary lattice of step
+    h = dt/mesh, Tc = 50 t_max / h; the scale h^H / (q C(H)) folds in the cell
+    width, sqrt(h) and the normalizer.
+    """
+    n = grid.n_steps
+    h = grid.dt / mesh
+    m = 51 * mesh * n
+    q = H + 0.5
+    r = _ma_kernel(50.0 * grid.t_max / h + n * mesh - np.arange(n * mesh + m), q)
+    r *= h**H / (q * normalizing_constant(H))
+    k = np.arange(1, n + 1)[:, None]
+    j = np.arange(m)[None, :]
+    return r[(n - k) * mesh + j] - r[n * mesh + j]
+
+
+def old_moving_average_path(grid, H, z, truncation, mesh=16):
+    """The node values of the former law: per-node cell averages of primitive differences."""
+    aux_h = grid.dt / mesh
+    edges = -truncation + aux_h * np.arange(z.size + 1)
+    q = H + 0.5
+    db = z * math.sqrt(aux_h)
+    x = []
+    for t in grid.times[1:]:
+        prim = (np.maximum(-edges, 0.0) ** q - np.maximum(t - edges, 0.0) ** q) / q
+        x.append(np.dot(np.diff(prim) / np.diff(edges), db))
+    return np.concatenate(([0.0], x)) / normalizing_constant(H)
+
+
 def fresh_philox(root, stream):
     return np.random.Generator(np.random.Philox(key=np.array([root, stream], dtype=np.uint64)))
 
@@ -259,13 +297,8 @@ def per_stream_reference(kind, grid, H, root, replicates):
             w[n + 1 :] = np.conj(half[::-1])
             amplitude = _circulant_sqrt_eigenvalues(H, n) / math.sqrt(m)
             x = np.cumsum(np.fft.fft(amplitude * w).real[:n] * grid.dt**H)
-        else:  # default truncation 50 * t_max and kernel mesh 16
-            aux_h = grid.dt / 16
-            m = int(round(51.0 * grid.t_max / aux_h))
-            edges = -50.0 * grid.t_max + aux_h * np.arange(m + 1)
-            db = rng.standard_normal(m) * math.sqrt(aux_h)
-            c = normalizing_constant(H)
-            x = [float(np.dot(_ma_weight_row(t, edges, H), db)) / c for t in grid.times[1:]]
+        else:  # default truncation 50 * t_max and kernel mesh 16, a table-sized grid
+            x = moving_average_table(grid, H) @ rng.standard_normal(51 * 16 * n)
         rows.append(np.concatenate(([0.0], x)))
     return np.array(rows)
 
@@ -395,10 +428,12 @@ class TestFbmGenerators:
         with pytest.raises(ValueError, match="truncation must be positive"):
             moving_average_truncation_bias(H, bad, 1.0)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.5])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.5, "5", 1j, True])
     def test_moving_average_truncation_is_named(self, bad):
         with pytest.raises(ValueError, match="truncation must be finite and at least t_max"):
             generate_fbm_moving_average(GridSpec(1.0, 8), 0.7, RngSeed(1, 0), truncation=bad)
+        with pytest.raises(ValueError, match="truncation must be finite and at least t_max"):
+            fbm_moving_average_ensemble(GridSpec(1.0, 8), 0.7, 1, 2, truncation=bad)
 
     def test_truncation_bias_shrinks_with_the_window(self):
         bias = [moving_average_truncation_bias(0.75, w, 1.0) for w in (10.0, 50.0, 250.0)]
@@ -416,6 +451,79 @@ class TestFbmGenerators:
         a = generate_fbm_moving_average(grid, 0.6, RngSeed(7, 2))
         b = generate_fbm_moving_average(grid, 0.6, RngSeed(7, 2))
         assert np.array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("n, table", [(8, True), (22, True), (23, False), (24, False)])
+    def test_moving_average_rows_match_single_draws_around_the_crossover(self, n, table):
+        grid = GridSpec(1.0, n)
+        count = 51 * 16 * n
+        assert (n * count <= _MA_TABLE_MAX) is table
+        rows = _BLOCK_NORMALS // count
+        replicates = 2 * rows + 1
+        ens = fbm_moving_average_ensemble(grid, 0.3, 2**64 - 1, replicates)
+        for r in (0, rows - 1, rows, 2 * rows - 1, 2 * rows):
+            single = generate_fbm_moving_average(grid, 0.3, RngSeed(2**64 - 1, r))
+            assert np.array_equal(ens[r], single.values)
+
+    # tables at 8 and 16 steps, FFTs beyond; at 24 steps a truncation of 50.823
+    # puts the FFT length 20,000 between m = 19,900 cells and m + nM = 20,284
+    @pytest.mark.parametrize("n, truncation", [(8, 50.0), (16, 50.0), (24, 50.0), (64, 50.0), (24, 50.823)])
+    @pytest.mark.parametrize("H", [0.25, 0.75])
+    def test_moving_average_stays_close_to_the_former_law(self, n, truncation, H):
+        # the former law differenced primitives of size truncation^q and placed
+        # nodes off the lattice by rounding; measured at most 1.12e-9 apart here
+        grid = GridSpec(1.0, n)
+        m = round((truncation + 1.0) * 16 * n)
+        for stream in (0, 1):
+            new = generate_fbm_moving_average(grid, H, RngSeed(5, stream), truncation).values
+            old = old_moving_average_path(grid, H, fresh_philox(5, stream).standard_normal(m), truncation)
+            assert np.abs(new - old).max() <= 2e-9
+
+    def test_fft_lengths_are_the_least_5_smooth_numbers(self):
+        def smooth(k):
+            for p in (2, 3, 5):
+                while k % p == 0:
+                    k //= p
+            return k == 1
+
+        for n in range(1, 3000):
+            size = _fft_size(n)
+            assert size >= n and smooth(size)
+            assert not any(smooth(k) for k in range(n, size))
+
+    def test_moving_average_ignores_the_blas_thread_count(self):
+        # tables of 8 and 16 steps, FFTs from 23; at 25 steps a table would pass
+        # the 460,800 entries from which OpenBLAS threads a gemv, and 25 rows
+        # split unevenly.  Cholesky is left out: its threaded factorization
+        # rounds differently from 128 steps
+        script = textwrap.dedent(
+            """
+            import hashlib, json
+            from fracbm.gaussianpaths import (
+                GridSpec, RngSeed, fbm_moving_average_ensemble, generate_fbm_moving_average)
+            seen = {}
+            for n in (8, 16, 24, 25, 32, 64):
+                grid = GridSpec(1.0, n)
+                single = generate_fbm_moving_average(grid, 0.7, RngSeed(3, 1)).values
+                ens = fbm_moving_average_ensemble(grid, 0.3, 3, 3)
+                seen[n] = [hashlib.sha256(v.tobytes()).hexdigest() for v in (single, ens)]
+            print(json.dumps(seen))
+            """
+        )
+        src = str(Path(gaussianpaths.__file__).resolve().parents[1])
+        runs = []
+        for threads in ("1", "2"):
+            env = {
+                **os.environ,
+                "OPENBLAS_NUM_THREADS": threads,
+                "OMP_NUM_THREADS": threads,
+                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+            }
+            proc = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+            )
+            assert proc.returncode == 0, proc.stderr
+            runs.append(json.loads(proc.stdout.strip().splitlines()[-1]))
+        assert runs[0] == runs[1]
 
 
 def workers_on(monkeypatch, cpus):

@@ -194,6 +194,11 @@ class TestLongRangeDependence:
         assert (partial[-1] - half) / half < 1e-3
         assert abs(ratio[-1] - 1.0) <= 1e-6
 
+    @pytest.mark.parametrize("N", [1.5, True, 0, None, "10"])
+    def test_term_count_must_be_a_positive_integer(self, N):
+        with pytest.raises(ValueError, match="N must be a positive integer"):
+            lrd_diagnostic(0.75, N)
+
 
 class TestHolderExponent:
     @pytest.mark.parametrize("H,lo,hi", [(0.25, 0.15, 0.35), (0.75, 0.6, 0.85)])
