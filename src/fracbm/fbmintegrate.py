@@ -16,6 +16,7 @@ on Brownian paths, where forward = symmetric - 1/2 covariation holds.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -313,13 +314,25 @@ def extended_forward_integral(
         raise ValueError("epsilon ladder below 1e-12 underflows the weight differences")
     if not _is_integer(u_points) or u_points < 1:
         raise ValueError(f"u_points must be an integer of at least 1, got {u_points!r}")
+    if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and 0.0 <= tol < math.inf):
+        raise ValueError(f"tol must be a finite non-negative real number, got {tol!r}")
     fv = _grid_values(f, g.grid, "f")
     h, T = g.dt, g.grid.t_max
-    times, gv = g.times, g.values
+    gv = g.values
+    n = gv.size - 1
+    # trapezoid weights times f; g continues past T at its endpoint value
+    a = h * fv
+    a[[0, -1]] *= 0.5
+    ext = np.concatenate([gv, np.full(n + 1, gv[-1])])
 
     def inner(u: float) -> float:
-        shifted = np.interp(times + u, times, gv)
-        return float(np.trapezoid(fv * (shifted - gv), dx=h)) / u
+        # g(s + u) on the grid is (1 - theta) g_(i+k) + theta g_(i+k+1), u = (k + theta) h;
+        # g is subtracted before summing, so small shifts keep their digits
+        k = min(int(u / h), n)
+        theta = u / h - k
+        lo = np.add.reduce(a * (ext[k : k + n + 1] - gv))
+        hi = np.add.reduce(a * (ext[k + 1 : k + n + 2] - gv))
+        return float((1.0 - theta) * lo + theta * hi) / u
 
     edges = h * (T / h) ** (np.arange(u_points + 1) / u_points)
     mids = np.sqrt(edges[:-1] * edges[1:])

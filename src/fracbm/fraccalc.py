@@ -3,17 +3,23 @@
 All operators use product quadrature: on each grid cell the singular kernel
 is integrated in closed form against the piecewise-linear interpolant of the
 samples, so kernel singularities never meet a naive pointwise evaluation.
-On a uniform grid each quadrature sum is a causal (Volterra) convolution of
-the samples with a fixed weight sequence, evaluated by FFT in O(n log n);
-its rounding error is bounded relative to the largest output value rather
-than entry by entry.  Right-sided operators are evaluated by reflecting the
-samples, applying the left-sided routine, and reflecting back; the
-reflection identity then holds bitwise.
+On a uniform grid each operator is one causal (Volterra) convolution of the
+samples with one kernel sequence, evaluated by one FFT pair in O(n log n):
+the integral folds its left- and right-sample weights into one kernel, and
+the derivative writes each sample as the base sample plus h times the
+slopes below it, which folds its two sums into one.  The kernel spectrum
+depends only on the order, the step and the node count; each operator kind
+keeps its last one, so a left/right pair or repeated calls on one grid
+transform only their samples.  Rounding error is bounded relative to the
+largest output value rather than entry by entry.  Right-sided operators are
+evaluated by reflecting the samples, applying the left-sided routine, and
+reflecting back; the reflection identity then holds bitwise.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -63,6 +69,11 @@ class WholeLineSide(enum.Enum):
     PLUS = "plus"
 
 
+def _is_real(x) -> bool:
+    """A real number other than a bool, which numbers.Real also admits."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class DifferintegralSpec:
     """Order, side and kind of a fractional operator.
@@ -78,7 +89,7 @@ class DifferintegralSpec:
 
     def __post_init__(self) -> None:
         a = self.alpha
-        if isinstance(a, bool) or not (isinstance(a, numbers.Real) and math.isfinite(a)):
+        if not (_is_real(a) and math.isfinite(a)):
             raise ValueError(f"order must be a finite real number, got {a!r}")
         if self.kind is OperatorKind.INTEGRAL:
             if not self.alpha > 0:
@@ -147,7 +158,13 @@ def _diffpow(d: np.ndarray, p: float) -> np.ndarray:
 
 
 def _gammaln(x: float) -> float:
-    """log Gamma(x) for x > 0; inf where it overflows, where math.lgamma raises."""
+    """log Gamma(x) for x > 0; inf where it overflows, where math.lgamma raises.
+
+    On [1, 171), where Gamma(x) is a finite double, log(math.gamma(x)) is
+    about twice as accurate as math.lgamma; the integral weights take x = alpha + 1.
+    """
+    if 1.0 <= x < 171.0:
+        return math.log(math.gamma(x))
     try:
         return math.lgamma(x)
     except OverflowError:
@@ -172,43 +189,77 @@ def _integral_weights(alpha: float, h: float, n: int) -> tuple[np.ndarray, np.nd
     return m0 - w1, w1
 
 
-def _causal_conv(x: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
-    """First n terms of the linear convolution of x and w, by FFT in O(n log n)."""
-    size = 1 << (2 * n - 2).bit_length()  # next power of two >= 2n - 1
-    return np.fft.irfft(np.fft.rfft(x[:n], size) * np.fft.rfft(w[:n], size), size)[:n]
+def _kept(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Mark arrays read-only: a kernel cache hands the same ones to every caller."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _convolve(x: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
+    """Cyclic convolution of x with the kernel behind spectrum, at its transform size."""
+    size = 2 * (spectrum.size - 1)
+    return np.fft.irfft(np.fft.rfft(x, size) * spectrum, size)
+
+
+@functools.lru_cache(maxsize=1)
+def _integral_kernel(alpha: float, h: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Spectrum of the single integral kernel c, and the w1 terms the base sample lacks.
+
+    Sample j reaches node k through w0 at distance k - j and through w1 at
+    k - j + 1, so c[0] = w1[0], c[d] = w0[d-1] + w1[d] and c[n] = w0[n-1].
+    The power-of-two size of at least 2n lets only the unused output 0 wrap.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        w0, w1 = _integral_weights(alpha, h, n)
+        c = np.empty(n + 1)
+        c[0] = w1[0]
+        c[1:n] = w0[:-1] + w1[1:]
+        c[n] = w0[-1]
+    return _kept(np.fft.rfft(c, 1 << (2 * n - 1).bit_length()), w1[1:])
 
 
 def _left_integral(vals: np.ndarray, alpha: float, h: float) -> np.ndarray:
     n = vals.size - 1
-    out = np.zeros_like(vals)
+    spectrum, tail = _integral_kernel(float(alpha), float(h), n)
+    out = np.empty_like(vals)
     with np.errstate(over="ignore", invalid="ignore"):
-        w0, w1 = _integral_weights(alpha, h, n)
-        out[1:] = _causal_conv(vals[:-1], w0, n) + _causal_conv(vals[1:], w1, n)
+        out[1:] = _convolve(vals, spectrum)[1 : n + 1]
+        out[1:n] -= vals[0] * tail
+    out[0] = 0.0
     if not np.isfinite(out).all():
         raise ValueError(f"integral of order {alpha} overflows the floating-point range on this grid")
     return out
 
 
+@functools.lru_cache(maxsize=1)
+def _derivative_kernel(alpha: float, h: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Spectrum of the single far-cell kernel e, and c0, the running sum of p0.
+
+    p0 and p1 weight the left sample and the slope of a cell at distance
+    d = 2..n.  Writing each left sample as the base sample plus h times the
+    slopes below it folds the p0 sum into the slope sum:
+    e[0] = p1[0] and e[m] = p1[m] + h * c0[m-1].
+    """
+    d = np.arange(2, n + 1, dtype=float)
+    p0 = -_diffpow(d, -alpha) / alpha  # ((d-1)**-a - d**-a) / a
+    c0 = np.cumsum(p0 * h ** (-alpha))  # c0[k-2] = sum of p0 over d=2..k
+    e = (d * p0 - _diffpow(d, 1.0 - alpha) / (1.0 - alpha)) * h ** (1.0 - alpha)  # p1
+    e[1:] += h * c0[:-1]
+    # a power-of-two size of at least 2(n - 1) leaves the n - 1 outputs unwrapped
+    return _kept(np.fft.rfft(e, 1 << (2 * n - 3).bit_length()), c0)
+
+
 def _left_derivative(vals: np.ndarray, alpha: float, h: float) -> np.ndarray:
     """Marchaud/Weyl form: boundary term plus the singular compensated integral."""
     n = vals.size - 1
+    spectrum, c0 = _derivative_kernel(float(alpha), float(h), n)
     k = np.arange(1, n + 1, dtype=float)
     boundary = vals[1:] * (k * h) ** (-alpha)
-    # cells at distance d >= 2 from the evaluation node
-    core = (vals[1:] - vals[:-1]) * h ** (-alpha) / (1.0 - alpha)
-    if n >= 2:
-        d = np.arange(2, n + 1, dtype=float)
-        q0 = _diffpow(d, -alpha)  # (d-1)^-a - d^-a, sign folded below
-        p0 = -q0 / alpha
-        p1 = d * p0 - _diffpow(d, 1.0 - alpha) / (1.0 - alpha)
-        p0 *= h ** (-alpha)
-        p1 *= h ** (1.0 - alpha)
-        slope = (vals[1:] - vals[:-1]) / h
-        c0 = np.cumsum(p0)  # c0[k-2] = sum of p0 over d=2..k
-        far = vals[2:] * c0[: n - 1]
-        far -= _causal_conv(vals[:-2], p0, n - 1)
-        far -= _causal_conv(slope[:-1], p1, n - 1)
-        core[1:] += far
+    # the adjacent cell in closed form, cells at distance d >= 2 through the kernel
+    step = vals[1:] - vals[:-1]
+    core = step * h ** (-alpha) / (1.0 - alpha)
+    core[1:] += (vals[2:] - vals[0]) * c0 - _convolve(step[:-1] / h, spectrum)[: n - 1]
     out = np.empty_like(vals)
     out[1:] = (boundary + alpha * core) / math.gamma(1.0 - alpha)
     # one-sided limit at the base point: divergent unless the sample vanishes
@@ -291,8 +342,8 @@ def whole_line_fractional_integral(
     the support of f (e.g. an indicator sampled mid-grid) is therefore exact
     up to the interpolant's smearing of jumps over one cell.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"whole-line order must lie in (0, 1), got {alpha}")
+    if not (_is_real(alpha) and 0.0 < alpha < 1.0):
+        raise ValueError(f"whole-line order alpha must lie in (0, 1), got {alpha!r}")
     one_sided = Side.LEFT if side is WholeLineSide.MINUS else Side.RIGHT
     return fractional_integral(f, DifferintegralSpec(alpha, one_sided, OperatorKind.INTEGRAL))
 
@@ -312,8 +363,8 @@ def fractal_integral(f: GridFunction, g: GridFunction, alpha: float) -> float:
     on alpha; alpha = 0 and alpha = 1 fall back to the classical
     derivative on one side and the identity on the other.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    if not (_is_real(alpha) and 0.0 <= alpha <= 1.0):
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
     if f.values.size != g.values.size or abs(f.a - g.a) > 1e-12 or abs(f.b - g.b) > 1e-12:
         raise ValueError("f and g must share one grid")
     fv = _require_finite(f, "fractal_integral")

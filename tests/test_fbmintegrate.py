@@ -265,6 +265,29 @@ class TestExtendedForward:
         with pytest.raises(ValueError, match="u_points"):
             extended_forward_integral(1.0, g75, u_points=u_points)
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -0.1, "0.1", None, 1j, True])
+    def test_tolerance_must_be_a_finite_non_negative_real(self, g75, tol):
+        with pytest.raises(ValueError, match="tol must be a finite non-negative real"):
+            extended_forward_integral(1.0, g75, tol=tol)
+
+    @pytest.mark.parametrize("u_points", [1, 7, 48])
+    def test_agrees_with_interpolated_shifts(self, g75, u_points):
+        # reference: each shifted path from np.interp, each I(u) by np.trapezoid
+        f = np.cos(3.0 * g75.times)
+        times, gv, h = g75.times, g75.values, g75.dt
+
+        def inner(u):
+            return float(np.trapezoid(f * (np.interp(times + u, times, gv) - gv), dx=h)) / u
+
+        edges = h * (1.0 / h) ** (np.arange(u_points + 1) / u_points)
+        i_mid = np.array([inner(u) for u in np.sqrt(edges[:-1] * edges[1:])])
+        res = extended_forward_integral(f, g75, eps_levels=5, u_points=u_points)
+        for (e, est), j in zip(res.levels, range(1, 6)):
+            assert e == 10.0**-j
+            cell = edges[:-1] ** e * np.expm1(e * np.log(1.0 / h) / u_points) / gamma(1.0 + e)
+            ref = float(np.dot(cell, i_mid)) + inner(h) * h**e / gamma(1.0 + e)
+            assert abs(est - ref) <= 1e-12 * abs(ref)
+
 
 class TestForwardProcess:
     def test_pure_noise_accumulation_shifts_the_path(self, g75):

@@ -107,27 +107,89 @@ class TestIntegralExactCases:
         assert np.isposinf(out.values[0])
 
 
-class TestFftEvaluation:
-    """The quadrature sums are FFT convolutions; the direct sum is the reference."""
+def direct_integral(vals, alpha, h):
+    """The two-sum product quadrature, each sum by np.convolve."""
+    n = vals.size - 1
+    w0, w1 = fraccalc._integral_weights(alpha, h, n)
+    out = np.zeros_like(vals)
+    out[1:] = np.convolve(vals[:-1], w0)[:n] + np.convolve(vals[1:], w1)[:n]
+    return out
 
-    @pytest.mark.parametrize(
-        "op,spec",
-        [
-            (fractional_integral, DifferintegralSpec(0.5)),
-            (fractional_integral, DifferintegralSpec(1.0)),
-            (fractional_integral, DifferintegralSpec(3.0)),
-            (fractional_derivative, DifferintegralSpec(0.4, kind=D)),
-        ],
-        ids=["integral-0.5", "integral-1", "integral-3", "derivative-0.4"],
+
+def direct_derivative(vals, alpha, h):
+    """Marchaud quadrature with its far-cell sums over p0 and p1 by np.convolve."""
+    n = vals.size - 1
+    d = np.arange(2, n + 1, dtype=float)
+    p0 = -fraccalc._diffpow(d, -alpha) / alpha
+    p1 = (d * p0 - fraccalc._diffpow(d, 1.0 - alpha) / (1.0 - alpha)) * h ** (1.0 - alpha)
+    p0 *= h ** (-alpha)
+    slope = np.diff(vals) / h
+    core = np.diff(vals) * h ** (-alpha) / (1.0 - alpha)
+    core[1:] += (
+        vals[2:] * np.cumsum(p0)
+        - np.convolve(vals[:-2], p0)[: n - 1]
+        - np.convolve(slope[:-1], p1)[: n - 1]
     )
-    def test_agrees_with_the_direct_sum(self, monkeypatch, op, spec):
-        f = GridFunction(0.0, 1.0, generate_fbm_circulant(GridSpec(1.0, 2**12), 0.7, RngSeed(8, 0)).values)
+    k = np.arange(1, n + 1)
+    out = np.empty_like(vals)
+    out[1:] = (vals[1:] * (k * h) ** (-alpha) + alpha * core) / gamma(1.0 - alpha)
+    out[0] = 0.0 if vals[0] == 0.0 else np.inf * np.sign(vals[0])
+    return out
+
+
+OPERATORS = [
+    (fractional_integral, DifferintegralSpec(0.5), direct_integral),
+    (fractional_integral, DifferintegralSpec(1.0), direct_integral),
+    (fractional_integral, DifferintegralSpec(3.0), direct_integral),
+    (fractional_derivative, DifferintegralSpec(0.4, kind=D), direct_derivative),
+]
+OPERATOR_IDS = ["integral-0.5", "integral-1", "integral-3", "derivative-0.4"]
+
+
+def fbm_samples(n=2**12):
+    return GridFunction(0.0, 1.0, generate_fbm_circulant(GridSpec(1.0, n), 0.7, RngSeed(8, 0)).values)
+
+
+class TestFftEvaluation:
+    """Each operator is one FFT convolution; the direct two-sum quadrature is the reference."""
+
+    @pytest.mark.parametrize("op,spec,direct", OPERATORS, ids=OPERATOR_IDS)
+    def test_agrees_with_the_direct_sum(self, op, spec, direct):
+        f = fbm_samples()
         out = op(f, spec).values
-        monkeypatch.setattr(fraccalc, "_causal_conv", lambda x, w, n: np.convolve(x[:n], w[:n])[:n])
-        ref = op(f, spec).values
+        ref = direct(f.values, spec.alpha, f.h)
         finite = np.isfinite(ref)
         assert np.array_equal(finite, np.isfinite(out))
         assert np.abs(out[finite] - ref[finite]).max() <= 1e-12 * np.abs(ref[finite]).max()
+
+    @pytest.mark.parametrize("op,spec", [case[:2] for case in OPERATORS], ids=OPERATOR_IDS)
+    def test_kept_kernel_gives_the_cold_result(self, op, spec):
+        f = fbm_samples()
+        kernel = fraccalc._integral_kernel if op is fractional_integral else fraccalc._derivative_kernel
+        kernel.cache_clear()
+        cold = op(f, spec).values
+        warm = op(f, spec).values
+        assert kernel.cache_info().hits == 1
+        assert np.array_equal(cold, warm)
+        assert not any(a.flags.writeable for a in kernel(float(spec.alpha), f.h, f.n))
+
+    def test_a_left_right_pair_builds_each_kernel_once(self):
+        f = fbm_samples()
+        for op, kernel, kind, alpha in [
+            (fractional_integral, fraccalc._integral_kernel, OperatorKind.INTEGRAL, 0.5),
+            (fractional_derivative, fraccalc._derivative_kernel, D, 0.4),
+        ]:
+            kernel.cache_clear()
+            for side in (Side.LEFT, Side.RIGHT):
+                op(f, DifferintegralSpec(alpha, side, kind))
+            info = kernel.cache_info()
+            assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+            op(fbm_samples(2**10), DifferintegralSpec(alpha, Side.LEFT, kind))
+            assert kernel.cache_info().currsize == 1
+        # the two derivatives of the Stieltjes integral at alpha = 1/2 share one kernel
+        fraccalc._derivative_kernel.cache_clear()
+        fractal_integral(GridFunction(0.0, 1.0, np.linspace(0.0, 1.0, f.n + 1)), f, 0.5)
+        assert fraccalc._derivative_kernel.cache_info()[:2] == (1, 1)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -200,6 +262,13 @@ class TestHighOrders:
         for x in np.linspace(0.0, 200.0, 8001)[1:] + 1.0:
             want = gammaln(x)
             assert abs(fraccalc._gammaln(x) - want) <= 2e-15 * max(1.0, abs(want))
+
+    def test_log_gamma_is_as_accurate_as_scipy_on_low_orders(self):
+        # integral orders 0-9 take log Gamma on (1, 10); math.lgamma is off by
+        # up to 1.25e-15 on this sample, log(math.gamma(x)) by 7.8e-16
+        for x in np.linspace(1.0, 10.0, 2001)[1:-1]:
+            want = gammaln(x)
+            assert abs(fraccalc._gammaln(x) - want) <= 1e-15 * max(1.0, abs(want))
 
 
 class TestRoundTrips:
@@ -345,10 +414,10 @@ class TestWholeLine:
         ]
         assert all(b < a for a, b in zip(devs, devs[1:]))
 
-    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.3])
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.3, np.nan, "0.5", None, 1j, True])
     def test_order_restricted_to_open_unit_interval(self, alpha):
         f = GridFunction.from_callable(hat, -1.0, 2.0, 64)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="alpha must lie in"):
             whole_line_fractional_integral(f, alpha, WholeLineSide.MINUS)
 
 
@@ -370,6 +439,12 @@ class TestFractalIntegral:
         classical = 2.0 * (np.sin(1.0) - np.cos(1.0))
         assert max(vals) - min(vals) <= 1e-3
         assert all(abs(v - classical) <= 1e-3 for v in vals)
+
+    @pytest.mark.parametrize("alpha", [-0.1, 1.5, np.nan, "0.5", None, 1j, True])
+    def test_order_must_be_a_real_in_the_unit_interval(self, alpha):
+        f = GridFunction.from_callable(np.sin, 0.0, 1.0, 64)
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            fractal_integral(f, f, alpha)
 
     def test_rejects_mismatched_grids(self):
         f = GridFunction.from_callable(np.sin, 0.0, 1.0, 64)
