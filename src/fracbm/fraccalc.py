@@ -8,9 +8,10 @@ samples with one kernel sequence, evaluated by one FFT pair in O(n log n):
 the integral folds its left- and right-sample weights into one kernel, and
 the derivative writes each sample as the base sample plus h times the
 slopes below it, which folds its two sums into one.  The kernel spectrum
-depends only on the order, the step and the node count; each operator kind
-keeps its last one, so a left/right pair or repeated calls on one grid
-transform only their samples.  Rounding error is bounded relative to the
+depends only on the order, the step and the node count; the integral keeps
+its last one and the derivative its last two, so a left/right pair, the
+orders alpha and 1 - alpha of fractal_integral, and repeated calls on one
+grid transform only their samples.  Rounding error is bounded relative to the
 largest output value rather than entry by entry.  Right-sided operators are
 evaluated by reflecting the samples, applying the left-sided routine, and
 reflecting back; the reflection identity then holds bitwise.
@@ -232,7 +233,8 @@ def _left_integral(vals: np.ndarray, alpha: float, h: float) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=1)
+# two entries: fractal_integral takes the orders alpha and 1 - alpha in turn
+@functools.lru_cache(maxsize=2)
 def _derivative_kernel(alpha: float, h: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Spectrum of the single far-cell kernel e, and c0, the running sum of p0.
 
@@ -254,12 +256,13 @@ def _left_derivative(vals: np.ndarray, alpha: float, h: float) -> np.ndarray:
     """Marchaud/Weyl form: boundary term plus the singular compensated integral."""
     n = vals.size - 1
     spectrum, c0 = _derivative_kernel(float(alpha), float(h), n)
-    k = np.arange(1, n + 1, dtype=float)
-    boundary = vals[1:] * (k * h) ** (-alpha)
-    # the adjacent cell in closed form, cells at distance d >= 2 through the kernel
+    # the adjacent cell in closed form, cells at distance d >= 2 through the kernel;
+    # formed before the boundary term, which is then not held while the FFT runs
     step = vals[1:] - vals[:-1]
     core = step * h ** (-alpha) / (1.0 - alpha)
     core[1:] += (vals[2:] - vals[0]) * c0 - _convolve(step[:-1] / h, spectrum)[: n - 1]
+    k = np.arange(1, n + 1, dtype=float)
+    boundary = vals[1:] * (k * h) ** (-alpha)
     out = np.empty_like(vals)
     out[1:] = (boundary + alpha * core) / math.gamma(1.0 - alpha)
     # one-sided limit at the base point: divergent unless the sample vanishes

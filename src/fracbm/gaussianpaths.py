@@ -18,6 +18,14 @@ truncated moving-average discretization of the kernel representation
 
     Z(t) = (1/C(H)) int [ (t-s)_+^(H-1/2) - (-s)_+^(H-1/2) ] dB(s).
 
+Circulant embedding (Davies & Harte 1987; Dieker 2004, 2.1.3) places the n
+increment covariances in a symmetric circulant of size 2n.  Its eigenvalues
+are the real FFT of one row, and only eigenvalues 0..n are kept, since the
+rest mirror them.  A stream's 2n normals fill the coefficients 0..n of a
+Hermitian spectrum and one inverse real FFT of them gives the 2n-point
+Gaussian vector whose first n entries are the increments; the conjugate
+half of the spectrum is never formed.
+
 The moving average samples dB on cells of width h = dt/kernel_mesh back to
 -truncation.  On that uniform lattice the cell average of the kernel is
 stationary: node k weights cell j by g(Tc + k kernel_mesh - j) - g(Tc - j),
@@ -33,7 +41,7 @@ stays below the size from which OpenBLAS threads a gemv.
 Every generator, Brownian increments included, is set up once per call.
 Each stream then draws its normals into one row of a block of streams, and
 the block is shaped into paths by operations that treat each row on its own:
-cumulative sums and FFTs along the rows, and one matrix-vector product per
+cumulative sums and real FFTs along the rows, and one matrix-vector product per
 row for Cholesky and the moving-average table (a matrix product over the rows
 would round differently).  A single path is a block of one, so ensemble row r
 equals the stream-r single draw bitwise by construction.
@@ -432,9 +440,10 @@ def _fgn_autocovariance(H: float, n: int) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _circulant_sqrt_eigenvalues(H: float, n: int) -> np.ndarray:
+    """Square roots of eigenvalues 0..n of the size-2n circulant; the rest mirror them."""
     r = _fgn_autocovariance(H, n)
-    row = np.concatenate([r, r[-2:0:-1]])  # circulant of size 2n
-    eig = np.fft.fft(row).real
+    row = np.concatenate([r, r[-2:0:-1]])  # circulant of size 2n, a symmetric row
+    eig = np.fft.rfft(row).real
     floor = -1e-8 * float(np.max(eig))
     if np.min(eig) < floor:
         raise ValueError(
@@ -447,19 +456,24 @@ def _circulant_law(grid: GridSpec, H: float):
     H = _check_hurst(H)
     n = grid.n_steps
     m = 2 * n
-    # spectral synthesis: E|w_k|^2 = eig_k / m makes fft(w).real ~ N(0, circulant)
-    amplitude = _circulant_sqrt_eigenvalues(H, n) / math.sqrt(m)
-    scale = grid.dt**H
+    # spectral synthesis: a Hermitian w with E|w_k|^2 = eig_k / m has a real
+    # transform ~ N(0, circulant).  w_0 and w_n are real; w_k for 0 < k < n takes
+    # two normals at half variance each.  w_(m-k) = conj(w_k) is never formed: the
+    # unscaled irfft (norm="forward") of conj(w_0..w_n) is that transform.  The
+    # increment scale dt^H is folded into the amplitudes
+    amplitude = _circulant_sqrt_eigenvalues(H, n) * (grid.dt**H / math.sqrt(m))
+    a0, an = amplitude[0], amplitude[n]
+    inner = amplitude[1:n] / math.sqrt(2.0)
+    minus_inner = -inner
 
     def shape(z: np.ndarray, dest: np.ndarray) -> None:
-        w = np.empty(z.shape, dtype=complex)
-        w[:, 0] = z[:, 0]
-        w[:, n] = z[:, 1]
-        half = (z[:, 2::2] + 1j * z[:, 3::2]) / math.sqrt(2.0)
-        w[:, 1:n] = half
-        w[:, n + 1 :] = np.conj(half[:, ::-1])
-        fgn = np.fft.fft(amplitude * w, axis=1).real[:, :n]
-        np.cumsum(fgn * scale, axis=1, out=dest)
+        w = np.empty((z.shape[0], n + 1), dtype=complex)
+        w[:, 0] = z[:, 0] * a0
+        w[:, n] = z[:, 1] * an
+        np.multiply(z[:, 2::2], inner, out=w.real[:, 1:n])
+        np.multiply(z[:, 3::2], minus_inner, out=w.imag[:, 1:n])
+        fgn = np.fft.irfft(w, m, axis=1, norm="forward")
+        np.cumsum(fgn[:, :n], axis=1, out=dest)
 
     return m, shape
 
@@ -627,8 +641,8 @@ def empirical_covariance(values: np.ndarray) -> np.ndarray:
 
 def scale_path(path: SamplePath, a: float) -> SamplePath:
     """Self-similarity transform t -> a^(-H) X(a t) on the rescaled grid."""
-    if not (np.isfinite(a) and a > 0):
-        raise ValueError("scale factor must be positive and finite")
+    if isinstance(a, bool) or not (isinstance(a, numbers.Real) and 0.0 < a < math.inf):
+        raise ValueError(f"scale factor a must be positive and finite, got {a!r}")
     if path.hurst is None:
         raise ValueError("scaling needs a path with a known Hurst index")
     grid = GridSpec(path.grid.t_max / a, path.grid.n_steps)

@@ -35,9 +35,9 @@ __all__ = [
 #: below this many replicates, ensemble confidence intervals are flagged as wide
 REPLICATE_FLOOR = 1000
 
-#: ensemble rows per isometry_check block: array work per block, not per row,
-#: with no integrand array the size of the whole ensemble
-_ISOMETRY_ROWS = 128
+#: ensemble rows per block of endpoint_comparison and isometry_check: array
+#: work per block, not per row, with no temporary the size of the whole ensemble
+_ENSEMBLE_ROWS = 128
 
 
 class AdaptednessError(RuntimeError):
@@ -197,22 +197,36 @@ def ito_integral(
     return float(np.dot(e, steps))
 
 
-def _check_ensemble(values: np.ndarray, grid: GridSpec, what: str, least: int) -> np.ndarray:
-    """The ensemble as a float array; fewer than `least` rows raise before any warning."""
+def _check_ensemble(values: np.ndarray, grid: GridSpec, what: str, least: int):
+    """The replicate count and an iterator over (first row, block) of the ensemble.
+
+    A shape that does not match the grid, or fewer than `least` rows, raises
+    at once.  Each block is checked to be finite as it is reached, and the
+    replicate-floor warning comes only once every block has been, so a call
+    that fails warns of nothing.
+    """
     v = np.asarray(values, dtype=float)
     if v.ndim != 2 or v.shape[1] != grid.n_steps + 1:
         raise ValueError("ensemble must be a (replicates, nodes) array matching the grid")
-    if v.shape[0] < least:
-        raise ValueError(
-            f"{what} needs at least {least} replicate{'s' * (least > 1)}, got {v.shape[0]}"
-        )
-    if v.shape[0] < REPLICATE_FLOOR:
-        warnings.warn(
-            f"{v.shape[0]} replicates give wide confidence intervals "
-            f"(floor {REPLICATE_FLOOR})",
-            stacklevel=3,
-        )
-    return v
+    n = v.shape[0]
+    if n < least:
+        raise ValueError(f"{what} needs at least {least} replicate{'s' * (least > 1)}, got {n}")
+
+    def blocks():
+        for lo in range(0, n, _ENSEMBLE_ROWS):
+            block = v[lo : lo + _ENSEMBLE_ROWS]
+            finite = np.isfinite(block)
+            if not finite.all():
+                row = lo + int(np.argmin(finite.all(axis=1)))
+                raise ValueError(f"{what}: ensemble values must be finite, row {row} is not")
+            yield lo, block
+        if n < REPLICATE_FLOOR:
+            warnings.warn(
+                f"{n} replicates give wide confidence intervals (floor {REPLICATE_FLOOR})",
+                stacklevel=3,
+            )
+
+    return n, blocks()
 
 
 def endpoint_comparison(values: np.ndarray, grid: GridSpec, T: float):
@@ -221,14 +235,17 @@ def endpoint_comparison(values: np.ndarray, grid: GridSpec, T: float):
     The endpoint choice is the whole difference: left sums average to 0,
     right sums to T.
     """
-    v = _check_ensemble(values, grid, "endpoint_comparison", 1)
+    n, blocks = _check_ensemble(values, grid, "endpoint_comparison", 1)
     k = int(_node_index(T, grid, "T"))
     if k < 1:
         raise ValueError("T must cover at least one step")
-    steps = np.diff(v[:, : k + 1], axis=1)
-    mean_left = float(np.mean(np.sum(v[:, :k] * steps, axis=1)))
-    mean_right = float(np.mean(np.sum(v[:, 1 : k + 1] * steps, axis=1)))
-    return mean_left, mean_right
+    left = np.empty(n)
+    right = np.empty(n)
+    for lo, block in blocks:
+        steps = np.diff(block[:, : k + 1], axis=1)
+        left[lo : lo + len(block)] = np.sum(block[:, :k] * steps, axis=1)
+        right[lo : lo + len(block)] = np.sum(block[:, 1 : k + 1] * steps, axis=1)
+    return float(np.mean(left)), float(np.mean(right))
 
 
 def isometry_check(f: AdaptedIntegrand, values: np.ndarray, grid: GridSpec):
@@ -238,13 +255,11 @@ def isometry_check(f: AdaptedIntegrand, values: np.ndarray, grid: GridSpec):
     right side uses trapezoid quadrature, so its O(dt) discretization bias
     is separate from the Monte Carlo spread that ci measures.
     """
-    v = _check_ensemble(values, grid, "isometry_check", 2)
-    n = v.shape[0]
+    n, blocks = _check_ensemble(values, grid, "isometry_check", 2)
     times = np.linspace(0.0, grid.t_max, grid.n_steps + 1)
     lhs_samples = np.empty(n)
     rhs_samples = np.empty(n)
-    for lo in range(0, n, _ISOMETRY_ROWS):
-        block = v[lo : lo + _ISOMETRY_ROWS]
+    for lo, block in blocks:
         e = np.array([f.on_nodes(times, x) for x in block])
         # one dot product per row, the ddot that np.dot makes for a single row
         dots = np.matmul(e[:, None, :-1], np.diff(block, axis=1)[:, :, None])[:, 0, 0]

@@ -87,16 +87,16 @@ def quadratic_variation(path: SamplePath) -> float:
     return float(np.sum(np.diff(path.values) ** 2))
 
 
-def _dyadic_sums(values: np.ndarray, dt: float, p: float, levels: int):
+def _dyadic_increments(values: np.ndarray, dt: float, levels: int):
+    """(mesh, |increments|) on each dyadic coarsening, coarsest first."""
     n = values.size - 1
     if 2 ** (levels - 1) > n // 2:
         raise ValueError(f"{levels} dyadic levels need at least {2**levels} steps")
-    out = []
-    for j in range(levels - 1, -1, -1):
-        s = 2**j
-        v = float(np.sum(np.abs(np.diff(values[::s])) ** p))
-        out.append((s * dt, v))
-    return out
+    return [(2**j * dt, np.abs(np.diff(values[:: 2**j]))) for j in range(levels - 1, -1, -1)]
+
+
+def _power_sums(increments, p: float):
+    return [(mesh, float(np.sum(a**p))) for mesh, a in increments]
 
 
 def _loglog_slope(pairs):
@@ -116,7 +116,7 @@ def p_variation(path: SamplePath, p: float, levels: int = 5) -> VariationEstimat
         raise ValueError(f"p must be positive and finite, got {p}")
     if levels < 3:
         raise ValueError("need at least 3 mesh levels")
-    pairs = _dyadic_sums(path.values, path.dt, p, levels)
+    pairs = _power_sums(_dyadic_increments(path.values, path.dt, levels), p)
     if all(v == 0.0 for _, v in pairs):
         # flat path: zero variation at every mesh
         return VariationEstimate(p, tuple(pairs), VariationVerdict.CONVERGES_TO_ZERO)
@@ -146,8 +146,10 @@ def variation_index(
     if path.grid.n_steps < 2**10:
         raise ValueError("variation index needs at least 2^10 steps")
 
+    increments = _dyadic_increments(path.values, path.dt, levels)  # formed once, for every p
+
     def slope(p):
-        pairs = _dyadic_sums(path.values, path.dt, p, levels)
+        pairs = _power_sums(increments, p)
         if any(v == 0.0 for _, v in pairs):
             raise ValueError("degenerate path: zero variation sum at some mesh")
         return _loglog_slope(pairs)

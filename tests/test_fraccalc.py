@@ -184,12 +184,22 @@ class TestFftEvaluation:
                 op(f, DifferintegralSpec(alpha, side, kind))
             info = kernel.cache_info()
             assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
-            op(fbm_samples(2**10), DifferintegralSpec(alpha, Side.LEFT, kind))
-            assert kernel.cache_info().currsize == 1
+            for m in (2**10, 2**9):
+                op(fbm_samples(m), DifferintegralSpec(alpha, Side.LEFT, kind))
+            assert kernel.cache_info().currsize == kernel.cache_info().maxsize
         # the two derivatives of the Stieltjes integral at alpha = 1/2 share one kernel
         fraccalc._derivative_kernel.cache_clear()
         fractal_integral(GridFunction(0.0, 1.0, np.linspace(0.0, 1.0, f.n + 1)), f, 0.5)
         assert fraccalc._derivative_kernel.cache_info()[:2] == (1, 1)
+
+    def test_fractal_integral_keeps_both_orders(self):
+        # orders alpha and 1 - alpha each build their kernel once on one grid
+        f = fbm_samples(256)
+        t = GridFunction(0.0, 1.0, np.linspace(0.0, 1.0, f.n + 1))
+        fraccalc._derivative_kernel.cache_clear()
+        values = [fractal_integral(t, f, 0.3) for _ in range(3)]
+        assert fraccalc._derivative_kernel.cache_info()[:2] == (4, 2)
+        assert values[0] == values[1] == values[2]
 
     @settings(max_examples=40, deadline=None)
     @given(

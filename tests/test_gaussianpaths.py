@@ -6,6 +6,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -288,15 +289,15 @@ def per_stream_reference(kind, grid, H, root, replicates):
         elif kind == "cholesky":
             x = _cholesky_factor(grid.t_max, n, H) @ rng.standard_normal(n)
         elif kind == "circulant":
+            # half of a Hermitian spectrum, conjugated, through one unscaled irfft
             m = 2 * n
             z = rng.standard_normal(m)
-            w = np.empty(m, dtype=complex)
-            w[0], w[n] = z[0], z[1]
-            half = (z[2::2] + 1j * z[3::2]) / math.sqrt(2.0)
-            w[1:n] = half
-            w[n + 1 :] = np.conj(half[::-1])
-            amplitude = _circulant_sqrt_eigenvalues(H, n) / math.sqrt(m)
-            x = np.cumsum(np.fft.fft(amplitude * w).real[:n] * grid.dt**H)
+            a = _circulant_sqrt_eigenvalues(H, n) * (grid.dt**H / math.sqrt(m))
+            inner = a[1:n] / math.sqrt(2.0)
+            w = np.empty(n + 1, dtype=complex)
+            w[0], w[n] = z[0] * a[0], z[1] * a[n]
+            w[1:n] = z[2::2] * inner - 1j * (z[3::2] * inner)
+            x = np.cumsum(np.fft.irfft(w, m, norm="forward")[:n])
         else:  # default truncation 50 * t_max and kernel mesh 16, a table-sized grid
             x = moving_average_table(grid, H) @ rng.standard_normal(51 * 16 * n)
         rows.append(np.concatenate(([0.0], x)))
@@ -445,6 +446,48 @@ class TestFbmGenerators:
         a = generate_fbm_circulant(grid, 0.3, RngSeed(7, 1))
         b = generate_fbm_circulant(grid, 0.3, RngSeed(7, 1))
         assert np.array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("H", [0.1, 0.25, 0.5, 0.75, 0.95])
+    @pytest.mark.parametrize("n", [1, 2, 17, 256, 4096])
+    def test_circulant_half_spectrum_is_the_full_complex_fft(self, H, n):
+        # the whole 2n-point Hermitian vector through a complex FFT, as the law
+        # was once formed: the paths differ by rounding only
+        grid = GridSpec(1.0, n)
+        m = 2 * n
+        z = fresh_philox(9, 3).standard_normal(m)
+        r = gaussianpaths._fgn_autocovariance(H, n)
+        eig = np.fft.fft(np.concatenate([r, r[-2:0:-1]])).real
+        w = np.empty(m, dtype=complex)
+        w[0], w[n] = z[0], z[1]
+        half = (z[2::2] + 1j * z[3::2]) / math.sqrt(2.0)
+        w[1:n] = half
+        w[n + 1 :] = np.conj(half[::-1])
+        fgn = np.fft.fft(np.sqrt(np.clip(eig, 0.0, None) / m) * w).real[:n]
+        want = np.concatenate(([0.0], np.cumsum(fgn * grid.dt**H)))
+        got = generate_fbm_circulant(grid, H, RngSeed(9, 3)).values
+        assert np.abs(got - want).max() <= 1e-12
+
+    def test_circulant_keeps_half_the_eigenvalues(self):
+        n = 64
+        got = _circulant_sqrt_eigenvalues(0.7, n)
+        assert got.shape == (n + 1,)
+        r = gaussianpaths._fgn_autocovariance(0.7, n)
+        full = np.sqrt(np.fft.fft(np.concatenate([r, r[-2:0:-1]])).real)
+        assert np.abs(got - full[: n + 1]).max() <= 1e-14
+        assert np.abs(full[n + 1 :] - full[n - 1 : 0 : -1]).max() <= 1e-14
+
+    def test_a_long_circulant_draw_forms_no_full_spectrum(self):
+        # 2^16 steps draw 2^17 normals (1 MiB); the complex FFT of the whole
+        # Hermitian vector held about 9.5 MiB at once, half a spectrum 4.5 MiB
+        grid = GridSpec(1.0, 2**16)
+        generate_fbm_circulant(grid, 0.75, RngSeed(4, 0))  # eigenvalues cached
+        tracemalloc.start()
+        try:
+            generate_fbm_circulant(grid, 0.75, RngSeed(4, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 2**20
 
     def test_moving_average_determinism(self):
         grid = GridSpec(1.0, 32)
@@ -655,6 +698,12 @@ class TestTransforms:
             xs.append(q.values[-1])
         assert q.grid.t_max == pytest.approx(1.0)
         assert abs(np.var(xs) - 1.0) <= 0.1
+
+    @pytest.mark.parametrize("bad", [True, False, "2", 2 + 0j, 0.0, -1.0, math.inf, math.nan, None])
+    def test_scale_factor_must_be_a_positive_real(self, bad):
+        p = generate_bm(GridSpec(1.0, 8), RngSeed(1, 0))
+        with pytest.raises(ValueError, match="scale factor a"):
+            scale_path(p, bad)
 
     def test_scale_requires_known_index(self):
         p = SamplePath(GridSpec(1.0, 8), np.linspace(0, 1, 9), None)

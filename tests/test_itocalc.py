@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ from fracbm.gaussianpaths import (
 )
 from fracbm._nodecalc import eval2
 from fracbm.itocalc import (
+    _ENSEMBLE_ROWS,
     REPLICATE_FLOOR,
     AdaptedIntegrand,
     AdaptednessError,
@@ -193,6 +195,50 @@ class TestEnsembleChecks:
             warnings.simplefilter("error")  # a call that fails warns of nothing
             with pytest.raises(ValueError, match="at least 1 replicate, got 0"):
                 endpoint_comparison(np.zeros((0, 17)), grid, 1.0)
+
+    def test_endpoint_blocks_match_the_whole_array_formula(self):
+        # 2.5 blocks of rows, T inside the grid: the per-row sums and the one
+        # mean over them are those of the whole-ensemble expression
+        grid = GridSpec(2.0, 64)
+        ens = bm_ensemble(grid, 23, 2 * _ENSEMBLE_ROWS + _ENSEMBLE_ROWS // 2)
+        for T in (0.5, 2.0):
+            k = round(T / grid.dt)
+            steps = np.diff(ens[:, : k + 1], axis=1)
+            want = (
+                float(np.mean(np.sum(ens[:, :k] * steps, axis=1))),
+                float(np.mean(np.sum(ens[:, 1 : k + 1] * steps, axis=1))),
+            )
+            with pytest.warns(UserWarning, match=str(REPLICATE_FLOOR)):
+                assert endpoint_comparison(ens, grid, T) == want
+
+    def test_endpoint_comparison_holds_one_block_at_a_time(self):
+        # a 2000 x 513 ensemble is 7.8 MiB; whole-array sums held 15.7 MiB at once
+        grid = GridSpec(2.0, 512)
+        ens = bm_ensemble(grid, 17, 2000)
+        tracemalloc.start()
+        try:
+            endpoint_comparison(ens, grid, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("row", [0, _ENSEMBLE_ROWS + 3])
+    def test_non_finite_ensembles_rejected(self, bad, row):
+        grid = GridSpec(1.0, 16)
+        ens = bm_ensemble(grid, 12, 2 * _ENSEMBLE_ROWS)
+        ens[row, 16] = bad  # the last node, which the endpoint sums up to T = 1/2 never read
+        checks = [
+            ("endpoint_comparison", lambda: endpoint_comparison(ens, grid, 0.5)),
+            ("isometry_check", lambda: isometry_check(AdaptedIntegrand.constant(1.0), ens, grid)),
+            ("isometry_check", lambda: isometry_check(AdaptedIntegrand.path_value(), ens, grid)),
+        ]
+        for what, call in checks:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a call that fails warns of nothing
+                with pytest.raises(ValueError, match=f"{what}: ensemble values must be finite, row {row} "):
+                    call()
 
     def test_small_ensembles_warn(self):
         grid = GridSpec(1.0, 16)

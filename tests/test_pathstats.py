@@ -78,6 +78,31 @@ class TestVariationIndex:
         est = variation_index(path)
         assert lo <= est.h_hat <= hi
 
+    @pytest.mark.parametrize("H", [0.25, 0.75])
+    def test_increments_formed_once_give_the_per_step_estimate(self, H):
+        # the bisection as it was: |increments| formed anew at every order p
+        path = fbm(H, 6, 1, GridSpec(1.0, 2**12))
+
+        def slope(p):
+            pairs = [
+                (2**j * path.dt, float(np.sum(np.abs(np.diff(path.values[:: 2**j])) ** p)))
+                for j in range(4, -1, -1)
+            ]
+            x, y = np.log([m for m, _ in pairs]), np.log([v for _, v in pairs])
+            xm, ym = x - x.mean(), y - y.mean()
+            return float(np.dot(xm, ym)) / float(np.dot(xm, xm))
+
+        lo, hi = 0.8, 8.0
+        trace = {lo: slope(lo), hi: slope(hi)}
+        while 1.0 / lo - 1.0 / hi > 1e-3:
+            mid = 0.5 * (lo + hi)
+            trace[mid] = slope(mid)
+            lo, hi = (mid, hi) if trace[mid] < 0.0 else (lo, mid)
+        est = variation_index(path)
+        assert est.h_hat == 1.0 / (0.5 * (lo + hi))
+        assert est.stderr == 0.5 * (1.0 / lo - 1.0 / hi)
+        assert est.block_data == tuple(sorted(trace.items()))
+
     def test_degenerate_path_rejected(self):
         flat = SamplePath(GridSpec(1.0, 2**12), np.zeros(2**12 + 1), None)
         with pytest.raises(ValueError):
