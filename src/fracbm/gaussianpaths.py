@@ -41,18 +41,22 @@ stays below the size from which OpenBLAS threads a gemv.
 Every generator, Brownian increments included, is set up once per call.
 Each stream then draws its normals into one row of a block of streams, and
 the block is shaped into paths by operations that treat each row on its own:
-cumulative sums and real FFTs along the rows, and one matrix-vector product per
-row for Cholesky and the moving-average table (a matrix product over the rows
-would round differently).  A single path is a block of one, so ensemble row r
-equals the stream-r single draw bitwise by construction.
+cumulative sums and real FFTs along the rows, and for Cholesky and the
+moving-average table one np.dot per row.  That is the gemv a single stream
+makes, so a row rounds as a single draw does (a matrix product over the rows
+would round differently); and np.dot releases the GIL for its gemv, where
+np.matmul over a stack of a few rows holds it for the whole block and stalls
+another worker.  A single path is a block of one, so ensemble row r equals
+the stream-r single draw bitwise by construction.
 
 An ensemble of several blocks of long streams (1536 normals or more) is
 drawn by one worker thread per usable CPU (the affinity mask, as `taskset`
-sets it), at most two, each with its own re-keyed Philox and block buffer
-and a fixed share of the blocks.  Since streams are keyed one by one, blocks
-do not depend on the worker count and shaping is row-wise, the output is
-bitwise the same for any worker count and schedule.  A draw of one block,
-or of short streams, runs on the caller's thread.
+sets it), at most two, each with its own re-keyed Philox, a block buffer
+that the calling thread allocates, and a fixed share of the blocks.  Since
+streams are keyed one by one, blocks do not depend on the worker count and
+shaping is row-wise, the output is bitwise the same for any worker count and
+schedule.  A draw of one block, or of short streams, runs on the caller's
+thread.
 """
 
 from __future__ import annotations
@@ -151,12 +155,21 @@ def _keyed_generator():
 
     rekey loads a fresh state (counter and buffer at zero) keyed [root, stream]:
     the stream a new Philox(key=[root, stream]) gives, without building one.
+    The state holds plain ints, which load several times faster than arrays.
     """
     bits = np.random.Philox(0)  # a seed, not None: reads no OS entropy
-    fresh = bits.state
+    key = [0, 0]
+    fresh = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
     def rekey(root: int, stream: int) -> None:
-        fresh["state"]["key"] = np.array([root, stream], dtype=np.uint64)
+        key[0], key[1] = root, stream
         bits.state = fresh
 
     return np.random.Generator(bits), rekey
@@ -320,10 +333,9 @@ def _draw(law, grid: GridSpec, root: int, streams) -> np.ndarray:
     out = np.zeros((len(streams), grid.n_steps + 1))
     rows = max(1, _BLOCK_NORMALS // count)
 
-    def work(starts) -> None:
+    def work(starts, z: np.ndarray) -> None:
         # one Philox and one block buffer per worker; blocks never share rows
         rng, rekey = _keyed_generator()
-        z = np.empty((min(rows, len(streams)), count))
         for lo in starts:
             block = z[: len(streams) - lo]
             for zr, r in zip(block, streams[lo : lo + rows]):
@@ -335,14 +347,17 @@ def _draw(law, grid: GridSpec, root: int, streams) -> np.ndarray:
     workers = 1
     if count >= _THREAD_MIN_NORMALS:
         workers = min(len(starts), _usable_cpus(), _MAX_WORKERS)
+    # the calling thread allocates every block buffer: a worker thread would take
+    # it from a malloc arena of its own, which adds to the peak memory
+    buffers = [np.empty((min(rows, len(streams)), count)) for _ in range(max(workers, 1))]
     if workers < 2:
-        work(starts)
+        work(starts, buffers[0])
     else:
         from concurrent.futures import ThreadPoolExecutor
 
         # fixed shares of the block starts: each block is drawn once, by one worker
         with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(work, [starts[i::workers] for i in range(workers)]))
+            list(pool.map(work, [starts[i::workers] for i in range(workers)], buffers))
     return out
 
 
@@ -351,6 +366,22 @@ def _streams(root: int, replicates: int) -> range:
     if not _is_integer(replicates) or replicates < 0:
         raise ValueError(f"replicates must be a nonnegative integer, got {replicates!r}")
     return range(replicates)
+
+
+def _rowwise_gemv(A: np.ndarray):
+    """shape(z, dest) writing A @ z[i] into dest[i], one np.dot per row.
+
+    Each row is the gemv a single stream makes, so a row rounds as a single
+    draw does, where z @ A.T (one gemm) would not.  np.dot drops the GIL for
+    its gemv; np.matmul over a stack of fewer than 500 rows holds it
+    throughout, which stalls another worker's re-keying.
+    """
+
+    def shape(z: np.ndarray, dest: np.ndarray) -> None:
+        for zr, dr in zip(z, dest):
+            np.dot(A, zr, out=dr)
+
+    return shape
 
 
 def _bm_law(grid: GridSpec):
@@ -404,13 +435,8 @@ def _cholesky_law(grid: GridSpec, H: float, max_nodes: int):
         raise ValueError(
             f"n_steps={grid.n_steps} exceeds the factorization cap {max_nodes}"
         )
-    L = _cholesky_factor(grid.t_max, grid.n_steps, H)
-    # one gemv per row, as L @ z is for one stream; z @ L.T would be one gemm,
-    # which rounds differently
-    def shape(z: np.ndarray, dest: np.ndarray) -> None:
-        dest[:] = np.matmul(L, z[:, :, None])[:, :, 0]
-
-    return grid.n_steps, shape
+    # L @ z by one gemv per stream, as a single draw makes it
+    return grid.n_steps, _rowwise_gemv(_cholesky_factor(grid.t_max, grid.n_steps, H))
 
 
 def generate_fbm_cholesky(
@@ -433,9 +459,20 @@ def fbm_cholesky_ensemble(
 
 
 def _fgn_autocovariance(H: float, n: int) -> np.ndarray:
-    k = np.arange(n + 1, dtype=float)
+    """r(k) = 0.5 (|k+1|^p - 2 k^p + |k-1|^p), p = 2H, for k = 0..n.
+
+    From k = 2 on it is formed as 0.5 k^p (expm1(p log1p(1/k)) + expm1(p log1p(-1/k))),
+    which does not cancel the terms of size k^p against each other; at H = 1/2
+    the increments are independent and r(k) = 0 exactly.
+    """
     p = 2 * H
-    return 0.5 * (np.abs(k + 1) ** p - 2 * k**p + np.abs(k - 1) ** p)
+    r = np.zeros(n + 1)
+    r[0] = 1.0
+    if p != 1.0:
+        r[1] = 0.5 * (2.0**p - 2.0)
+        k = np.arange(2, n + 1, dtype=float)
+        r[2:] = 0.5 * k**p * (np.expm1(p * np.log1p(1.0 / k)) + np.expm1(p * np.log1p(-1.0 / k)))
+    return r
 
 
 @lru_cache(maxsize=8)
@@ -538,12 +575,7 @@ def _moving_average_law(
     r = _ma_kernel(u, q) * (aux_h**H / (q * normalizing_constant(H)))
     if n * m <= _MA_TABLE_MAX:
         w = sliding_window_view(r, m)[::M]  # w[i] = r[iM : iM + m], the row of node n - i
-        table = np.subtract(w[n - 1 :: -1], w[n], order="C")
-
-        # one gemv per row, as for Cholesky
-        def shape(z: np.ndarray, dest: np.ndarray) -> None:
-            dest[:] = np.matmul(table, z[:, :, None])[:, :, 0]
-
+        shape = _rowwise_gemv(np.subtract(w[n - 1 :: -1], w[n], order="C"))
     else:
         # sum_j z[j] r[(n-k)M + j] is the causal convolution of z with r reversed,
         # read at m - 1 + kM; no circular wrap reaches those terms at this size
@@ -632,6 +664,10 @@ def empirical_covariance(values: np.ndarray) -> np.ndarray:
     v = np.asarray(values, dtype=float)
     if v.ndim != 2 or v.shape[0] < 2:
         raise ValueError("need a (replicates, nodes) array with at least 2 rows")
+    finite = np.isfinite(v).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise ValueError(f"empirical_covariance: ensemble values must be finite, row {row} is not")
     return (v.T @ v) / v.shape[0]
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -87,22 +87,32 @@ class AdaptedIntegrand:
 
     rule: Callable[[float, PathPrefix], float]
     grid_eval: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    #: set by the stock constructors only: grid_eval takes a block of paths, one
+    #: per row, and returns values that broadcast to the block
+    _takes_rows: bool = field(default=False, init=False, repr=False, compare=False)
+
+    @classmethod
+    def _stock(cls, rule, grid_eval) -> "AdaptedIntegrand":
+        f = cls(rule, grid_eval)
+        object.__setattr__(f, "_takes_rows", True)
+        return f
 
     @classmethod
     def constant(cls, c: float) -> "AdaptedIntegrand":
-        return cls(lambda t, prefix: c, lambda times, values: np.full(times.shape, float(c)))
+        return cls._stock(lambda t, prefix: c, lambda times, values: np.full(times.shape, float(c)))
 
     @classmethod
     def deterministic(cls, fn: Callable[[float], float]) -> "AdaptedIntegrand":
-        return cls(
+        # values are not read, so the times stand in for them
+        return cls._stock(
             lambda t, prefix: float(fn(t)),
-            lambda times, values: eval2(lambda t, x: fn(t), times, values),
+            lambda times, values: eval2(lambda t, x: fn(t), times, times),
         )
 
     @classmethod
     def path_value(cls) -> "AdaptedIntegrand":
         """The integrand f(t, omega) = value of the path at t."""
-        return cls(lambda t, prefix: prefix.latest, lambda times, values: values)
+        return cls._stock(lambda t, prefix: prefix.latest, lambda times, values: values)
 
     def on_nodes(self, times: np.ndarray, values: np.ndarray, nodes=slice(None)) -> np.ndarray:
         """Integrand values at the node indices `nodes` (all by default), causally evaluated.
@@ -119,6 +129,20 @@ class AdaptedIntegrand:
                     for k in np.arange(times.size)[nodes]
                 ]
             )
+        if not np.isfinite(out).all():
+            raise ValueError("integrand produced non-finite values")
+        return out
+
+    def _on_rows(self, times: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """on_nodes of each row of a block of paths, as one C-contiguous array.
+
+        A stock integrand evaluates the whole block in one call; any other is
+        called one row at a time.  The copy is C-contiguous either way, since
+        a dot product over a broadcast layout rounds differently.
+        """
+        if not self._takes_rows:
+            return np.array([self.on_nodes(times, x) for x in rows])
+        out = np.array(np.broadcast_to(self.grid_eval(times, rows), rows.shape), float, order="C")
         if not np.isfinite(out).all():
             raise ValueError("integrand produced non-finite values")
         return out
@@ -260,7 +284,7 @@ def isometry_check(f: AdaptedIntegrand, values: np.ndarray, grid: GridSpec):
     lhs_samples = np.empty(n)
     rhs_samples = np.empty(n)
     for lo, block in blocks:
-        e = np.array([f.on_nodes(times, x) for x in block])
+        e = f._on_rows(times, block)
         # one dot product per row, the ddot that np.dot makes for a single row
         dots = np.matmul(e[:, None, :-1], np.diff(block, axis=1)[:, :, None])[:, 0, 0]
         lhs_samples[lo : lo + len(block)] = dots**2

@@ -7,6 +7,7 @@ import sys
 import textwrap
 import threading
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +50,7 @@ from fracbm.gaussianpaths import (
     _fft_size,
     _ma_kernel,
     _usable_cpus,
+    _THREAD_MIN_NORMALS,
 )
 
 
@@ -467,6 +469,29 @@ class TestFbmGenerators:
         got = generate_fbm_circulant(grid, H, RngSeed(9, 3)).values
         assert np.abs(got - want).max() <= 1e-12
 
+    @pytest.mark.parametrize("H", [0.1, 0.25, 0.75, 0.95])
+    def test_fgn_autocovariance_keeps_its_relative_accuracy(self, H):
+        # reference: r(k) = k^p sum over even j >= 2 of binom(p, j) k^-j, terms of
+        # one sign, summed exactly in fractions.  The second difference of k^p lost
+        # up to 4e-6 relative at 2^16 steps; the expm1 form measured up to 3e-11
+        n = 2**16
+        r = gaussianpaths._fgn_autocovariance(H, n)
+        p = Fraction(2 * H)
+        for k in sorted({*range(2, 40), *np.geomspace(40, n, 60).astype(int).tolist()}):
+            c, total, j = Fraction(1), Fraction(0), 0
+            while True:
+                c = c * (p - j) / (j + 1)
+                j += 1
+                if j % 2 == 0:
+                    term = c / Fraction(k) ** j
+                    total += term
+                    if abs(term) < abs(total) * Fraction(1, 10**20):
+                        break
+            want = float(total) * math.pow(k, 2 * H)
+            assert abs(r[k] - want) <= 1e-10 * abs(want), k
+        assert r[0] == 1.0 and r[1] == 0.5 * (2.0 ** (2 * H) - 2.0)
+        assert not gaussianpaths._fgn_autocovariance(0.5, n)[1:].any()
+
     def test_circulant_keeps_half_the_eigenvalues(self):
         n = 64
         got = _circulant_sqrt_eigenvalues(0.7, n)
@@ -653,6 +678,24 @@ class TestThreadedDraw:
         # an idle pool thread may take the second share, so one or two threads start
         assert sizes == [2] and 1 <= len(started) <= 2
 
+    def test_zero_replicates_start_no_worker(self, monkeypatch, pools):
+        # streams of 51 * 16 * 8 normals, past the threading threshold, and no block
+        sizes, started = pools
+        monkeypatch.setattr(gaussianpaths, "_usable_cpus", lambda: 2)
+        assert fbm_moving_average_ensemble(GridSpec(1.0, 8), 0.7, 3, 0).shape == (0, 9)
+        assert sizes == [] and started == []
+
+    def test_two_workers_draw_the_bytes_of_one(self, monkeypatch, pools):
+        # Cholesky streams of 1,536 normals, the shortest that start workers; three blocks
+        sizes, _ = pools
+        grid = GridSpec(1.0, _THREAD_MIN_NORMALS)
+        rows = _BLOCK_NORMALS // _THREAD_MIN_NORMALS
+        draws = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(gaussianpaths, "_usable_cpus", lambda: cpus)
+            draws.append(fbm_cholesky_ensemble(grid, 0.7, 9, 2 * rows + 1).tobytes())
+        assert sizes == [2] and draws[0] == draws[1]
+
     @pytest.mark.parametrize("steps, workers", [(1535, []), (1536, [2])])
     def test_short_streams_run_inline_and_workers_are_capped(self, steps, workers, monkeypatch, pools):
         sizes, started = pools
@@ -743,6 +786,13 @@ class TestPathContainer:
     def test_length_must_match_grid(self):
         with pytest.raises(ValueError):
             SamplePath(GridSpec(1.0, 4), np.zeros(4), 0.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_empirical_covariance_names_the_first_non_finite_row(self, bad):
+        ens = bm_ensemble(GridSpec(1.0, 8), 1, 10)
+        ens[7, 3] = ens[4, 8] = bad
+        with pytest.raises(ValueError, match="ensemble values must be finite, row 4 is not"):
+            empirical_covariance(ens)
 
     def test_manifest_is_json_ready(self):
         import json

@@ -282,6 +282,19 @@ class TestEnsembleChecks:
             got = isometry_check(f, ens, grid)
         assert got == (float(np.mean(lhs)), float(np.mean(rhs)), ci)
 
+    def test_a_grid_eval_of_one_path_is_called_row_by_row(self):
+        # on a block, v - v[0] would subtract the first path from every row
+        f = AdaptedIntegrand(lambda t, prefix: prefix.latest - prefix.values[0], lambda t, v: v - v[0])
+        grid = GridSpec(2.0, 64)
+        ens = bm_ensemble(grid, 22, 300) + 0.5  # paths that do not start at zero
+        e = [x - x[0] for x in ens]
+        lhs = np.array([np.dot(er[:-1], np.diff(x)) ** 2 for er, x in zip(e, ens)])
+        rhs = np.array([np.trapezoid(er**2, dx=grid.dt) for er in e])
+        ci = 5.0 * math.sqrt((np.var(lhs, ddof=1) + np.var(rhs, ddof=1)) / ens.shape[0])
+        with pytest.warns(UserWarning, match=str(REPLICATE_FLOOR)):
+            got = isometry_check(f, ens, grid)
+        assert got == (float(np.mean(lhs)), float(np.mean(rhs)), ci)
+
 
 class TestQuadraticVariationOfIntegral:
     def test_unit_integrand_reproduces_the_clock(self):
