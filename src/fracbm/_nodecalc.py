@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._validate import finite
+
 
 def eval2(fn, t: np.ndarray, x: np.ndarray) -> np.ndarray:
     """fn over node arrays: one vectorised call, else one call per node.
@@ -32,9 +34,7 @@ def eval2(fn, t: np.ndarray, x: np.ndarray) -> np.ndarray:
 def accumulate(x0: float, a: np.ndarray, dt: float, b: np.ndarray, dx: np.ndarray) -> np.ndarray:
     """x0 plus running sums of a dt + b dx, both coefficients taken at left points."""
     values = np.concatenate(([x0], x0 + np.cumsum(a[:-1] * dt + b[:-1] * dx)))
-    if not np.isfinite(values).all():
-        raise ValueError("accumulated process is not finite")
-    return values
+    return finite(values, "accumulated process")
 
 
 def change_of_variables(g, g_t, g_x, t, x, dt, second_order=None):

@@ -190,8 +190,6 @@ def _load_path(source):
 @click.option("--out", type=click.Path(file_okay=False), default="out", show_default=True)
 def generate(hurst, steps, tmax, seed, stream, generator, truncation, out):
     """Draw one path and write CSV plus manifest; reruns are byte-identical."""
-    if not 0.0 < hurst < 1.0:
-        raise click.BadParameter(f"Hurst index must lie in (0, 1), got {hurst}", param_hint="--hurst")
     if generator == "bm" and hurst != 0.5:
         raise click.BadParameter("--generator bm fixes hurst at 0.5", param_hint="--hurst")
     try:
@@ -204,10 +202,7 @@ def generate(hurst, steps, tmax, seed, stream, generator, truncation, out):
         elif generator == "circulant":
             path = generate_fbm_circulant(grid, hurst, rng_seed)
         else:
-            path = generate_fbm_moving_average(
-                grid, hurst, rng_seed,
-                **({} if truncation is None else {"truncation": truncation}),
-            )
+            path = generate_fbm_moving_average(grid, hurst, rng_seed, truncation)
     except ValueError as exc:
         raise click.UsageError(str(exc))
     os.makedirs(out, exist_ok=True)
@@ -354,7 +349,7 @@ def _parse_suite(text: str) -> list:
             continue
         if eid not in EXPERIMENTS:
             raise click.UsageError(
-                f"unknown experiment {token.strip()!r}; valid ids are {', '.join(EXPERIMENTS)} or 'all'"
+                f"unknown experiment {token.strip()!r}; ids are {', '.join(EXPERIMENTS)} or 'all'"
             )
         ids.append(eid)
     if not ids:

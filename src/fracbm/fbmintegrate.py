@@ -16,14 +16,14 @@ on Brownian paths, where forward = symmetric - 1/2 covariation holds.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
 from ._nodecalc import accumulate, change_of_variables
-from .gaussianpaths import GridSpec, SamplePath, _is_integer
+from ._validate import dyadic_levels, finite, grid_steps, hurst, integer, node_values, real
+from .gaussianpaths import GridSpec, SamplePath
 from .pathstats import quadratic_variation, variation_index
 
 __all__ = [
@@ -53,12 +53,12 @@ class EpsilonSchedule:
     values: tuple
 
     def __post_init__(self) -> None:
-        vals = tuple(float(e) for e in self.values)
-        object.__setattr__(self, "values", vals)
-        if len(vals) < 3:
+        vals = finite(self.values, "epsilon values")
+        if vals.ndim != 1 or vals.size < 3:
             raise ValueError("need at least 3 epsilon levels")
-        if not all(0 < e < math.inf for e in vals) or any(b >= a for a, b in zip(vals, vals[1:])):
-            raise ValueError("epsilon values must be positive, finite and strictly decreasing")
+        if vals[-1] <= 0 or (np.diff(vals) >= 0).any():
+            raise ValueError("epsilon values must be positive and strictly decreasing")
+        object.__setattr__(self, "values", tuple(vals.tolist()))
 
     @classmethod
     def default_for(cls, grid: GridSpec) -> "EpsilonSchedule":
@@ -67,16 +67,7 @@ class EpsilonSchedule:
 
     def strides(self, grid: GridSpec) -> list:
         """Epsilon values as whole numbers of grid steps."""
-        h = grid.dt
-        out = []
-        for e in self.values:
-            k = int(round(e / h))
-            if k < 1:
-                raise ValueError(f"epsilon {e} lies below the grid spacing {h}")
-            if abs(e - k * h) > 1e-9 * max(e, h):
-                raise ValueError(f"epsilon {e} is not a whole multiple of the grid spacing")
-            out.append(k)
-        return out
+        return grid_steps(self.values, grid.dt, "epsilon", 1).tolist()
 
 
 @dataclass(frozen=True)
@@ -103,12 +94,10 @@ class ForwardProcess:
     hurst: Optional[float]
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
+        vals = node_values(self.values, self.grid.n_steps, "process values")
         object.__setattr__(self, "values", vals)
-        if vals.ndim != 1 or vals.size != self.grid.n_steps + 1:
-            raise ValueError("values must hold one sample per grid node")
-        if not np.isfinite(vals).all():
-            raise ValueError("process values must be finite")
+        if self.hurst is not None:
+            hurst(self.hurst, "hurst")
 
     @property
     def times(self) -> np.ndarray:
@@ -126,12 +115,9 @@ def _grid_values(f, grid: GridSpec, name: str) -> np.ndarray:
         ):
             raise ValueError(f"{name} lives on a different grid")
         return f.values
-    vals = np.full(grid.n_steps + 1, float(f)) if np.isscalar(f) else np.asarray(f, dtype=float)
-    if vals.shape != (grid.n_steps + 1,):
-        raise ValueError(f"{name} must provide one value per grid node")
-    if not np.isfinite(vals).all():
-        raise ValueError(f"{name} must be finite")
-    return vals
+    if np.isscalar(f):
+        return np.full(grid.n_steps + 1, real(f, name))
+    return node_values(f, grid.n_steps, name)
 
 
 def _shifted(values: np.ndarray, k: int) -> np.ndarray:
@@ -140,11 +126,11 @@ def _shifted(values: np.ndarray, k: int) -> np.ndarray:
     return values[idx]
 
 
-def _ladder_result(levels, tol: float, label: str) -> IntegralResult:
+def _ladder_result(levels, tol: float, label: str, notes=()) -> IntegralResult:
+    tol = real(tol, "tol", 0.0, closed=True, rule="be a finite non-negative real number")
     gap = abs(levels[-1][1] - levels[-2][1])
-    converged = bool(gap <= tol)
-    diag = f"{label}: last-level gap {gap:.3e} vs tolerance {tol:.3e}"
-    return IntegralResult(levels[-1][1], tuple(levels), converged, diag)
+    diag = "; ".join([f"{label}: last-level gap {gap:.3e} vs tolerance {tol:.3e}", *notes])
+    return IntegralResult(levels[-1][1], tuple(levels), bool(gap <= tol), diag)
 
 
 def telescoping_tolerance(g: SamplePath, eps: EpsilonSchedule) -> float:
@@ -237,11 +223,7 @@ def riemann_stieltjes_integral(
     (p = 1 < 1/(1-H)) and is not probed.
     """
     uv = _grid_values(u, g.grid, "u")
-    n = g.grid.n_steps
-    if levels < 3:
-        raise ValueError("need at least 3 mesh levels")
-    if 2 ** (levels - 1) > n // 2:
-        raise ValueError(f"{levels} dyadic levels need at least {2**levels} steps")
+    levels = dyadic_levels(levels, g.grid.n_steps)
     notes = []
     if g.hurst is None:
         notes.append("variation condition unchecked: unknown Hurst index")
@@ -261,12 +243,7 @@ def riemann_stieltjes_integral(
         s = 2**j
         gv = g.values[::s]
         lev.append((s * g.dt, float(np.dot(uv[::s][:-1], np.diff(gv)))))
-    res = _ladder_result(lev, tol, "riemann-stieltjes")
-    if notes:
-        res = IntegralResult(
-            res.value, res.levels, res.converged, res.diagnostic + "; " + "; ".join(notes)
-        )
-    return res
+    return _ladder_result(lev, tol, "riemann-stieltjes", notes)
 
 
 def symmetric_forward_relation_check(
@@ -308,14 +285,9 @@ def extended_forward_integral(
     the weight concentrates at u = 0 and the value approaches the grid-scale
     forward quotient.
     """
-    if not _is_integer(eps_levels) or eps_levels < 3:
-        raise ValueError(f"eps_levels must be an integer of at least 3, got {eps_levels!r}")
-    if eps_levels > 12:
-        raise ValueError("epsilon ladder below 1e-12 underflows the weight differences")
-    if not _is_integer(u_points) or u_points < 1:
-        raise ValueError(f"u_points must be an integer of at least 1, got {u_points!r}")
-    if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and 0.0 <= tol < math.inf):
-        raise ValueError(f"tol must be a finite non-negative real number, got {tol!r}")
+    # an epsilon ladder below 1e-12 underflows the weight differences
+    eps_levels = integer(eps_levels, "eps_levels", 3, 12)
+    u_points = integer(u_points, "u_points", 1)
     fv = _grid_values(f, g.grid, "f")
     h, T = g.dt, g.grid.t_max
     gv = g.values
@@ -352,7 +324,8 @@ def fractional_forward_process(x0: float, alpha, f, g: SamplePath) -> ForwardPro
     """X = x0 + int alpha dt + forward sums of f against g on the grid."""
     av = _grid_values(alpha, g.grid, "alpha")
     fv = _grid_values(f, g.grid, "f")
-    return ForwardProcess(g.grid, accumulate(x0, av, g.dt, fv, np.diff(g.values)), g.hurst)
+    values = accumulate(real(x0, "x0"), av, g.dt, fv, np.diff(g.values))
+    return ForwardProcess(g.grid, values, g.hurst)
 
 
 def fbm_ito_formula_check(g_fn, g_t, g_x, X: Union[SamplePath, ForwardProcess]):

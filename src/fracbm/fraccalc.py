@@ -22,12 +22,12 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._csvio import read_csv, write_csv
+from ._validate import finite, integer, real
 
 __all__ = [
     "Side",
@@ -70,11 +70,6 @@ class WholeLineSide(enum.Enum):
     PLUS = "plus"
 
 
-def _is_real(x) -> bool:
-    """A real number other than a bool, which numbers.Real also admits."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
-
-
 @dataclass(frozen=True)
 class DifferintegralSpec:
     """Order, side and kind of a fractional operator.
@@ -89,14 +84,11 @@ class DifferintegralSpec:
     kind: OperatorKind = OperatorKind.INTEGRAL
 
     def __post_init__(self) -> None:
-        a = self.alpha
-        if not (_is_real(a) and math.isfinite(a)):
-            raise ValueError(f"order must be a finite real number, got {a!r}")
-        if self.kind is OperatorKind.INTEGRAL:
-            if not self.alpha > 0:
-                raise ValueError(f"integral order must be positive, got {self.alpha}")
-        elif not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"derivative order must lie in (0, 1), got {self.alpha}")
+        a = real(self.alpha, "order", rule="be a finite real number")
+        object.__setattr__(self, "side", Side(self.side))
+        object.__setattr__(self, "kind", OperatorKind(self.kind))
+        integral = self.kind is OperatorKind.INTEGRAL
+        real(a, f"{self.kind.value} order", 0.0, math.inf if integral else 1.0)
 
 
 @dataclass(frozen=True)
@@ -117,8 +109,7 @@ class GridFunction:
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", vals)
-        if not (np.isfinite(self.a) and np.isfinite(self.b) and self.b > self.a):
-            raise ValueError("domain must satisfy a < b with finite endpoints")
+        real(self.b, "b", real(self.a, "a"))  # a finite domain with a < b
         if vals.ndim != 1 or vals.size < 3:
             raise ValueError("need samples at n+1 >= 3 grid nodes")
         if np.isnan(vals).any() or not np.isfinite(vals[1:-1]).all():
@@ -144,12 +135,6 @@ class GridFunction:
     def reflected(self) -> "GridFunction":
         """Samples of t -> f(a + b - t) on the same grid."""
         return GridFunction(self.a, self.b, self.values[::-1].copy())
-
-
-def _require_finite(f: GridFunction, op: str) -> np.ndarray:
-    if not np.isfinite(f.values).all():
-        raise ValueError(f"{op} requires finite samples everywhere")
-    return f.values
 
 
 def _diffpow(d: np.ndarray, p: float) -> np.ndarray:
@@ -229,7 +214,7 @@ def _left_integral(vals: np.ndarray, alpha: float, h: float) -> np.ndarray:
         out[1:n] -= vals[0] * tail
     out[0] = 0.0
     if not np.isfinite(out).all():
-        raise ValueError(f"integral of order {alpha} overflows the floating-point range on this grid")
+        raise ValueError(f"integral of order {alpha} overflows the float range on this grid")
     return out
 
 
@@ -284,14 +269,7 @@ def fractional_integral(f: GridFunction, spec: DifferintegralSpec) -> GridFuncti
     quadrature is exact for piecewise-linear inputs, so alpha = 1
     reproduces the cumulative trapezoid rule.
     """
-    if spec.kind is not OperatorKind.INTEGRAL:
-        raise ValueError("spec.kind must be INTEGRAL")
-    vals = _require_finite(f, "fractional_integral")
-    if spec.side is Side.LEFT:
-        out = _left_integral(vals, spec.alpha, f.h)
-    else:
-        out = _left_integral(vals[::-1], spec.alpha, f.h)[::-1]
-    return GridFunction(f.a, f.b, out)
+    return _one_sided(f, spec, OperatorKind.INTEGRAL, _left_integral)
 
 
 def fractional_derivative(f: GridFunction, spec: DifferintegralSpec) -> GridFunction:
@@ -311,14 +289,17 @@ def fractional_derivative(f: GridFunction, spec: DifferintegralSpec) -> GridFunc
     Non-finite interior values raise, signalling an integrand too rough
     for the grid.
     """
-    if spec.kind is not OperatorKind.DERIVATIVE:
-        raise ValueError("spec.kind must be DERIVATIVE")
-    vals = _require_finite(f, "fractional_derivative")
+    return _one_sided(f, spec, OperatorKind.DERIVATIVE, _left_derivative)
+
+
+def _one_sided(f: GridFunction, spec: DifferintegralSpec, kind: OperatorKind, left):
+    """left(samples, alpha, h) on spec's side; the right side reflects the samples and back."""
+    if spec.kind is not kind:
+        raise ValueError(f"spec.kind must be {kind.name}")
+    vals = finite(f.values, "samples")
     if spec.side is Side.LEFT:
-        out = _left_derivative(vals, spec.alpha, f.h)
-    else:
-        out = _left_derivative(vals[::-1], spec.alpha, f.h)[::-1]
-    return GridFunction(f.a, f.b, out)
+        return GridFunction(f.a, f.b, left(vals, spec.alpha, f.h))
+    return GridFunction(f.a, f.b, left(vals[::-1], spec.alpha, f.h)[::-1])
 
 
 def cauchy_repeated_integral(f: GridFunction, m: int) -> GridFunction:
@@ -328,8 +309,7 @@ def cauchy_repeated_integral(f: GridFunction, m: int) -> GridFunction:
     (t - u)**(m-1) / (m-1)!; this delegates to the same quadrature path as
     fractional_integral with alpha = m, so the two agree bitwise at m = 1.
     """
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
-        raise ValueError(f"repetition count m must be a positive integer, got {m!r}")
+    m = integer(m, "repetition count m", 1)
     return fractional_integral(f, DifferintegralSpec(float(m), Side.LEFT, OperatorKind.INTEGRAL))
 
 
@@ -345,9 +325,8 @@ def whole_line_fractional_integral(
     the support of f (e.g. an indicator sampled mid-grid) is therefore exact
     up to the interpolant's smearing of jumps over one cell.
     """
-    if not (_is_real(alpha) and 0.0 < alpha < 1.0):
-        raise ValueError(f"whole-line order alpha must lie in (0, 1), got {alpha!r}")
-    one_sided = Side.LEFT if side is WholeLineSide.MINUS else Side.RIGHT
+    alpha = real(alpha, "whole-line order alpha", 0.0, 1.0)
+    one_sided = Side.LEFT if WholeLineSide(side) is WholeLineSide.MINUS else Side.RIGHT
     return fractional_integral(f, DifferintegralSpec(alpha, one_sided, OperatorKind.INTEGRAL))
 
 
@@ -366,12 +345,11 @@ def fractal_integral(f: GridFunction, g: GridFunction, alpha: float) -> float:
     on alpha; alpha = 0 and alpha = 1 fall back to the classical
     derivative on one side and the identity on the other.
     """
-    if not (_is_real(alpha) and 0.0 <= alpha <= 1.0):
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
+    alpha = real(alpha, "alpha", 0.0, 1.0, closed=True)
     if f.values.size != g.values.size or abs(f.a - g.a) > 1e-12 or abs(f.b - g.b) > 1e-12:
         raise ValueError("f and g must share one grid")
-    fv = _require_finite(f, "fractal_integral")
-    gv = _require_finite(g, "fractal_integral")
+    fv = finite(f.values, "f samples")
+    gv = finite(g.values, "g samples")
     h = f.h
     f_low = fv - fv[0]
     g_up = gv - gv[-1]

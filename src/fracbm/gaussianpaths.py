@@ -63,7 +63,6 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -72,6 +71,7 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import _validate
 from ._csvio import read_csv, write_csv
 
 __all__ = [
@@ -124,10 +124,6 @@ _THREAD_MIN_NORMALS = 1536
 _MA_TABLE_MAX = 400_000
 
 
-def _is_integer(v) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform time grid 0 = t_0 < ... < t_n = t_max with n = n_steps."""
@@ -136,10 +132,8 @@ class GridSpec:
     n_steps: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.t_max, numbers.Real) and 0.0 < self.t_max < math.inf):
-            raise ValueError(f"t_max must be positive and finite, got {self.t_max!r}")
-        if not _is_integer(self.n_steps) or self.n_steps < 1:
-            raise ValueError(f"n_steps must be an integer of at least 1, got {self.n_steps!r}")
+        _validate.real(self.t_max, "t_max", 0.0)
+        _validate.integer(self.n_steps, "n_steps", 1)
 
     @property
     def dt(self) -> float:
@@ -183,9 +177,8 @@ class RngSeed:
     stream: int = 0
 
     def __post_init__(self) -> None:
-        for name, v in (("root", self.root), ("stream", self.stream)):
-            if not _is_integer(v) or not 0 <= int(v) < 2**64:
-                raise ValueError(f"{name} must be an integer in [0, 2**64)")
+        _validate.integer(self.root, "root", 0, 2**64 - 1)
+        _validate.integer(self.stream, "stream", 0, 2**64 - 1)
 
     def generator(self) -> np.random.Generator:
         rng, rekey = _keyed_generator()
@@ -217,16 +210,12 @@ class SamplePath:
     generator: PathGenerator = PathGenerator.EXTERNAL
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
+        vals = _validate.node_values(self.values, self.grid.n_steps, "path values")
         object.__setattr__(self, "values", vals)
-        if vals.ndim != 1 or vals.size != self.grid.n_steps + 1:
-            raise ValueError("values must hold one sample per grid node")
-        if not np.isfinite(vals).all():
-            raise ValueError("path values must be finite")
         if vals[0] != 0.0:
             raise ValueError("paths start at exactly zero")
         if self.hurst is not None:
-            _check_hurst(self.hurst)
+            _validate.hurst(self.hurst, "hurst")
 
     @property
     def times(self) -> np.ndarray:
@@ -244,27 +233,19 @@ class SamplePath:
 # covariance formulas
 
 
-def _check_hurst(H: float) -> float:
-    if not (isinstance(H, numbers.Real) and 0.0 < H < 1.0):
-        raise ValueError(f"Hurst index must lie in (0, 1), got {H!r}")
-    return float(H)
-
-
-def _check_times(*times: float) -> None:
-    if not all(0.0 <= x < math.inf for x in times):
-        raise ValueError(f"times must be finite and nonnegative, got {times}")
+def _check_times(*times: float) -> list:
+    return [_validate.real(x, "times", 0.0, closed=True) for x in times]
 
 
 def bm_covariance(s: float, t: float) -> float:
     """E[B(s) B(t)] = min(s, t) for standard Brownian motion."""
-    _check_times(s, t)
-    return float(min(s, t))
+    return min(_check_times(s, t))
 
 
 def fbm_covariance(H: float, s: float, t: float) -> float:
     """E[B_H(s) B_H(t)] = (s^2H + t^2H - |t-s|^2H) / 2."""
-    _check_hurst(H)
-    _check_times(s, t)
+    H = _validate.hurst(H)
+    s, t = _check_times(s, t)
     return 0.5 * (s ** (2 * H) + t ** (2 * H) - abs(t - s) ** (2 * H))
 
 
@@ -274,8 +255,8 @@ def increment_cross_covariance(H: float, s: float, t: float, u: float, v: float)
     Both increments are taken right-minus-left over their interval, so
     identical intervals return the increment variance |t-s|^2H.
     """
-    _check_hurst(H)
-    _check_times(s, t, u, v)
+    H = _validate.hurst(H)
+    s, t, u, v = _check_times(s, t, u, v)
     p = 2 * H
     return 0.5 * (
         abs(t - u) ** p + abs(s - v) ** p - abs(s - u) ** p - abs(t - v) ** p
@@ -285,32 +266,14 @@ def increment_cross_covariance(H: float, s: float, t: float, u: float, v: float)
 def normalizing_constant(H: float) -> float:
     """Normalizer C(H) making the moving-average kernel representation unit variance.
 
-    C(H)^2 = int_0^inf ((1+s)^(H-1/2) - s^(H-1/2))^2 ds + 1/(2H).  The head
-    s in [0, 1] is expanded so its power singularity becomes an explicit
-    algebraic quadrature weight, and the tail is folded onto [0, 1] by
-    s -> 1/s, leaving a smooth factor against the weight u^(1-2H).
-    C(1/2) = 1 exactly.
+    C(H)^2 = int_0^inf ((1+s)^(H-1/2) - s^(H-1/2))^2 ds + 1/(2H), which has
+    the closed form Gamma(H+1/2)^2 / (Gamma(2H+1) sin(pi H)) (Mandelbrot &
+    Van Ness 1968; Mishura 2008, LNM 1929, ch. 1).  C(1/2) = 1 exactly.
     """
-    _check_hurst(H)
-    beta = H - 0.5
-    if beta == 0.0:
-        return 1.0
-    from scipy.integrate import quad
-
-    p = 2.0 * H
-    opts = dict(epsabs=1e-13, epsrel=1e-12)
-    cross = quad(
-        lambda s: (1.0 + s) ** beta, 0.0, 1.0, weight="alg", wvar=(beta, 0.0), **opts
-    )[0]
-    head = (2.0**p - 1.0) / p - 2.0 * cross + 1.0 / p
-
-    def phi(u):  # (((1+u)^beta - 1) / u)^2, smooth down to u = 0
-        if u == 0.0:
-            return beta * beta
-        return (math.expm1(beta * math.log1p(u)) / u) ** 2
-
-    tail = quad(phi, 0.0, 1.0, weight="alg", wvar=(-2.0 * beta, 0.0), **opts)[0]
-    return math.sqrt(head + tail + 0.5 / H)
+    H = _validate.hurst(H)
+    # sin(pi H) = sin(pi (1 - H)): the smaller argument keeps sin accurate as H -> 1
+    sine = math.sin(math.pi * min(H, 1.0 - H))
+    return math.gamma(H + 0.5) / math.sqrt(math.gamma(2.0 * H + 1.0) * sine)
 
 
 # ---------------------------------------------------------------------------
@@ -363,9 +326,7 @@ def _draw(law, grid: GridSpec, root: int, streams) -> np.ndarray:
 
 def _streams(root: int, replicates: int) -> range:
     RngSeed(root)  # validates the root once, for every stream
-    if not _is_integer(replicates) or replicates < 0:
-        raise ValueError(f"replicates must be a nonnegative integer, got {replicates!r}")
-    return range(replicates)
+    return range(_validate.integer(replicates, "replicates"))
 
 
 def _rowwise_gemv(A: np.ndarray):
@@ -428,13 +389,9 @@ def _cholesky_factor(t_max: float, n_steps: int, H: float) -> np.ndarray:
 
 
 def _cholesky_law(grid: GridSpec, H: float, max_nodes: int):
-    H = _check_hurst(H)
-    if not _is_integer(max_nodes) or max_nodes < 1:
-        raise ValueError(f"max_nodes must be a positive integer, got {max_nodes!r}")
-    if grid.n_steps > max_nodes:
-        raise ValueError(
-            f"n_steps={grid.n_steps} exceeds the factorization cap {max_nodes}"
-        )
+    H = _validate.hurst(H)
+    cap = _validate.integer(max_nodes, "max_nodes", 1)
+    _validate.integer(grid.n_steps, "n_steps", 1, cap)  # the factorization costs n_steps^3
     # L @ z by one gemv per stream, as a single draw makes it
     return grid.n_steps, _rowwise_gemv(_cholesky_factor(grid.t_max, grid.n_steps, H))
 
@@ -458,21 +415,20 @@ def fbm_cholesky_ensemble(
     return _draw(_cholesky_law(grid, H, max_nodes), grid, root, _streams(root, replicates))
 
 
-def _fgn_autocovariance(H: float, n: int) -> np.ndarray:
-    """r(k) = 0.5 (|k+1|^p - 2 k^p + |k-1|^p), p = 2H, for k = 0..n.
+def _fgn_autocovariance(H: float, n: int, first: int = 0) -> np.ndarray:
+    """r(k) = 0.5 (|k+1|^p - 2 k^p + |k-1|^p), p = 2H, for k = first..n.
 
     From k = 2 on it is formed as 0.5 k^p (expm1(p log1p(1/k)) + expm1(p log1p(-1/k))),
     which does not cancel the terms of size k^p against each other; at H = 1/2
     the increments are independent and r(k) = 0 exactly.
     """
     p = 2 * H
-    r = np.zeros(n + 1)
-    r[0] = 1.0
-    if p != 1.0:
-        r[1] = 0.5 * (2.0**p - 2.0)
-        k = np.arange(2, n + 1, dtype=float)
-        r[2:] = 0.5 * k**p * (np.expm1(p * np.log1p(1.0 / k)) + np.expm1(p * np.log1p(-1.0 / k)))
-    return r
+    k = np.arange(max(first, 2), n + 1, dtype=float)
+    if p == 1.0:
+        far = np.zeros(k.size)
+    else:
+        far = 0.5 * k**p * (np.expm1(p * np.log1p(1.0 / k)) + np.expm1(p * np.log1p(-1.0 / k)))
+    return np.concatenate(([1.0, 0.5 * (2.0**p - 2.0)][first : n + 1], far))
 
 
 @lru_cache(maxsize=8)
@@ -490,7 +446,7 @@ def _circulant_sqrt_eigenvalues(H: float, n: int) -> np.ndarray:
 
 
 def _circulant_law(grid: GridSpec, H: float):
-    H = _check_hurst(H)
+    H = _validate.hurst(H)
     n = grid.n_steps
     m = 2 * n
     # spectral synthesis: a Hermitian w with E|w_k|^2 = eig_k / m has a real
@@ -555,16 +511,12 @@ def _ma_kernel(u: np.ndarray, q: float) -> np.ndarray:
 def _moving_average_law(
     grid: GridSpec, H: float, truncation: Optional[float], kernel_mesh: int
 ):
-    H = _check_hurst(H)
+    H = _validate.hurst(H)
     if truncation is None:
         truncation = 50.0 * grid.t_max
-    if isinstance(truncation, bool) or not (
-        isinstance(truncation, numbers.Real) and grid.t_max <= truncation < math.inf
-    ):
-        raise ValueError(f"truncation must be finite and at least t_max, got {truncation!r}")
-    if not _is_integer(kernel_mesh) or kernel_mesh < 1:
-        raise ValueError(f"kernel_mesh must be a positive integer, got {kernel_mesh!r}")
-    n, M = grid.n_steps, kernel_mesh
+    rule = "be finite and at least t_max"
+    truncation = _validate.real(truncation, "truncation", grid.t_max, closed=True, rule=rule)
+    n, M = grid.n_steps, _validate.integer(kernel_mesh, "kernel_mesh", 1)
     aux_h = grid.dt / M
     m = int(round((truncation + grid.t_max) / aux_h))
     q = H + 0.5
@@ -599,10 +551,9 @@ def moving_average_truncation_bias(H: float, truncation: float, t: float) -> flo
     (H-1/2)^2 t^2 L^(2H-2) / (2-2H), normalized by C(H)^2.  Zero for
     H = 1/2, where the kernel has compact support.
     """
-    _check_hurst(H)
-    _check_times(t)
-    if not truncation > 0:
-        raise ValueError(f"truncation must be positive, got {truncation}")
+    H = _validate.hurst(H)
+    (t,) = _check_times(t)
+    truncation = _validate.real(truncation, "truncation", 0.0)
     if H == 0.5:
         return 0.0
     beta = H - 0.5
@@ -664,10 +615,7 @@ def empirical_covariance(values: np.ndarray) -> np.ndarray:
     v = np.asarray(values, dtype=float)
     if v.ndim != 2 or v.shape[0] < 2:
         raise ValueError("need a (replicates, nodes) array with at least 2 rows")
-    finite = np.isfinite(v).all(axis=1)
-    if not finite.all():
-        row = int(np.argmin(finite))
-        raise ValueError(f"empirical_covariance: ensemble values must be finite, row {row} is not")
+    _validate.finite_rows(v, "empirical_covariance")
     return (v.T @ v) / v.shape[0]
 
 
@@ -677,8 +625,7 @@ def empirical_covariance(values: np.ndarray) -> np.ndarray:
 
 def scale_path(path: SamplePath, a: float) -> SamplePath:
     """Self-similarity transform t -> a^(-H) X(a t) on the rescaled grid."""
-    if isinstance(a, bool) or not (isinstance(a, numbers.Real) and 0.0 < a < math.inf):
-        raise ValueError(f"scale factor a must be positive and finite, got {a!r}")
+    a = _validate.real(a, "scale factor a", 0.0)
     if path.hurst is None:
         raise ValueError("scaling needs a path with a known Hurst index")
     grid = GridSpec(path.grid.t_max / a, path.grid.n_steps)

@@ -17,6 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._nodecalc import accumulate, change_of_variables, eval2
+from ._validate import finite, finite_rows, grid_steps, partition, real
 from .gaussianpaths import GridSpec, SamplePath, Z_CONFIDENCE
 
 __all__ = [
@@ -99,7 +100,8 @@ class AdaptedIntegrand:
 
     @classmethod
     def constant(cls, c: float) -> "AdaptedIntegrand":
-        return cls._stock(lambda t, prefix: c, lambda times, values: np.full(times.shape, float(c)))
+        c = real(c, "c")
+        return cls._stock(lambda t, prefix: c, lambda times, values: np.full(times.shape, c))
 
     @classmethod
     def deterministic(cls, fn: Callable[[float], float]) -> "AdaptedIntegrand":
@@ -129,9 +131,7 @@ class AdaptedIntegrand:
                     for k in np.arange(times.size)[nodes]
                 ]
             )
-        if not np.isfinite(out).all():
-            raise ValueError("integrand produced non-finite values")
-        return out
+        return finite(out, "integrand values")
 
     def _on_rows(self, times: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """on_nodes of each row of a block of paths, as one C-contiguous array.
@@ -143,9 +143,7 @@ class AdaptedIntegrand:
         if not self._takes_rows:
             return np.array([self.on_nodes(times, x) for x in rows])
         out = np.array(np.broadcast_to(self.grid_eval(times, rows), rows.shape), float, order="C")
-        if not np.isfinite(out).all():
-            raise ValueError("integrand produced non-finite values")
-        return out
+        return finite(out, "integrand values")
 
 
 @dataclass(frozen=True)
@@ -161,10 +159,7 @@ class SimpleProcess:
     rule: Callable[[int, float, PathPrefix], float]
 
     def __post_init__(self) -> None:
-        part = np.asarray(self.partition, dtype=float)
-        object.__setattr__(self, "partition", part)
-        if part.size < 2 or np.any(np.diff(part) < 0):
-            raise ValueError("partition must be nondecreasing with at least 2 times")
+        object.__setattr__(self, "partition", partition(self.partition, "partition"))
 
     def as_integrand(self) -> AdaptedIntegrand:
         part = self.partition
@@ -177,18 +172,6 @@ class SimpleProcess:
             return float(self.rule(i, float(part[i]), prefix.up_to(float(part[i]))))
 
         return AdaptedIntegrand(step_rule)
-
-
-def _node_index(t, grid: GridSpec, what: str) -> np.ndarray:
-    """Node indices of the grid times t, by one vectorised round-and-check."""
-    t = np.asarray(t, dtype=float)
-    if not np.isfinite(t).all():
-        raise ValueError(f"{what} must be finite, got {t[~np.isfinite(t)][0]}")
-    k = np.rint(t / grid.dt)
-    off = (k < 0) | (k > grid.n_steps) | (np.abs(t - k * grid.dt) > 1e-9 * max(grid.t_max, 1.0))
-    if off.any():
-        raise ValueError(f"{what} {t[off][0]} does not lie on the path grid")
-    return k.astype(int)
 
 
 def _require_bm(path: SamplePath) -> None:
@@ -211,10 +194,8 @@ def ito_integral(
     if sub_partition is None:
         idx = np.arange(times.size)
     else:
-        part = np.asarray(sub_partition, dtype=float)
-        if part.size < 2 or np.any(np.diff(part) < 0):
-            raise ValueError("sub-partition must be nondecreasing with at least 2 times")
-        idx = _node_index(part, path.grid, "partition time")
+        part = partition(sub_partition, "sub_partition")
+        idx = grid_steps(part, path.dt, "partition time", 0, path.grid.n_steps)
     left = idx[:-1]
     steps = values[idx[1:]] - values[left]
     e = f.on_nodes(times, values, left)
@@ -239,10 +220,7 @@ def _check_ensemble(values: np.ndarray, grid: GridSpec, what: str, least: int):
     def blocks():
         for lo in range(0, n, _ENSEMBLE_ROWS):
             block = v[lo : lo + _ENSEMBLE_ROWS]
-            finite = np.isfinite(block)
-            if not finite.all():
-                row = lo + int(np.argmin(finite.all(axis=1)))
-                raise ValueError(f"{what}: ensemble values must be finite, row {row} is not")
+            finite_rows(block, what, lo)
             yield lo, block
         if n < REPLICATE_FLOOR:
             warnings.warn(
@@ -260,7 +238,7 @@ def endpoint_comparison(values: np.ndarray, grid: GridSpec, T: float):
     right sums to T.
     """
     n, blocks = _check_ensemble(values, grid, "endpoint_comparison", 1)
-    k = int(_node_index(T, grid, "T"))
+    k = int(grid_steps(real(T, "T", 0.0, closed=True), grid.dt, "T", 0, grid.n_steps))
     if k < 1:
         raise ValueError("T must cover at least one step")
     left = np.empty(n)
@@ -321,6 +299,7 @@ class ItoProcess:
     driving_path: SamplePath
 
     def __post_init__(self) -> None:
+        real(self.x0, "x0")
         _require_bm(self.driving_path)
 
     def realize(self):

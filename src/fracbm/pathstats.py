@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussianpaths import SamplePath, _check_hurst, _is_integer
+from ._validate import dyadic_levels, finite, hurst, integer, real
+from .gaussianpaths import SamplePath, _fgn_autocovariance
 
 __all__ = [
     "VariationVerdict",
@@ -89,9 +90,7 @@ def quadratic_variation(path: SamplePath) -> float:
 
 def _dyadic_increments(values: np.ndarray, dt: float, levels: int):
     """(mesh, |increments|) on each dyadic coarsening, coarsest first."""
-    n = values.size - 1
-    if 2 ** (levels - 1) > n // 2:
-        raise ValueError(f"{levels} dyadic levels need at least {2**levels} steps")
+    levels = dyadic_levels(levels, values.size - 1)
     return [(2**j * dt, np.abs(np.diff(values[:: 2**j]))) for j in range(levels - 1, -1, -1)]
 
 
@@ -99,10 +98,17 @@ def _power_sums(increments, p: float):
     return [(mesh, float(np.sum(a**p))) for mesh, a in increments]
 
 
-def _loglog_slope(pairs):
-    x = np.log([m for m, v in pairs])
-    y = np.log([v for m, v in pairs])
-    return _ols_slope(x, y)[0]
+def _loglog_fit(pairs):
+    """Least-squares slope of log y on log x over (x, y) pairs, and its standard error."""
+    x = np.log([a for a, _ in pairs])
+    y = np.log([b for _, b in pairs])
+    xm, ym = x - x.mean(), y - y.mean()
+    sxx = float(np.dot(xm, xm))
+    slope = float(np.dot(xm, ym)) / sxx
+    resid = ym - slope * xm
+    dof = x.size - 2
+    se = math.sqrt(float(np.dot(resid, resid)) / dof / sxx) if dof > 0 else 0.0
+    return slope, se
 
 
 def p_variation(path: SamplePath, p: float, levels: int = 5) -> VariationEstimate:
@@ -112,15 +118,12 @@ def p_variation(path: SamplePath, p: float, levels: int = 5) -> VariationEstimat
     slope means the sums shrink under refinement, a negative slope that they
     blow up, and a flat profile that they stabilize.
     """
-    if not 0.0 < p < math.inf:
-        raise ValueError(f"p must be positive and finite, got {p}")
-    if levels < 3:
-        raise ValueError("need at least 3 mesh levels")
+    p = real(p, "p", 0.0)
     pairs = _power_sums(_dyadic_increments(path.values, path.dt, levels), p)
     if all(v == 0.0 for _, v in pairs):
         # flat path: zero variation at every mesh
         return VariationEstimate(p, tuple(pairs), VariationVerdict.CONVERGES_TO_ZERO)
-    slope = _loglog_slope(pairs)
+    slope = _loglog_fit(pairs)[0]
     if slope > SLOPE_BAND:
         verdict = VariationVerdict.CONVERGES_TO_ZERO
     elif slope < -SLOPE_BAND:
@@ -145,16 +148,17 @@ def variation_index(
     """
     if path.grid.n_steps < 2**10:
         raise ValueError("variation index needs at least 2^10 steps")
-
+    h_tol = real(h_tol, "h_tol", 0.0)
+    lo = real(p_lo, "p_lo", 0.0)
+    hi = real(p_hi, "p_hi", lo)
     increments = _dyadic_increments(path.values, path.dt, levels)  # formed once, for every p
 
     def slope(p):
         pairs = _power_sums(increments, p)
         if any(v == 0.0 for _, v in pairs):
             raise ValueError("degenerate path: zero variation sum at some mesh")
-        return _loglog_slope(pairs)
+        return _loglog_fit(pairs)[0]
 
-    lo, hi = float(p_lo), float(p_hi)
     s_lo, s_hi = slope(lo), slope(hi)
     if not (s_lo < 0.0 < s_hi):
         raise ValueError(
@@ -162,28 +166,18 @@ def variation_index(
             f"(slopes {s_lo:.3f}, {s_hi:.3f})"
         )
     trace = {lo: s_lo, hi: s_hi}
-    while 1.0 / lo - 1.0 / hi > h_tol:
-        mid = 0.5 * (lo + hi)
-        s_mid = slope(mid)
-        trace[mid] = s_mid
-        if s_mid < 0.0:
-            lo = mid
-        else:
-            hi = mid
     p_star = 0.5 * (lo + hi)
+    # a tolerance below the float spacing ends the bisection at adjacent floats
+    while 1.0 / lo - 1.0 / hi > h_tol and lo < p_star < hi:
+        trace[p_star] = slope(p_star)
+        if trace[p_star] < 0.0:
+            lo = p_star
+        else:
+            hi = p_star
+        p_star = 0.5 * (lo + hi)
     stderr = 0.5 * (1.0 / lo - 1.0 / hi)
     block_data = tuple(sorted(trace.items()))
     return HurstEstimate(1.0 / p_star, HurstMethod.VARIATION_INDEX, stderr, block_data)
-
-
-def _ols_slope(x: np.ndarray, y: np.ndarray):
-    xm, ym = x - x.mean(), y - y.mean()
-    sxx = float(np.dot(xm, xm))
-    slope = float(np.dot(xm, ym)) / sxx
-    resid = ym - slope * xm
-    dof = x.size - 2
-    se = math.sqrt(float(np.dot(resid, resid)) / dof / sxx) if dof > 0 else 0.0
-    return slope, se
 
 
 def rescaled_range_hurst(series) -> HurstEstimate:
@@ -195,11 +189,9 @@ def rescaled_range_hurst(series) -> HurstEstimate:
     original statistic).  The estimate is the least-squares slope of
     log mean(R/S) against log n.
     """
-    x = np.asarray(series, dtype=float)
+    x = finite(series, "series")
     if x.ndim != 1 or x.size < 256:
         raise ValueError("rescaled range needs a 1-d series of at least 256 samples")
-    if not np.isfinite(x).all():
-        raise ValueError("series must be finite")
     block_data = []
     size = 16
     while size <= x.size // 8:
@@ -214,21 +206,14 @@ def rescaled_range_hurst(series) -> HurstEstimate:
         size *= 2
     if len(block_data) < 3:
         raise ValueError("too few usable blocks (series constant or too short)")
-    logn = np.log([b for b, _ in block_data])
-    logrs = np.log([r for _, r in block_data])
-    slope, se = _ols_slope(logn, logrs)
+    slope, se = _loglog_fit(block_data)
     return HurstEstimate(slope, HurstMethod.RESCALED_RANGE, se, tuple(block_data))
 
 
 def theoretical_acf(H: float, n: int) -> float:
     """Autocorrelation of unit-spaced increments at lag n: ½((n+1)^2H − 2n^2H + (n−1)^2H)."""
-    _check_hurst(H)
-    if n < 0:
-        raise ValueError("lag must be nonnegative")
-    if n == 0:
-        return 1.0
-    p = 2.0 * H
-    return 0.5 * ((n + 1) ** p - 2.0 * n**p + (n - 1) ** p)
+    n = integer(n, "n")
+    return float(_fgn_autocovariance(hurst(H), n, n)[0])
 
 
 def empirical_acf(path: SamplePath, max_lag: int) -> np.ndarray:
@@ -237,8 +222,7 @@ def empirical_acf(path: SamplePath, max_lag: int) -> np.ndarray:
     Paths not sampled at unit spacing are linearly resampled onto integer
     times first.
     """
-    if max_lag < 1:
-        raise ValueError("max_lag must be positive")
+    max_lag = integer(max_lag, "max_lag", 1)
     if abs(path.dt - 1.0) <= 1e-12:
         vals = path.values
     else:
@@ -264,22 +248,16 @@ def lrd_diagnostic(H: float, N: int):
     """Absolute-summability and asymptote diagnostics for the increment ACF.
 
     Returns (partial_sums, asymptote_ratio): cumulative sums of |r_H(n)| for
-    n = 1..N, and r_H(n) / (H(2H−1) n^(2H−2)).  The second difference of
-    n^2H is evaluated through expm1/log1p so the heavy cancellation at large
-    n costs no accuracy.
+    n = 1..N, and r_H(n) / (H(2H−1) n^(2H−2)).  r_H is the circulant
+    generator's, whose expm1/log1p form loses no accuracy at large n.
     """
-    _check_hurst(H)
+    H = hurst(H)
     if H == 0.5:
         raise ValueError("H = 1/2 is degenerate: every correlation is zero")
-    if not _is_integer(N) or N < 1:
-        raise ValueError(f"N must be a positive integer, got {N!r}")
+    N = integer(N, "N", 1)
     p = 2.0 * H
     n = np.arange(1, N + 1, dtype=float)
-    x = 1.0 / n
-    with np.errstate(divide="ignore"):
-        r = np.expm1(p * np.log1p(x)) + np.expm1(p * np.log1p(-x))
-    r *= n**p
-    r *= 0.5
+    r = _fgn_autocovariance(H, N, 1)
     ratio = r / (H * (p - 1.0) * n ** (p - 2.0))
     partial = np.cumsum(np.abs(r))
     return partial, ratio
@@ -304,9 +282,7 @@ def holder_exponent(path: SamplePath) -> HurstEstimate:
             raise ValueError("degenerate path: no increment at some lag")
         block_data.append((lag, m))
         lag *= 2
-    logd = np.log([lag * path.dt for lag, _ in block_data])
-    logm = np.log([m for _, m in block_data])
-    slope, se = _ols_slope(logd, logm)
+    slope, se = _loglog_fit([(lag * path.dt, m) for lag, m in block_data])
     return HurstEstimate(slope, HurstMethod.HOLDER_SUP, se, tuple(block_data))
 
 

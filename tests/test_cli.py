@@ -276,6 +276,9 @@ def test_scipy_loads_only_where_it_is_used(tmp_path):
         run("generate", "--generator", "circulant", "--steps", "1024", "--out", "c")
         run("fracint", "--input", "c/path.csv", "--alpha", "0.5", "--out", "i.csv")
         seen["chain"] = run("stats", "--input", "c/path.csv")
+        seen["moving-average"] = run(
+            "generate", "--generator", "moving-average", "--hurst", "0.7", "--steps", "64", "--out", "m"
+        )
         seen["cholesky"] = run("generate", "--generator", "cholesky", "--steps", "64", "--out", "k")
         print(json.dumps(seen))
         """
@@ -289,5 +292,6 @@ def test_scipy_loads_only_where_it_is_used(tmp_path):
     seen = json.loads(proc.stdout.strip().splitlines()[-1])
     assert seen["import"] == []
     assert seen["chain"] == []
+    assert seen["moving-average"] == []  # C(H) in closed form needs no quadrature
     assert "scipy.linalg" in seen["cholesky"]
     assert "scipy.special" not in seen["cholesky"]

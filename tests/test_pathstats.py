@@ -1,4 +1,5 @@
 import json
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -108,6 +109,33 @@ class TestVariationIndex:
         with pytest.raises(ValueError):
             variation_index(flat)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"h_tol": 0.0},  # no bisection reaches a bracket of width <= 0
+            {"h_tol": -1.0},
+            {"h_tol": np.nan},  # every comparison with NaN is false
+            {"p_lo": 0.0},
+            {"p_lo": np.nan},
+            {"p_hi": 0.5},  # below p_lo
+            {"p_hi": np.inf},
+            {"levels": 2},  # p_variation needs 3 as well
+            {"levels": 11},  # 2^10 steps hold 10 dyadic meshes
+        ],
+        ids=repr,
+    )
+    def test_bad_arguments_are_named(self, kwargs):
+        path = fbm(0.7, 6, 2, GridSpec(1.0, 2**10))
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=rf"^{name} must "):
+            variation_index(path, **kwargs)
+
+    def test_a_tolerance_below_the_float_spacing_ends_at_adjacent_floats(self):
+        path = fbm(0.7, 6, 2, GridSpec(1.0, 2**10))
+        tight = variation_index(path, h_tol=1e-300)
+        assert 0.0 < tight.stderr <= 1e-15
+        assert abs(tight.h_hat - variation_index(path).h_hat) <= 1e-3
+
 
 class TestRescaledRange:
     def test_recovers_persistent_index(self):
@@ -184,6 +212,24 @@ class TestAutocorrelation:
         lhs = theoretical_acf(H, n)
         rhs = increment_cross_covariance(H, 0.0, 1.0, float(n), float(n + 1))
         assert abs(lhs - rhs) <= 1e-9
+
+    @pytest.mark.parametrize("H", [0.25, 0.75, 0.95])
+    def test_large_lags_keep_their_relative_accuracy(self, H):
+        # 50-digit reference; the second difference of n^2H in doubles lost up
+        # to 9e-5 relative between lags 10 and 10^6, the expm1 form 2e-10
+        p = Decimal(2.0 * H)  # the double's exact value
+        with localcontext() as ctx:
+            ctx.prec = 50
+            for n in sorted(set(np.geomspace(10, 10**6, 61).astype(int).tolist())):
+                k = Decimal(n)
+                want = float(((k + 1) ** p - 2 * k**p + (k - 1) ** p) / 2)
+                assert abs(theoretical_acf(H, n) - want) <= 1e-9 * abs(want), n
+
+    @pytest.mark.parametrize("H", [0.05, 0.25, 0.5, 0.7, 0.75, 0.95])
+    def test_lag_one_is_the_plain_second_difference_bitwise(self, H):
+        # the E11 target
+        p = 2.0 * H
+        assert theoretical_acf(H, 1) == 0.5 * ((1 + 1) ** p - 2.0 * 1**p + (1 - 1) ** p)
 
     def test_sign_follows_the_index(self):
         lags = range(1, 1001)
