@@ -12,7 +12,9 @@ is scanned again, on the error path only, to name its first bad line.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import os
 
 import numpy as np
 
@@ -20,8 +22,32 @@ _BLOCK = 4096  # rows per formatted write; bounds the text held at once
 _ROW = "%.17g,%.17g\n"
 
 
+@contextlib.contextmanager
+def rewrite(dest):
+    """A UTF-8 text handle that overwrites dest in place, as open(dest, "w") would.
+
+    Truncating on open makes ext4 wait for the writeback of a file it has
+    just written (auto_da_alloc).  Instead, once the handle has closed, a
+    stale tail is cut to the written end, or to 0 if the write raised.  A
+    file no longer than that end, as after a same-length rewrite or on a
+    pipe, is not truncated at all.
+    """
+    fd = os.open(dest, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        end = 0
+        try:
+            with open(fd, "w", encoding="utf-8", closefd=False) as fh:
+                yield fh
+            end = os.lseek(fd, 0, os.SEEK_CUR) if os.fstat(fd).st_size else 0
+        finally:
+            if os.fstat(fd).st_size > end:
+                os.ftruncate(fd, end)
+    finally:
+        os.close(fd)
+
+
 def write_csv(dest, t, v, header: dict | None = None) -> None:
-    with open(dest, "w", encoding="utf-8") as fh:
+    with rewrite(dest) as fh:
         for key, val in (header or {}).items():
             fh.write(f"# {key}={val}\n")
         fh.write("t,value\n")

@@ -51,12 +51,17 @@ def hurst(H, name: str = "H") -> float:
     return real(H, name, 0.0, 1.0, rule="be a Hurst index in (0, 1)")
 
 
-def finite(values, name: str) -> np.ndarray:
-    """values as a float array whose entries are all finite."""
+def reals(values, name: str) -> np.ndarray:
+    """values as a float array, finite or not."""
     try:
-        v = np.asarray(values, dtype=float)
+        return np.asarray(values, dtype=float)
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be real numbers, got {values!r:.60}") from None
+
+
+def finite(values, name: str) -> np.ndarray:
+    """values as a float array whose entries are all finite."""
+    v = reals(values, name)
     ok = np.isfinite(v)
     if not ok.all():
         raise ValueError(f"{name} must be finite, got {v[~ok][0]}")

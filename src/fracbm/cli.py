@@ -8,6 +8,7 @@ flags win.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -18,6 +19,7 @@ import click
 import numpy as np
 
 from . import __version__
+from ._csvio import rewrite
 from .experiments import EXPERIMENTS, VerifyConfig, run_experiment
 from .fraccalc import (
     DifferintegralSpec,
@@ -104,9 +106,18 @@ class RunManifest:
 
 
 def _write_json(dest, payload: dict) -> None:
-    with open(dest, "w", encoding="utf-8") as fh:
+    with rewrite(dest) as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
+
+
+@contextlib.contextmanager
+def _writing(out):
+    """Reports a failure to write an output file under out as a usage error naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise click.UsageError(f"{exc.filename or out}: {exc.strerror or exc}")
 
 
 def _sha256(path) -> str:
@@ -205,16 +216,17 @@ def generate(hurst, steps, tmax, seed, stream, generator, truncation, out):
             path = generate_fbm_moving_average(grid, hurst, rng_seed, truncation)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    os.makedirs(out, exist_ok=True)
     csv_path = os.path.join(out, "path.csv")
-    write_path_csv(path, csv_path)
     config = RunConfig("generate", {
         "hurst": hurst, "steps": steps, "tmax": tmax, "seed": seed,
         "stream": stream, "generator": generator, "truncation": truncation,
     }, out)
-    RunManifest(
-        config, __version__, seed, artifacts=_hash_artifacts(out)
-    ).write(os.path.join(out, "manifest.json"))
+    with _writing(out):
+        os.makedirs(out, exist_ok=True)
+        write_path_csv(path, csv_path)
+        RunManifest(
+            config, __version__, seed, artifacts=_hash_artifacts(out)
+        ).write(os.path.join(out, "manifest.json"))
     click.echo(f"wrote {csv_path} and {os.path.join(out, 'manifest.json')}")
 
 
@@ -235,7 +247,8 @@ def fracint(source, alpha, side, kind, out):
         result = op(f, spec)
     except (ValueError, OSError) as exc:
         raise click.UsageError(str(exc))
-    write_grid_csv(result, out)
+    with _writing(out):
+        write_grid_csv(result, out)
     click.echo(f"wrote {out}")
 
 
@@ -368,45 +381,48 @@ def verify(ctx, suite, replicates, out):
     if replicates is not None and replicates < 2:
         raise click.BadParameter("need at least 2 replicates", param_hint="--replicates")
     cfg = VerifyConfig(replicates=replicates)
-    os.makedirs(out, exist_ok=True)
-    rows = []
-    results = {}
-    verdicts = {}
-    for eid in ids:
-        try:
-            res = run_experiment(eid, cfg)
-            rec = res.record()
-        except Exception as exc:
-            rec = {
-                "experiment": eid,
-                "title": EXPERIMENTS[eid][0],
-                "verdict": "error",
-                "error": f"{type(exc).__name__}: {exc}",
-                "checks": [],
+    with _writing(out):
+        os.makedirs(out, exist_ok=True)
+        rows = []
+        results = {}
+        verdicts = {}
+        for eid in ids:
+            try:
+                res = run_experiment(eid, cfg)
+                rec = res.record()
+            except Exception as exc:
+                rec = {
+                    "experiment": eid,
+                    "title": EXPERIMENTS[eid][0],
+                    "verdict": "error",
+                    "error": f"{type(exc).__name__}: {exc}",
+                    "checks": [],
+                }
+            _write_json(os.path.join(out, f"{eid}.json"), rec)
+            verdicts[eid] = rec["verdict"]
+            results[eid] = {
+                "verdict": rec["verdict"],
+                "checks_passed": sum(1 for c in rec["checks"] if c["verdict"] == "pass"),
+                "checks_total": len(rec["checks"]),
+                "elapsed_seconds": rec.get("elapsed_seconds"),
             }
-        _write_json(os.path.join(out, f"{eid}.json"), rec)
-        verdicts[eid] = rec["verdict"]
-        results[eid] = {
-            "verdict": rec["verdict"],
-            "checks_passed": sum(1 for c in rec["checks"] if c["verdict"] == "pass"),
-            "checks_total": len(rec["checks"]),
-            "elapsed_seconds": rec.get("elapsed_seconds"),
-        }
-        for c in rec["checks"]:
-            rows.append((eid, c["name"], c["target"], c["estimate"], c["tolerance"], c["verdict"]))
-        if rec["verdict"] == "error":
-            rows.append((eid, "", "", "", "", "error"))
-        click.echo(f"{eid} {rec['verdict']}")
-    with open(os.path.join(out, "summary.csv"), "w", encoding="utf-8") as fh:
-        fh.write("experiment,check,target,estimate,tolerance,verdict\n")
-        for row in rows:
-            fh.write(",".join(
-                f"{v:.17g}" if isinstance(v, float) else str(v) for v in row
-            ) + "\n")
-    config = RunConfig("verify", {"suite": ",".join(ids), "replicates": replicates}, out)
-    RunManifest(
-        config, __version__, None, results, verdicts, _hash_artifacts(out)
-    ).write(os.path.join(out, "manifest.json"))
+            for c in rec["checks"]:
+                rows.append(
+                    (eid, c["name"], c["target"], c["estimate"], c["tolerance"], c["verdict"])
+                )
+            if rec["verdict"] == "error":
+                rows.append((eid, "", "", "", "", "error"))
+            click.echo(f"{eid} {rec['verdict']}")
+        with rewrite(os.path.join(out, "summary.csv")) as fh:
+            fh.write("experiment,check,target,estimate,tolerance,verdict\n")
+            for row in rows:
+                fh.write(",".join(
+                    f"{v:.17g}" if isinstance(v, float) else str(v) for v in row
+                ) + "\n")
+        config = RunConfig("verify", {"suite": ",".join(ids), "replicates": replicates}, out)
+        RunManifest(
+            config, __version__, None, results, verdicts, _hash_artifacts(out)
+        ).write(os.path.join(out, "manifest.json"))
     click.echo(f"wrote {os.path.join(out, 'summary.csv')}")
     if any(v != "pass" for v in verdicts.values()):
         ctx.exit(1)

@@ -612,9 +612,9 @@ def ensemble_manifest(
 
 def empirical_covariance(values: np.ndarray) -> np.ndarray:
     """Second-moment matrix over nodes for an ensemble of zero-mean paths."""
-    v = np.asarray(values, dtype=float)
+    v = _validate.reals(values, "values")
     if v.ndim != 2 or v.shape[0] < 2:
-        raise ValueError("need a (replicates, nodes) array with at least 2 rows")
+        raise ValueError("values must be a (replicates, nodes) array of at least 2 rows")
     _validate.finite_rows(v, "empirical_covariance")
     return (v.T @ v) / v.shape[0]
 

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._nodecalc import accumulate, change_of_variables, eval2
-from ._validate import finite, finite_rows, grid_steps, partition, real
+from ._validate import finite, finite_rows, grid_steps, partition, real, reals
 from .gaussianpaths import GridSpec, SamplePath, Z_CONFIDENCE
 
 __all__ = [
@@ -210,9 +210,9 @@ def _check_ensemble(values: np.ndarray, grid: GridSpec, what: str, least: int):
     replicate-floor warning comes only once every block has been, so a call
     that fails warns of nothing.
     """
-    v = np.asarray(values, dtype=float)
+    v = reals(values, "values")
     if v.ndim != 2 or v.shape[1] != grid.n_steps + 1:
-        raise ValueError("ensemble must be a (replicates, nodes) array matching the grid")
+        raise ValueError("values must be a (replicates, nodes) array matching the grid")
     n = v.shape[0]
     if n < least:
         raise ValueError(f"{what} needs at least {least} replicate{'s' * (least > 1)}, got {n}")

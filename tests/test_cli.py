@@ -52,6 +52,21 @@ class TestGenerate:
         run_ok(runner, args + ["--out", str(b)])
         assert (a / "path.csv").read_bytes() == (b / "path.csv").read_bytes()
 
+    def test_a_shorter_rerun_into_one_directory_leaves_no_old_rows(self, runner, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        run_ok(runner, ["generate", "--steps", "256", "--out", str(a)])
+        run_ok(runner, ["generate", "--steps", "64", "--out", str(a)])
+        run_ok(runner, ["generate", "--steps", "64", "--out", str(b)])
+        assert (a / "path.csv").read_bytes() == (b / "path.csv").read_bytes()
+        assert (a / "manifest.json").read_text().replace(str(a), str(b)) == (b / "manifest.json").read_text()
+
+    def test_an_unwritable_output_is_a_usage_error(self, runner, tmp_path):
+        out = tmp_path / "run"
+        (out / "path.csv").mkdir(parents=True)
+        result = runner.invoke(main, ["generate", "--steps", "64", "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert str(out / "path.csv") in result.output
+
     def test_brownian_generator_matches_module(self, runner, tmp_path):
         out = tmp_path / "bm"
         run_ok(runner, ["generate", "--generator", "bm", "--steps", "64", "--seed", "3", "--out", str(out)])
@@ -128,6 +143,15 @@ class TestFracint:
             ["fracint", "--input", str(src), "--alpha", "1.5", "--kind", "derivative", "--out", str(tmp_path / "o")],
         )
         assert result.exit_code == 2
+
+
+    def test_an_output_in_a_missing_directory_is_a_usage_error(self, runner, tmp_path):
+        src = tmp_path / "in.csv"
+        write_grid_csv(GridFunction.from_callable(np.sin, 0.0, 1.0, 64), src)
+        out = tmp_path / "missing" / "dir" / "x.csv"
+        result = runner.invoke(main, ["fracint", "--input", str(src), "--alpha", "0.5", "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert str(out) in result.output and "Traceback" not in result.output
 
 
 class TestIto:
@@ -245,6 +269,14 @@ class TestVerify:
         assert rec["verdict"] == "error"
         assert "synthetic crash" in rec["error"]
         assert "E1,,,,,error" in (out / "summary.csv").read_text()
+
+
+    def test_an_unwritable_summary_is_a_usage_error(self, runner, tmp_path):
+        out = tmp_path / "v"
+        (out / "summary.csv").mkdir(parents=True)
+        result = runner.invoke(main, ["verify", "--suite", "E1", "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert str(out / "summary.csv") in result.output
 
 
 class TestRunConfig:

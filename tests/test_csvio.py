@@ -1,6 +1,8 @@
 """The (t,value) codec behind write/read_path_csv and write/read_grid_csv."""
 
+import os
 import re
+import stat
 
 import numpy as np
 import pytest
@@ -35,6 +37,74 @@ class TestWrite:
         dest = tmp_path_factory.mktemp("csv") / "f.csv"
         write_csv(dest, t, v, header)
         assert dest.read_bytes() == reference_bytes(t, v, header)
+
+
+class Unformattable:
+    def __format__(self, spec):
+        raise RuntimeError("no text for this value")
+
+
+class TestRewrite:
+    """write_csv overwrites an existing file in place, with no O_TRUNC on open."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=st.sampled_from([1, 3, _BLOCK + 1]),
+        old=st.sampled_from(["empty", "shorter", "equal", "longer"]),
+        data=st.data(),
+    )
+    def test_bytes_equal_a_write_to_a_fresh_path(self, tmp_path_factory, rows, old, data):
+        t = np.linspace(0.0, 1.0, rows)
+        v = np.sin(7.0 * t) * 10.0 ** data.draw(st.integers(-300, 300), label="exponent")
+        fresh = tmp_path_factory.mktemp("csv") / "fresh.csv"
+        write_csv(fresh, t, v, {"hurst": "0.7"})
+        want = fresh.read_bytes()
+        size = {
+            "empty": 0,
+            "shorter": data.draw(st.integers(1, len(want) - 1), label="size"),
+            "equal": len(want),
+            "longer": data.draw(st.integers(len(want) + 1, 3 * len(want)), label="size"),
+        }[old]
+        dest = tmp_path_factory.mktemp("csv") / "f.csv"
+        dest.write_bytes((b"t,value\n" + b"9,9\n" * size)[:size])  # stale rows that would parse
+        write_csv(dest, t, v, {"hurst": "0.7"})
+        assert dest.read_bytes() == want
+
+    @pytest.mark.parametrize(
+        "header, rows",
+        [({"hurst": 0.7, "seed": Unformattable()}, 8), ({}, 2 * _BLOCK)],
+        ids=["header-value-that-will-not-format", "rows-past-the-first-block"],
+    )
+    def test_a_write_that_raises_leaves_the_file_empty(self, tmp_path, header, rows):
+        dest = tmp_path / "f.csv"
+        write_csv(dest, np.arange(3 * _BLOCK, dtype=float), np.ones(3 * _BLOCK))
+        t = np.arange(rows, dtype=float)
+        v = np.ones(_BLOCK + 1)  # a second block of rows does not match t and raises
+        with pytest.raises((RuntimeError, ValueError)):
+            write_csv(dest, t, v, header)
+        assert dest.read_bytes() == b""
+
+    def test_an_existing_file_keeps_its_inode_and_mode(self, tmp_path):
+        dest = tmp_path / "f.csv"
+        write_csv(dest, np.arange(100.0), np.ones(100))
+        dest.chmod(0o640)
+        before = dest.stat()
+        write_csv(dest, np.arange(10.0), np.zeros(10))
+        after = dest.stat()
+        assert (after.st_ino, stat.S_IMODE(after.st_mode)) == (before.st_ino, 0o640)
+        assert read_csv(dest, "grid", 2)[2].tolist() == [0.0] * 10
+
+    def test_a_pipe_is_written_and_never_truncated(self, tmp_path):
+        # a pipe has no offset and no length, as in `fracbm fracint --out /dev/stdout | ...`
+        r, w = os.pipe()
+        try:
+            write_csv(f"/dev/fd/{w}", np.arange(5.0), np.ones(5))
+        finally:
+            os.close(w)
+        with os.fdopen(r, "rb") as fh:
+            piped = fh.read()
+        write_csv(tmp_path / "f.csv", np.arange(5.0), np.ones(5))
+        assert piped == (tmp_path / "f.csv").read_bytes()
 
 
 class TestRead:

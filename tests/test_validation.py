@@ -52,12 +52,13 @@ from fracbm.gaussianpaths import (
     generate_fbm_cholesky,
     generate_fbm_circulant,
     generate_fbm_moving_average,
+    empirical_covariance,
     increment_cross_covariance,
     moving_average_truncation_bias,
     normalizing_constant,
     scale_path,
 )
-from fracbm.itocalc import AdaptedIntegrand, ItoProcess, endpoint_comparison
+from fracbm.itocalc import AdaptedIntegrand, ItoProcess, endpoint_comparison, isometry_check
 from fracbm.pathstats import (
     empirical_acf,
     lrd_diagnostic,
@@ -195,9 +196,14 @@ TABLE = {
         "hurst": (OPTIONAL_UNIT, "hurst")}),
     "AdaptedIntegrand.constant": (AdaptedIntegrand.constant, dict(c=1.0), {
         "c": (FINITE, "c")}),
+    # an array parameter: each rejected value is a scalar, so no (replicates, nodes) array
+    "empirical_covariance": (empirical_covariance, dict(values=np.zeros((2, 17))), {
+        "values": (FINITE, "values")}),
     "endpoint_comparison": (
         endpoint_comparison, dict(values=np.zeros((1000, 17)), grid=G, T=0.5), {
-            "T": (NONNEGATIVE, "T")}),
+            "values": (FINITE, "values"), "T": (NONNEGATIVE, "T")}),
+    "isometry_check": (isometry_check, dict(f=ONE, values=np.zeros((1000, 17)), grid=G), {
+        "values": (FINITE, "values")}),
     "ItoProcess": (
         ItoProcess, dict(x0=0.5, drift=ONE, diffusion=ONE, driving_path=BM), {
             "x0": (FINITE, "x0")}),
