@@ -52,11 +52,19 @@ def hurst(H, name: str = "H") -> float:
 
 
 def reals(values, name: str) -> np.ndarray:
-    """values as a float array, finite or not."""
+    """values as a float array, finite or not, if no entry is a bool.
+
+    Float conversion reads a bool as 0 or 1, so input other than an integer
+    or float array is scanned for bools entry by entry.
+    """
+    numeric = isinstance(values, np.ndarray) and values.dtype.kind in "iuf"
     try:
-        return np.asarray(values, dtype=float)
+        v = np.asarray(values, dtype=float)
+        if not numeric and any(isinstance(x, (bool, np.bool_)) for x in np.asarray(values, object).flat):
+            raise TypeError
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be real numbers, got {values!r:.60}") from None
+    return v
 
 
 def finite(values, name: str) -> np.ndarray:

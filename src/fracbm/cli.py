@@ -1,15 +1,18 @@
 """Command-line front end: path generation, operators, estimators, verification.
 
 Every subcommand is deterministic given its flags: reruns reproduce output
-files byte for byte, and run directories carry a manifest hashing every
-artifact.  A flat key=value config file can preseed any flag; explicit
-flags win.
+files byte for byte, and run directories carry a manifest hashing the
+artifacts that run wrote.  A flat key=value config file can preseed any
+flag; explicit flags win.
+
+Each subcommand runs in a process of its own, so this module imports only
+numpy, click and `_csvio`; a subcommand imports the layer it runs in its
+body, and `verify` alone loads every layer, through `experiments`.
 """
 
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import json
 import os
 from dataclasses import dataclass, field
@@ -20,42 +23,6 @@ import numpy as np
 
 from . import __version__
 from ._csvio import rewrite
-from .experiments import EXPERIMENTS, VerifyConfig, run_experiment
-from .fraccalc import (
-    DifferintegralSpec,
-    OperatorKind,
-    Side,
-    fractional_derivative,
-    fractional_integral,
-    read_grid_csv,
-    write_grid_csv,
-)
-from .fbmintegrate import (
-    backward_integral,
-    extended_forward_integral,
-    forward_integral,
-    integral_record,
-    riemann_stieltjes_integral,
-    symmetric_integral,
-)
-from .gaussianpaths import (
-    GridSpec,
-    RngSeed,
-    generate_bm,
-    generate_fbm_cholesky,
-    generate_fbm_circulant,
-    generate_fbm_moving_average,
-    read_path_csv,
-    write_path_csv,
-)
-from .itocalc import AdaptedIntegrand, AdaptednessError, ito_integral
-from .pathstats import (
-    holder_exponent,
-    hurst_record,
-    quadratic_variation,
-    rescaled_range_hurst,
-    variation_index,
-)
 
 SUBCOMMANDS = ("generate", "fracint", "ito", "fbm-integrate", "stats", "verify")
 
@@ -121,6 +88,8 @@ def _writing(out):
 
 
 def _sha256(path) -> str:
+    import hashlib
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
@@ -128,12 +97,9 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _hash_artifacts(out_dir, skip=("manifest.json",)) -> dict:
-    return {
-        name: _sha256(os.path.join(out_dir, name))
-        for name in sorted(os.listdir(out_dir))
-        if name not in skip and os.path.isfile(os.path.join(out_dir, name))
-    }
+def _hash_artifacts(out_dir, names) -> dict:
+    """sha256 of each named file in out_dir: the files this run wrote, not all it holds."""
+    return {name: _sha256(os.path.join(out_dir, name)) for name in sorted(names)}
 
 
 def _coerce(text: str):
@@ -179,6 +145,8 @@ def main(ctx, config_path):
 
 
 def _load_path(source):
+    from .gaussianpaths import read_path_csv
+
     try:
         return read_path_csv(source)
     except (ValueError, OSError) as exc:
@@ -201,6 +169,16 @@ def _load_path(source):
 @click.option("--out", type=click.Path(file_okay=False), default="out", show_default=True)
 def generate(hurst, steps, tmax, seed, stream, generator, truncation, out):
     """Draw one path and write CSV plus manifest; reruns are byte-identical."""
+    from .gaussianpaths import (
+        GridSpec,
+        RngSeed,
+        generate_bm,
+        generate_fbm_cholesky,
+        generate_fbm_circulant,
+        generate_fbm_moving_average,
+        write_path_csv,
+    )
+
     if generator == "bm" and hurst != 0.5:
         raise click.BadParameter("--generator bm fixes hurst at 0.5", param_hint="--hurst")
     try:
@@ -225,7 +203,7 @@ def generate(hurst, steps, tmax, seed, stream, generator, truncation, out):
         os.makedirs(out, exist_ok=True)
         write_path_csv(path, csv_path)
         RunManifest(
-            config, __version__, seed, artifacts=_hash_artifacts(out)
+            config, __version__, seed, artifacts=_hash_artifacts(out, ["path.csv"])
         ).write(os.path.join(out, "manifest.json"))
     click.echo(f"wrote {csv_path} and {os.path.join(out, 'manifest.json')}")
 
@@ -240,6 +218,16 @@ def generate(hurst, steps, tmax, seed, stream, generator, truncation, out):
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 def fracint(source, alpha, side, kind, out):
     """Apply a fractional integral or derivative to a (t,value) CSV."""
+    from .fraccalc import (
+        DifferintegralSpec,
+        OperatorKind,
+        Side,
+        fractional_derivative,
+        fractional_integral,
+        read_grid_csv,
+        write_grid_csv,
+    )
+
     try:
         f = read_grid_csv(source)
         spec = DifferintegralSpec(alpha, Side[side.upper()], OperatorKind[kind.upper()])
@@ -264,6 +252,8 @@ def fracint(source, alpha, side, kind, out):
 @click.option("--stride", type=int, default=1, show_default=True, help="Sub-partition stride.")
 def ito(source, integrand, stride):
     """Left-endpoint integral of an adapted integrand against an imported path."""
+    from .itocalc import AdaptedIntegrand, AdaptednessError, ito_integral
+
     path = _load_path(source)
     if stride < 1:
         raise click.BadParameter("stride must be >= 1", param_hint="--stride")
@@ -305,6 +295,15 @@ def ito(source, integrand, stride):
 )
 def fbm_integrate(source, int_type, f_choice):
     """Regularized pathwise integral of f against an imported path."""
+    from .fbmintegrate import (
+        backward_integral,
+        extended_forward_integral,
+        forward_integral,
+        integral_record,
+        riemann_stieltjes_integral,
+        symmetric_integral,
+    )
+
     g = _load_path(source)
     f = {"self": g, "one": 1.0, "time": g.times}[f_choice]
     ops = {
@@ -331,6 +330,14 @@ def fbm_integrate(source, int_type, f_choice):
 )
 def stats(source, estimator):
     """Run an estimator on an imported path and print its JSON record."""
+    from .pathstats import (
+        holder_exponent,
+        hurst_record,
+        quadratic_variation,
+        rescaled_range_hurst,
+        variation_index,
+    )
+
     path = _load_path(source)
     try:
         if estimator == "quadratic-variation":
@@ -353,6 +360,8 @@ def stats(source, estimator):
 
 
 def _parse_suite(text: str) -> list:
+    from .experiments import EXPERIMENTS
+
     if text.strip().lower() == "all":
         return list(EXPERIMENTS)
     ids = []
@@ -377,10 +386,12 @@ def _parse_suite(text: str) -> list:
 @click.pass_context
 def verify(ctx, suite, replicates, out):
     """Run verification experiments; nonzero exit unless every verdict is pass."""
+    from . import experiments
+
     ids = _parse_suite(suite)
     if replicates is not None and replicates < 2:
         raise click.BadParameter("need at least 2 replicates", param_hint="--replicates")
-    cfg = VerifyConfig(replicates=replicates)
+    cfg = experiments.VerifyConfig(replicates=replicates)
     with _writing(out):
         os.makedirs(out, exist_ok=True)
         rows = []
@@ -388,12 +399,12 @@ def verify(ctx, suite, replicates, out):
         verdicts = {}
         for eid in ids:
             try:
-                res = run_experiment(eid, cfg)
+                res = experiments.run_experiment(eid, cfg)
                 rec = res.record()
             except Exception as exc:
                 rec = {
                     "experiment": eid,
-                    "title": EXPERIMENTS[eid][0],
+                    "title": experiments.EXPERIMENTS[eid][0],
                     "verdict": "error",
                     "error": f"{type(exc).__name__}: {exc}",
                     "checks": [],
@@ -421,7 +432,8 @@ def verify(ctx, suite, replicates, out):
                 ) + "\n")
         config = RunConfig("verify", {"suite": ",".join(ids), "replicates": replicates}, out)
         RunManifest(
-            config, __version__, None, results, verdicts, _hash_artifacts(out)
+            config, __version__, None, results, verdicts,
+            _hash_artifacts(out, [f"{eid}.json" for eid in ids] + ["summary.csv"]),
         ).write(os.path.join(out, "manifest.json"))
     click.echo(f"wrote {os.path.join(out, 'summary.csv')}")
     if any(v != "pass" for v in verdicts.values()):

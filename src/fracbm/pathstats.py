@@ -8,7 +8,6 @@ driven by how the sums scale with the mesh, not by their absolute size.
 from __future__ import annotations
 
 import enum
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -288,6 +287,8 @@ def holder_exponent(path: SamplePath) -> HurstEstimate:
 
 def hurst_record(estimate: HurstEstimate, series) -> dict:
     """JSON-ready record of an estimate, keyed by a digest of its input data."""
+    import hashlib
+
     x = np.ascontiguousarray(np.asarray(series, dtype=float))
     return {
         "estimator": estimate.method.value,

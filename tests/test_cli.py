@@ -10,7 +10,6 @@ import pytest
 from click.testing import CliRunner
 
 import fracbm
-import fracbm.cli as cli
 from fracbm import __version__
 from fracbm.cli import RunConfig, main
 from fracbm.experiments import CheckResult, ExperimentResult
@@ -59,6 +58,16 @@ class TestGenerate:
         run_ok(runner, ["generate", "--steps", "64", "--out", str(b)])
         assert (a / "path.csv").read_bytes() == (b / "path.csv").read_bytes()
         assert (a / "manifest.json").read_text().replace(str(a), str(b)) == (b / "manifest.json").read_text()
+
+    def test_manifest_lists_only_the_files_this_run_wrote(self, runner, tmp_path):
+        out = tmp_path / "run"
+        src = tmp_path / "in.csv"
+        write_grid_csv(GridFunction.from_callable(np.sin, 0.0, 1.0, 64), src)
+        out.mkdir()
+        run_ok(runner, ["fracint", "--input", str(src), "--alpha", "0.5", "--out", str(out / "halfint.csv")])
+        run_ok(runner, ["generate", "--steps", "64", "--out", str(out)])
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest["artifacts"]) == {"path.csv"}
 
     def test_an_unwritable_output_is_a_usage_error(self, runner, tmp_path):
         out = tmp_path / "run"
@@ -234,6 +243,15 @@ class TestVerify:
         assert manifest["verdicts"] == {"E1": "pass"}
         assert set(manifest["artifacts"]) == {"E1.json", "summary.csv"}
 
+    def test_a_smaller_rerun_lists_only_its_own_artifacts(self, runner, tmp_path):
+        out = tmp_path / "verify"
+        run_ok(runner, ["verify", "--suite", "E1,E2", "--out", str(out)])
+        run_ok(runner, ["verify", "--suite", "E1", "--out", str(out)])
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["verdicts"] == {"E1": "pass"}
+        assert set(manifest["artifacts"]) == {"E1.json", "summary.csv"}
+        assert (out / "E2.json").exists()
+
     def test_unknown_experiment_is_a_usage_error(self, runner, tmp_path):
         result = runner.invoke(main, ["verify", "--suite", "E99", "--out", str(tmp_path / "v")])
         assert result.exit_code == 2
@@ -250,7 +268,7 @@ class TestVerify:
             [CheckResult("stub-check", 0.0, 1.0, 0.5, False, "synthetic miss")],
             0.01,
         )
-        monkeypatch.setattr(cli, "run_experiment", lambda eid, cfg=None: bad)
+        monkeypatch.setattr("fracbm.experiments.run_experiment", lambda eid, cfg=None: bad)
         out = tmp_path / "v"
         result = runner.invoke(main, ["verify", "--suite", "E1", "--out", str(out)])
         assert result.exit_code == 1
@@ -261,7 +279,7 @@ class TestVerify:
         def explode(eid, cfg=None):
             raise RuntimeError("synthetic crash")
 
-        monkeypatch.setattr(cli, "run_experiment", explode)
+        monkeypatch.setattr("fracbm.experiments.run_experiment", explode)
         out = tmp_path / "v"
         result = runner.invoke(main, ["verify", "--suite", "E1", "--out", str(out)])
         assert result.exit_code == 1
@@ -327,3 +345,52 @@ def test_scipy_loads_only_where_it_is_used(tmp_path):
     assert seen["moving-average"] == []  # C(H) in closed form needs no quadrature
     assert "scipy.linalg" in seen["cholesky"]
     assert "scipy.special" not in seen["cholesky"]
+
+
+def test_each_command_loads_only_its_own_layers(tmp_path):
+    # one fresh interpreter per command: a module once imported stays loaded
+    script = textwrap.dedent(
+        """
+        import json, sys
+        import fracbm.cli
+
+        LAYERS = ("experiments", "gaussianpaths", "fraccalc", "pathstats", "itocalc", "fbmintegrate")
+
+        def loaded():
+            return sorted(name for name in LAYERS if f"fracbm.{name}" in sys.modules)
+
+        seen = {"import": loaded(), "deps": sorted(m for m in ("numpy", "click") if m in sys.modules)}
+        fracbm.cli.main(sys.argv[1:], standalone_mode=False)
+        seen["command"] = loaded()
+        from fracbm import GridSpec
+        seen["names"] = [GridSpec.__name__, fracbm.gaussianpaths.__name__]
+        seen["dir"] = [n in dir(fracbm) for n in ("GridSpec", "fractional_integral", "gaussianpaths")]
+        try:
+            fracbm.no_such_name
+        except AttributeError as exc:
+            seen["unknown"] = str(exc)
+        print(json.dumps(seen))
+        """
+    )
+    src = str(Path(fracbm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def run(*args):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *args], cwd=tmp_path, env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert seen["import"] == []
+        assert seen["deps"] == ["click", "numpy"]
+        assert seen["names"] == ["GridSpec", "fracbm.gaussianpaths"]
+        assert seen["dir"] == [True, True, True]
+        assert "no_such_name" in seen["unknown"]
+        return seen["command"]
+
+    generate = run("generate", "--steps", "64", "--out", "g")
+    assert "gaussianpaths" in generate
+    assert "fraccalc" not in generate and "experiments" not in generate
+    assert run("fracint", "--input", "g/path.csv", "--alpha", "0.5", "--out", "i.csv") == ["fraccalc"]
+    assert "experiments" in run("verify", "--suite", "E2", "--out", "v")

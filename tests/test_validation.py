@@ -238,13 +238,18 @@ def test_a_rejected_argument_raises_a_value_error_naming_it(entry, param, kind, 
 
 
 @pytest.mark.parametrize("position", [0, 1, 2])
-@pytest.mark.parametrize("bad", [None, "abc", 1j, math.nan, math.inf, -math.inf, -0.25])
+@pytest.mark.parametrize("bad", [None, "abc", 1j, math.nan, math.inf, -math.inf, -0.25, True, np.True_])
 def test_each_epsilon_level_is_checked(position, bad):
-    # the levels are an array: numpy reads an entry True as 1.0, as it does everywhere
+    # a bool entry is refused although float conversion would read True as 1.0
     values = [0.5, 0.25, 0.125]
     values[position] = bad
     with pytest.raises(ValueError, match="epsilon values"):
         EpsilonSchedule(tuple(values))
+
+
+def test_a_bool_array_is_no_epsilon_ladder():
+    with pytest.raises(ValueError, match="epsilon values must be real numbers"):
+        EpsilonSchedule(np.array([True, False, False]))
 
 
 def test_an_enum_parameter_takes_the_member_values():
