@@ -42,10 +42,6 @@ class RunConfig:
             "parameters": dict(self.parameters),
         }
 
-    @classmethod
-    def from_record(cls, rec: dict) -> "RunConfig":
-        return cls(rec["command"], dict(rec["parameters"]), rec["out_dir"])
-
 
 @dataclass(frozen=True)
 class RunManifest:
@@ -376,7 +372,7 @@ def _parse_suite(text: str) -> list:
         ids.append(eid)
     if not ids:
         raise click.UsageError("empty suite")
-    return ids
+    return list(dict.fromkeys(ids))  # each experiment once, in first-seen order
 
 
 @main.command()

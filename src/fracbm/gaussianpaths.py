@@ -6,11 +6,8 @@ a path is built from, replicate r of an ensemble uses stream r, and distinct
 streams are independent by construction.  Gaussian variates come from numpy's
 ziggurat transform of that stream, which is stable for a fixed bit generator.
 A draw builds one Philox and re-keys it to each stream's fresh state, which
-costs far less than building a generator per stream.  The path also depends
-on the BLAS where a law calls it: Cholesky draws of 128 or more steps differ
-bitwise between OpenBLAS thread counts, since the threaded factorization
-rounds differently; Brownian, circulant and moving-average paths do not
-depend on the thread count.
+costs far less than building a generator per stream.  No law makes a
+threaded BLAS call, so no path depends on the BLAS thread count.
 
 Generators: exact covariance via Cholesky (reference, small grids), exact
 circulant embedding of the increment covariance (long grids), and a
@@ -31,23 +28,22 @@ The moving average samples dB on cells of width h = dt/kernel_mesh back to
 stationary: node k weights cell j by g(Tc + k kernel_mesh - j) - g(Tc - j),
 with g(u) = u_+^q - (u-1)_+^q, q = H + 1/2 and Tc = truncation/h, so every
 node's weights are shifts of one sequence, formed once with h^H / (q C(H))
-folded in.  Grids whose n x m weight table has at most _MA_TABLE_MAX entries
+folded in.  Grids whose n x m weight table has at most _GEMV_MAX entries
 apply the table by one gemv per row; larger grids read one FFT causal
 convolution of each stream with the sequence at the n + 1 lattice points
 t_k and subtract the value at t_0.  The crossover depends only on the grid,
-so a single path and an ensemble row take the same route, and the table
-stays below the size from which OpenBLAS threads a gemv.
+so a single path and an ensemble row take the same route.
 
 Every generator, Brownian increments included, is set up once per call.
 Each stream then draws its normals into one row of a block of streams, and
 the block is shaped into paths by operations that treat each row on its own:
 cumulative sums and real FFTs along the rows, and for Cholesky and the
-moving-average table one np.dot per row.  That is the gemv a single stream
-makes, so a row rounds as a single draw does (a matrix product over the rows
-would round differently); and np.dot releases the GIL for its gemv, where
-np.matmul over a stack of a few rows holds it for the whole block and stalls
-another worker.  A single path is a block of one, so ensemble row r equals
-the stream-r single draw bitwise by construction.
+moving-average table the gemvs of one np.dot per row chunk.  Those are the
+gemvs a single stream makes, so a row rounds as a single draw does (a matrix
+product over the rows would round differently); and np.dot releases the GIL
+for its gemv, where np.matmul over a stack of a few rows holds it for the
+whole block and stalls another worker.  A single path is a block of one, so
+ensemble row r equals the stream-r single draw bitwise by construction.
 
 An ensemble of several blocks of long streams (1536 normals or more) is
 drawn by one worker thread per usable CPU (the affinity mask, as `taskset`
@@ -117,11 +113,11 @@ _MAX_WORKERS = 2
 #: re-keying, which holds the GIL, outweighs the fill that releases it
 _THREAD_MIN_NORMALS = 1536
 
-#: entries of the moving-average weight table (nodes x auxiliary cells, 3 MiB)
-#: up to which a law applies the table by gemv; larger grids convolve by FFT.
-#: OpenBLAS (0.3.31) splits a gemv over threads from 460,800 entries, which
-#: rounds differently, so a smaller table keeps the path independent of BLAS threads
-_MA_TABLE_MAX = 400_000
+#: entries (3 MiB) of the largest matrix one gemv applies: a Cholesky factor is
+#: applied in row chunks of at most this size, and a larger moving-average table
+#: is not formed.  OpenBLAS (0.3.31) threads a gemv from 460,800 entries, which
+#: rounds differently, so smaller gemvs keep paths independent of BLAS threads
+_GEMV_MAX = 400_000
 
 
 @dataclass(frozen=True)
@@ -330,17 +326,20 @@ def _streams(root: int, replicates: int) -> range:
 
 
 def _rowwise_gemv(A: np.ndarray):
-    """shape(z, dest) writing A @ z[i] into dest[i], one np.dot per row.
+    """shape(z, dest) writing A @ z[i] into dest[i], one np.dot per row chunk.
 
-    Each row is the gemv a single stream makes, so a row rounds as a single
-    draw does, where z @ A.T (one gemm) would not.  np.dot drops the GIL for
-    its gemv; np.matmul over a stack of fewer than 500 rows holds it
-    throughout, which stalls another worker's re-keying.
+    The chunks, of at most _GEMV_MAX entries, depend on A's shape only, so a
+    row makes the gemvs a single stream makes and rounds as a single draw
+    does, where z @ A.T (one gemm) would not.  np.dot drops the GIL for its
+    gemv; np.matmul over fewer than 500 rows holds it and stalls other workers.
     """
+    step = max(1, _GEMV_MAX // A.shape[1])
+    chunks = [(A[lo : lo + step], slice(lo, lo + step)) for lo in range(0, A.shape[0], step)]
 
     def shape(z: np.ndarray, dest: np.ndarray) -> None:
         for zr, dr in zip(z, dest):
-            np.dot(A, zr, out=dr)
+            for rows, at in chunks:
+                np.dot(rows, zr, out=dr[at])
 
     return shape
 
@@ -366,33 +365,39 @@ def bm_ensemble(grid: GridSpec, root: int, replicates: int) -> np.ndarray:
 
 @lru_cache(maxsize=3)
 def _cholesky_factor(t_max: float, n_steps: int, H: float) -> np.ndarray:
-    from scipy.linalg import LinAlgError, cholesky
+    """Lower Cholesky factor of the covariance of the nodes t_1..t_n, in O(n^2) time.
 
-    t = GridSpec(t_max, n_steps).times[1:]
-    p = 2 * H
-    tp = t**p
-    cov = 0.5 * (tp[:, None] + tp[None, :] - np.abs(t[:, None] - t[None, :]) ** p)
-    cov = 0.5 * (cov + cov.T)
-    try:
-        return cholesky(cov, lower=True, check_finite=False)
-    except LinAlgError:
-        jitter = 1e-12 * float(np.max(np.diag(cov)))
-        try:
-            return cholesky(
-                cov + jitter * np.eye(cov.shape[0]), lower=True, check_finite=False
-            )
-        except LinAlgError as exc:
-            raise ValueError(
-                f"covariance factorization failed for H={H}, n={n_steps} "
-                f"even with diagonal jitter {jitter:.3e}"
-            ) from exc
+    The increment covariance is Toeplitz, dt^2H r(|i-j|) with r(0) = 1, and the
+    Schur algorithm factors it (Hosking 1984; Dieker 2004, 2.1; Bojanczyk et
+    al. 1995 for stability): column 0 is u = dt^H r, v is u with v_0 = 0, and
+    column k shifts u down one place and takes (u - rho v, v - rho u) /
+    sqrt(1 - rho^2), rho = v_k / u_k.  Summing the columns down is a unit
+    lower-triangular map, so it gives the node factor by uniqueness; row by
+    row, since numpy's cumsum along axis 0 is some 40 times slower here.
+    """
+    n = n_steps
+    L = np.zeros((n, n))
+    L[:, 0] = _fgn_autocovariance(H, n - 1) * (t_max / n) ** H
+    v = np.concatenate(([0.0], L[1:, 0]))
+    for k in range(1, n):
+        u, vk = L[k - 1 : n - 1, k - 1], v[k:]
+        rho = vk[0] / u[0]
+        if not abs(rho) < 1.0:
+            raise ValueError(f"Cholesky factorization broke down for H={H}, n_steps={n_steps}: "
+                             f"reflection coefficient {float(rho):.6g} at step {k}")
+        scale = math.sqrt((1.0 - rho) * (1.0 + rho))
+        np.divide(u - rho * vk, scale, out=L[k:, k])
+        vk -= rho * u
+        vk /= scale
+    for i in range(1, n):
+        L[i] += L[i - 1]
+    return L
 
 
 def _cholesky_law(grid: GridSpec, H: float, max_nodes: int):
     H = _validate.hurst(H)
     cap = _validate.integer(max_nodes, "max_nodes", 1)
-    _validate.integer(grid.n_steps, "n_steps", 1, cap)  # the factorization costs n_steps^3
-    # L @ z by one gemv per stream, as a single draw makes it
+    _validate.integer(grid.n_steps, "n_steps", 1, cap)
     return grid.n_steps, _rowwise_gemv(_cholesky_factor(grid.t_max, grid.n_steps, H))
 
 
@@ -401,9 +406,9 @@ def generate_fbm_cholesky(
 ) -> SamplePath:
     """Fractional Brownian motion with exact covariance via Cholesky.
 
-    The reference generator: factorizes the (n x n) node covariance, so the
-    cost is cubic in n_steps and grids are capped at max_nodes.  The factor
-    is cached, so replicated draws pay it once.
+    The reference generator: factorizes the (n x n) node covariance, so time
+    and memory are quadratic in n_steps and grids are capped at max_nodes.
+    The factor is cached, so replicated draws pay it once.
     """
     values = _draw(_cholesky_law(grid, H, max_nodes), grid, seed.root, [seed.stream])[0]
     return SamplePath(grid, values, float(H), seed, PathGenerator.FBM_CHOLESKY)
@@ -525,7 +530,7 @@ def _moving_average_law(
     # node k weights cell j by r[(n-k)M + j] - r[nM + j]
     u = truncation / aux_h + n * M - np.arange(n * M + m)
     r = _ma_kernel(u, q) * (aux_h**H / (q * normalizing_constant(H)))
-    if n * m <= _MA_TABLE_MAX:
+    if n * m <= _GEMV_MAX:
         w = sliding_window_view(r, m)[::M]  # w[i] = r[iM : iM + m], the row of node n - i
         shape = _rowwise_gemv(np.subtract(w[n - 1 :: -1], w[n], order="C"))
     else:

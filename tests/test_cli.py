@@ -11,7 +11,7 @@ from click.testing import CliRunner
 
 import fracbm
 from fracbm import __version__
-from fracbm.cli import RunConfig, main
+from fracbm.cli import RunConfig, RunManifest, main
 from fracbm.experiments import CheckResult, ExperimentResult
 from fracbm.fraccalc import DifferintegralSpec, GridFunction, fractional_integral, read_grid_csv, write_grid_csv
 from fracbm.fbmintegrate import symmetric_integral
@@ -40,9 +40,11 @@ class TestGenerate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["tool_version"] == __version__
         assert "path.csv" in manifest["artifacts"]
-        cfg = RunConfig.from_record(manifest["config"])
-        assert cfg.command == "generate"
-        assert cfg.parameters["hurst"] == 0.7
+        cfg = RunConfig("generate", {
+            "hurst": 0.7, "steps": 128, "tmax": 1.0, "seed": 5,
+            "stream": 0, "generator": "circulant", "truncation": None,
+        }, str(out))
+        assert manifest["config"] == cfg.record()
 
     def test_reruns_are_byte_identical(self, runner, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -252,6 +254,16 @@ class TestVerify:
         assert set(manifest["artifacts"]) == {"E1.json", "summary.csv"}
         assert (out / "E2.json").exists()
 
+    def test_a_repeated_id_runs_once(self, runner, tmp_path):
+        out = tmp_path / "v"
+        result = run_ok(runner, ["verify", "--suite", "E2,e2,E1, E2", "--out", str(out)])
+        assert [line for line in result.output.splitlines() if " pass" in line] == ["E2 pass", "E1 pass"]
+        rows = (out / "summary.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows].count("E2") == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["parameters"]["suite"] == "E2,E1"
+        assert list(manifest["results"]) == ["E1", "E2"] and manifest["verdicts"] == {"E1": "pass", "E2": "pass"}
+
     def test_unknown_experiment_is_a_usage_error(self, runner, tmp_path):
         result = runner.invoke(main, ["verify", "--suite", "E99", "--out", str(tmp_path / "v")])
         assert result.exit_code == 2
@@ -298,9 +310,10 @@ class TestVerify:
 
 
 class TestRunConfig:
-    def test_record_round_trip(self):
+    def test_record_round_trip(self, tmp_path):
         cfg = RunConfig("generate", {"hurst": 0.7, "n_steps": 128}, "out")
-        assert RunConfig.from_record(cfg.record()) == cfg
+        RunManifest(cfg, __version__, 1).write(tmp_path / "manifest.json")
+        assert json.loads((tmp_path / "manifest.json").read_text())["config"] == cfg.record()
 
 
 def test_version_flag(runner):
@@ -308,7 +321,7 @@ def test_version_flag(runner):
     assert __version__ in result.output
 
 
-def test_scipy_loads_only_where_it_is_used(tmp_path):
+def test_no_command_loads_scipy(tmp_path):
     # a fresh interpreter: this test process has scipy loaded already
     script = textwrap.dedent(
         """
@@ -329,7 +342,8 @@ def test_scipy_loads_only_where_it_is_used(tmp_path):
         seen["moving-average"] = run(
             "generate", "--generator", "moving-average", "--hurst", "0.7", "--steps", "64", "--out", "m"
         )
-        seen["cholesky"] = run("generate", "--generator", "cholesky", "--steps", "64", "--out", "k")
+        seen["cholesky"] = run("generate", "--generator", "cholesky", "--steps", "700", "--out", "k")
+        seen["E3"] = run("verify", "--suite", "E3", "--out", "v")
         print(json.dumps(seen))
         """
     )
@@ -340,11 +354,7 @@ def test_scipy_loads_only_where_it_is_used(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert seen["import"] == []
-    assert seen["chain"] == []
-    assert seen["moving-average"] == []  # C(H) in closed form needs no quadrature
-    assert "scipy.linalg" in seen["cholesky"]
-    assert "scipy.special" not in seen["cholesky"]
+    assert seen == {"import": [], "chain": [], "moving-average": [], "cholesky": [], "E3": []}
 
 
 def test_each_command_loads_only_its_own_layers(tmp_path):

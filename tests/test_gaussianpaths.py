@@ -46,7 +46,7 @@ from fracbm.gaussianpaths import (
     _cholesky_factor,
     _keyed_generator,
     _draw,
-    _MA_TABLE_MAX,
+    _GEMV_MAX,
     _fft_size,
     _ma_kernel,
     _usable_cpus,
@@ -388,6 +388,35 @@ class TestFbmGenerators:
         err = np.abs(empirical_covariance(ens) - exact_cov_matrix(0.7, grid.times)).max()
         assert err <= 0.05
 
+    @pytest.mark.parametrize("H", [0.05, 0.25, 0.5, 0.7, 0.95])
+    @pytest.mark.parametrize("n", [1, 16, 128, 700, 2048])
+    def test_cholesky_factor_reproduces_the_covariance(self, n, H):
+        # max|L L^T - C| measured up to 7.4e-14 max C (n = 700, H = 0.05);
+        # LAPACK's potrf reaches about 1.4e-15
+        grid = GridSpec(2.0, n)
+        t = grid.times[1:]
+        p = 2 * H
+        cov = 0.5 * (t[:, None] ** p + t[None, :] ** p - np.abs(t[:, None] - t[None, :]) ** p)
+        for i, j in np.random.default_rng(n).integers(0, n, (40, 2)):
+            assert abs(cov[i, j] - fbm_covariance(H, t[i], t[j])) <= 1e-15 * cov.max()
+        L = _cholesky_factor(grid.t_max, n, H)
+        assert np.array_equal(L, np.tril(L)) and (L.diagonal() > 0).all()
+        assert np.abs(L @ L.T - cov).max() <= 1e-12 * cov.max()
+
+    def test_cholesky_breakdown_names_the_grid(self):
+        # at H this close to 1 the increments are nearly collinear, and rounding
+        # drives a reflection coefficient past 1 at step 12
+        with pytest.raises(ValueError, match=r"H=0\.999999999999999, n_steps=64"):
+            generate_fbm_cholesky(GridSpec(1.0, 64), 1.0 - 1e-15, RngSeed(1, 0))
+
+    def test_cholesky_rows_match_single_draws_across_row_chunks(self):
+        # 700 nodes: the factor is applied in row chunks of 571 and 129 rows
+        grid = GridSpec(1.0, 700)
+        rows = _BLOCK_NORMALS // 700
+        ens = fbm_cholesky_ensemble(grid, 0.3, 2**64 - 1, rows + 1)
+        for r in (0, rows - 1, rows):
+            assert np.array_equal(ens[r], generate_fbm_cholesky(grid, 0.3, RngSeed(2**64 - 1, r)).values)
+
     def test_cholesky_node_cap(self):
         with pytest.raises(ValueError):
             generate_fbm_cholesky(GridSpec(1.0, CHOLESKY_MAX_NODES + 1), 0.7, RngSeed(1, 0))
@@ -524,7 +553,7 @@ class TestFbmGenerators:
     def test_moving_average_rows_match_single_draws_around_the_crossover(self, n, table):
         grid = GridSpec(1.0, n)
         count = 51 * 16 * n
-        assert (n * count <= _MA_TABLE_MAX) is table
+        assert (n * count <= _GEMV_MAX) is table
         rows = _BLOCK_NORMALS // count
         replicates = 2 * rows + 1
         ens = fbm_moving_average_ensemble(grid, 0.3, 2**64 - 1, replicates)
@@ -561,37 +590,59 @@ class TestFbmGenerators:
     def test_moving_average_ignores_the_blas_thread_count(self):
         # tables of 8 and 16 steps, FFTs from 23; at 25 steps a table would pass
         # the 460,800 entries from which OpenBLAS threads a gemv, and 25 rows
-        # split unevenly.  Cholesky is left out: its threaded factorization
-        # rounds differently from 128 steps
-        script = textwrap.dedent(
+        # split unevenly
+        runs = hashes_under_blas_threads(
             """
-            import hashlib, json
-            from fracbm.gaussianpaths import (
-                GridSpec, RngSeed, fbm_moving_average_ensemble, generate_fbm_moving_average)
-            seen = {}
             for n in (8, 16, 24, 25, 32, 64):
                 grid = GridSpec(1.0, n)
                 single = generate_fbm_moving_average(grid, 0.7, RngSeed(3, 1)).values
                 ens = fbm_moving_average_ensemble(grid, 0.3, 3, 3)
-                seen[n] = [hashlib.sha256(v.tobytes()).hexdigest() for v in (single, ens)]
-            print(json.dumps(seen))
+                seen[n] = [sha(single), sha(ens)]
             """
         )
-        src = str(Path(gaussianpaths.__file__).resolve().parents[1])
-        runs = []
-        for threads in ("1", "2"):
-            env = {
-                **os.environ,
-                "OPENBLAS_NUM_THREADS": threads,
-                "OMP_NUM_THREADS": threads,
-                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-            }
-            proc = subprocess.run(
-                [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
-            )
-            assert proc.returncode == 0, proc.stderr
-            runs.append(json.loads(proc.stdout.strip().splitlines()[-1]))
         assert runs[0] == runs[1]
+
+    def test_cholesky_ignores_the_blas_thread_count(self):
+        # one row chunk at 128 steps, 2 at 700 and 43 at 4,096; ensemble row 1
+        # is the single draw of stream 1
+        runs = hashes_under_blas_threads(
+            """
+            for n in (128, 700, 4096):
+                grid = GridSpec(1.0, n)
+                single = generate_fbm_cholesky(grid, 0.7, RngSeed(3, 1)).values
+                ens = fbm_cholesky_ensemble(grid, 0.7, 3, 3)
+                seen[n] = [sha(single), sha(ens), bool((ens[1] == single).all())]
+            """
+        )
+        assert runs[0] == runs[1]
+        assert all(row_is_single for _, _, row_is_single in runs[0].values())
+
+
+def hashes_under_blas_threads(body):
+    """What `body` records in `seen` in fresh interpreters under 1 and 2 OpenBLAS threads."""
+    script = "\n".join([
+        "import hashlib, json",
+        "from fracbm.gaussianpaths import *",
+        "sha = lambda v: hashlib.sha256(v.tobytes()).hexdigest()",
+        "seen = {}",
+        textwrap.dedent(body),
+        "print(json.dumps(seen))",
+    ])
+    src = str(Path(gaussianpaths.__file__).resolve().parents[1])
+    runs = []
+    for threads in ("1", "2"):
+        env = {
+            **os.environ,
+            "OPENBLAS_NUM_THREADS": threads,
+            "OMP_NUM_THREADS": threads,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        }
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs.append(json.loads(proc.stdout.strip().splitlines()[-1]))
+    return runs
 
 
 def workers_on(monkeypatch, cpus):
