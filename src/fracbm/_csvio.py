@@ -18,6 +18,8 @@ import os
 
 import numpy as np
 
+from ._validate import finite
+
 _BLOCK = 4096  # rows per formatted write; bounds the text held at once
 _ROW = "%.17g,%.17g\n"
 
@@ -103,9 +105,7 @@ def read_csv(source, what: str, min_samples: int):
     if len(rows) < min_samples:
         raise ValueError(f"{what} CSV must hold at least {min_samples} samples")
     # contiguous copies: BLAS dot products round differently on strided columns
-    t, v = rows[:, 0].copy(), rows[:, 1].copy()
-    if not np.isfinite(t).all():
-        raise ValueError(f"{what} CSV column 't' must hold finite times")
+    t, v = finite(rows[:, 0].copy(), f"{what} CSV column 't'"), rows[:, 1].copy()
     h = (t[-1] - t[0]) / (t.size - 1)
     if h <= 0 or np.max(np.abs(np.diff(t) - h)) > 1e-9 * max(abs(h), 1.0):
         raise ValueError(f"{what} CSV must be uniformly spaced in t")

@@ -1,4 +1,7 @@
-"""Node arithmetic shared by the Ito and the pathwise calculus.
+"""Node arithmetic shared across layers, which each may import without the others.
+
+The power difference u_+^p - (u-1)_+^p is the cell kernel of the fractional
+derivative's product quadrature and of the moving-average path generator.
 
 Both change-of-variables formulas compare g(t, X) - g(0, X(0)) with running
 left-point sums of g_t dt + g_x dX on the path grid; the Ito version adds
@@ -12,6 +15,13 @@ from __future__ import annotations
 import numpy as np
 
 from ._validate import finite
+
+
+def diffpow(u: np.ndarray, p: float) -> np.ndarray:
+    """u_+^p - (u-1)_+^p, formed as u_+^p (1 - (1 - 1/u)^p) by expm1 and log1p so that large u
+    does not cancel; below u = 1 the second power is taken as zero, which needs p > 0."""
+    with np.errstate(divide="ignore"):
+        return np.maximum(u, 0.0) ** p * -np.expm1(p * np.log1p(-1.0 / np.maximum(u, 1.0)))
 
 
 def eval2(fn, t: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -44,10 +54,8 @@ def change_of_variables(g, g_t, g_x, t, x, dt, second_order=None):
     left points, plus second_order (one value per step) when given.
     """
     gv = eval2(g, t, x)
-    lhs = gv - gv[0]
+    lhs = finite(gv - gv[0], "formula terms")
     incr = eval2(g_t, t[:-1], x[:-1]) * dt + eval2(g_x, t[:-1], x[:-1]) * np.diff(x)
     if second_order is not None:
         incr = incr + second_order
-    if not (np.isfinite(lhs).all() and np.isfinite(incr).all()):
-        raise ValueError("formula terms are not finite")
-    return lhs, np.concatenate(([0.0], np.cumsum(incr)))
+    return lhs, np.concatenate(([0.0], np.cumsum(finite(incr, "formula terms"))))

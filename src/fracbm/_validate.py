@@ -2,7 +2,10 @@
 
 Each check returns the value it accepts, as the type the caller computes
 with, or raises ValueError("<name> must <rule>, got <value>").  A bool is
-never a number here, although Python counts it as an int.
+never a number here, although Python counts it as an int.  An object
+parameter (a grid, a seed, a path, an integrand, a callable) is checked by
+`instance` where it is first used, inside the expression that uses it, so a
+wrong class is named before any attribute of it is read.
 """
 
 from __future__ import annotations
@@ -46,6 +49,15 @@ def _wording(lo, hi, closed: bool) -> str:
     return "be finite and real"
 
 
+def instance(obj, cls, name: str):
+    """obj if it is an instance of cls, a class or a tuple of classes."""
+    if isinstance(obj, cls):
+        return obj
+    names = " or ".join(c.__name__ for c in (cls if isinstance(cls, tuple) else (cls,)))
+    article = "an" if names[0] in "AEIOU" else "a"
+    raise ValueError(f"{name} must be {article} {names}, got {obj!r:.60}")
+
+
 def hurst(H, name: str = "H") -> float:
     """H as a float if it is a Hurst index, a real number in (0, 1)."""
     return real(H, name, 0.0, 1.0, rule="be a Hurst index in (0, 1)")
@@ -73,6 +85,17 @@ def finite(values, name: str) -> np.ndarray:
     ok = np.isfinite(v)
     if not ok.all():
         raise ValueError(f"{name} must be finite, got {v[~ok][0]}")
+    return v
+
+
+def ensemble(values, what: str, least: int, nodes: int | None = None) -> np.ndarray:
+    """values as a float array of at least `least` rows, each of `nodes` entries if given."""
+    v = reals(values, "values")
+    if v.ndim != 2 or nodes is not None and v.shape[1] != nodes:
+        raise ValueError(f"values must be a (replicates, nodes) array, got shape {v.shape}")
+    if v.shape[0] < least:
+        plural = "s" * (least > 1)
+        raise ValueError(f"{what} needs at least {least} replicate{plural}, got {v.shape[0]}")
     return v
 
 

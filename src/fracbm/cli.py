@@ -15,7 +15,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import click
@@ -36,11 +36,7 @@ class RunConfig:
     out_dir: str
 
     def record(self) -> dict:
-        return {
-            "command": self.command,
-            "out_dir": self.out_dir,
-            "parameters": dict(self.parameters),
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -54,18 +50,8 @@ class RunManifest:
     verdicts: dict = field(default_factory=dict)
     artifacts: dict = field(default_factory=dict)
 
-    def record(self) -> dict:
-        return {
-            "config": self.config.record(),
-            "tool_version": self.tool_version,
-            "root_seed": self.root_seed,
-            "results": self.results,
-            "verdicts": self.verdicts,
-            "artifacts": self.artifacts,
-        }
-
     def write(self, dest) -> None:
-        _write_json(dest, self.record())
+        _write_json(dest, asdict(self))
 
 
 def _write_json(dest, payload: dict) -> None:

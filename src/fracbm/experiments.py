@@ -10,11 +10,13 @@ Monte Carlo sizes for quick smoke runs at the cost of wider spread.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
+from ._validate import instance
 from .fraccalc import (
     DifferintegralSpec,
     GridFunction,
@@ -78,14 +80,9 @@ class CheckResult:
     detail: str = ""
 
     def record(self) -> dict:
-        return {
-            "name": self.name,
-            "target": self.target,
-            "estimate": self.estimate,
-            "tolerance": self.tolerance,
-            "verdict": "pass" if self.passed else "fail",
-            "detail": self.detail,
-        }
+        rec = asdict(self)
+        rec["verdict"] = "pass" if rec.pop("passed") else "fail"
+        return rec
 
 
 @dataclass(frozen=True)
@@ -133,24 +130,20 @@ def _close(name, target, estimate, tolerance, detail="") -> CheckResult:
     )
 
 
-def _majority(name, fraction, want_high, detail="") -> CheckResult:
-    ok = fraction > 0.5 if want_high else fraction < 0.5
-    return CheckResult(
-        name, 1.0 if want_high else 0.0, float(fraction), 0.5, ok, detail
-    )
+def _vote(name, grid, H, root, votes, passes, want_high, outcome) -> CheckResult:
+    """Whether passes(path) holds in most (want_high) or few of `votes` circulant paths."""
+    hits = sum(1 for s in range(votes) if passes(generate_fbm_circulant(grid, H, RngSeed(root, s))))
+    ok = hits / votes > 0.5 if want_high else hits / votes < 0.5
+    detail = f"{outcome} in {hits}/{votes} runs"
+    return CheckResult(name, float(want_high), hits / votes, 0.5, ok, detail)
 
 
 # -- operator algebra ---------------------------------------------------------
 
 
-def _smooth_pair(n: int):
+def _operator_residuals(n: int) -> dict:
     f = GridFunction.from_callable(lambda t: np.sin(2.0 * t), 0.0, 1.0, n)
     g = GridFunction.from_callable(lambda t: np.cos(3.0 * t), 0.0, 1.0, n)
-    return f, g
-
-
-def _operator_residuals(n: int) -> dict:
-    f, g = _smooth_pair(n)
     i3 = DifferintegralSpec(0.3, Side.LEFT, OperatorKind.INTEGRAL)
     i4 = DifferintegralSpec(0.4, Side.LEFT, OperatorKind.INTEGRAL)
     i7 = DifferintegralSpec(0.7, Side.LEFT, OperatorKind.INTEGRAL)
@@ -238,20 +231,13 @@ def _e4(cfg: VerifyConfig):
 def _e5(cfg: VerifyConfig):
     reps = cfg.scaled(10000)
     checks = []
-    grid = GridSpec(1.0, 16)
-    for H in (0.25, 0.5, 0.75):
-        err = _cov_error(
-            fbm_cholesky_ensemble(grid, H, 43, reps), grid,
-            lambda s, t, H=H: fbm_covariance(H, s, t),
-        )
-        checks.append(_close(f"cholesky-H{H}", 0.0, err, 0.05, f"{reps} replicates"))
-    grid = GridSpec(1.0, 8)
-    for H in (0.25, 0.5, 0.75):
-        err = _cov_error(
-            fbm_moving_average_ensemble(grid, H, 47, reps), grid,
-            lambda s, t, H=H: fbm_covariance(H, s, t),
-        )
-        checks.append(_close(f"moving-average-H{H}", 0.0, err, 0.08, f"{reps} replicates"))
+    for label, ensemble, grid, root, tol in (
+        ("cholesky", fbm_cholesky_ensemble, GridSpec(1.0, 16), 43, 0.05),
+        ("moving-average", fbm_moving_average_ensemble, GridSpec(1.0, 8), 47, 0.08),
+    ):
+        for H in (0.25, 0.5, 0.75):
+            err = _cov_error(ensemble(grid, H, root, reps), grid, partial(fbm_covariance, H))
+            checks.append(_close(f"{label}-H{H}", 0.0, err, tol, f"{reps} replicates"))
     return checks
 
 
@@ -348,14 +334,9 @@ def _e9(cfg: VerifyConfig):
     }
     votes = cfg.scaled(20)
     for H, want in expected.items():
-        hits = 0
-        for s in range(votes):
-            path = generate_fbm_circulant(grid, H, RngSeed(3, s))
-            if p_variation(path, 2.0).verdict is want:
-                hits += 1
-        checks.append(_majority(
-            f"square-variation-H{H}", hits / votes, True,
-            f"{want.value} in {hits}/{votes} runs",
+        checks.append(_vote(
+            f"square-variation-H{H}", grid, H, 3, votes,
+            lambda path: p_variation(path, 2.0).verdict is want, True, want.value,
         ))
     return checks
 
@@ -478,14 +459,9 @@ def _e12(cfg: VerifyConfig):
 
     votes = cfg.scaled(20)
     for H in (0.1, 0.25, 0.6, 0.75, 0.9):
-        hits = 0
-        for s in range(votes):
-            x = generate_fbm_circulant(grid, H, RngSeed(25, s))
-            if forward_integral(x, x).converged:
-                hits += 1
-        checks.append(_majority(
-            f"forward-ladder-H{H}", hits / votes, H > 0.5,
-            f"converged in {hits}/{votes} runs",
+        checks.append(_vote(
+            f"forward-ladder-H{H}", grid, H, 25, votes,
+            lambda x: forward_integral(x, x).converged, H > 0.5, "converged",
         ))
     return checks
 
@@ -510,7 +486,7 @@ def run_experiment(exp_id: str, cfg: Optional[VerifyConfig] = None) -> Experimen
     if exp_id not in EXPERIMENTS:
         raise KeyError(f"unknown experiment {exp_id!r}; choose from {', '.join(EXPERIMENTS)}")
     title, fn = EXPERIMENTS[exp_id]
-    cfg = cfg if cfg is not None else VerifyConfig()
+    cfg = VerifyConfig() if cfg is None else instance(cfg, VerifyConfig, "cfg")
     start = time.perf_counter()
     checks = fn(cfg)
     return ExperimentResult(exp_id, title, tuple(checks), time.perf_counter() - start)

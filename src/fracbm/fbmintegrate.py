@@ -16,13 +16,13 @@ on Brownian paths, where forward = symmetric - 1/2 covariation holds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Union
 
 import numpy as np
 
 from ._nodecalc import accumulate, change_of_variables
-from ._validate import dyadic_levels, finite, grid_steps, hurst, integer, node_values, real
+from ._validate import dyadic_levels, finite, grid_steps, hurst, instance, integer, node_values, real
 from .gaussianpaths import GridSpec, SamplePath
 from .pathstats import quadratic_variation, variation_index
 
@@ -62,12 +62,12 @@ class EpsilonSchedule:
 
     @classmethod
     def default_for(cls, grid: GridSpec) -> "EpsilonSchedule":
-        h = grid.dt
+        h = instance(grid, GridSpec, "grid").dt
         return cls(tuple(k * h for k in (32, 16, 8, 4, 2)))
 
     def strides(self, grid: GridSpec) -> list:
         """Epsilon values as whole numbers of grid steps."""
-        return grid_steps(self.values, grid.dt, "epsilon", 1).tolist()
+        return grid_steps(self.values, instance(grid, GridSpec, "grid").dt, "epsilon", 1).tolist()
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,8 @@ class ForwardProcess:
     hurst: Optional[float]
 
     def __post_init__(self) -> None:
-        vals = node_values(self.values, self.grid.n_steps, "process values")
+        n_steps = instance(self.grid, GridSpec, "grid").n_steps
+        vals = node_values(self.values, n_steps, "process values")
         object.__setattr__(self, "values", vals)
         if self.hurst is not None:
             hurst(self.hurst, "hurst")
@@ -108,7 +109,11 @@ class ForwardProcess:
         return self.grid.dt
 
 
-def _grid_values(f, grid: GridSpec, name: str) -> np.ndarray:
+#: an integrand or a second process on a path's grid: a constant, node values or a process
+Samples = Union[float, np.ndarray, SamplePath, ForwardProcess]
+
+
+def _grid_values(f: Samples, grid: GridSpec, name: str) -> np.ndarray:
     if isinstance(f, (SamplePath, ForwardProcess)):
         if abs(f.grid.t_max - grid.t_max) > 1e-12 * max(grid.t_max, 1.0) or (
             f.grid.n_steps != grid.n_steps
@@ -126,6 +131,12 @@ def _shifted(values: np.ndarray, k: int) -> np.ndarray:
     return values[idx]
 
 
+def _rungs(eps: Optional[EpsilonSchedule], grid: GridSpec):
+    """(epsilon, stride) pairs of eps, EpsilonSchedule.default_for(grid) when eps is None."""
+    eps = EpsilonSchedule.default_for(grid) if eps is None else instance(eps, EpsilonSchedule, "eps")
+    return zip(eps.values, eps.strides(grid))
+
+
 def _ladder_result(levels, tol: float, label: str, notes=()) -> IntegralResult:
     tol = real(tol, "tol", 0.0, closed=True, rule="be a finite non-negative real number")
     gap = abs(levels[-1][1] - levels[-2][1])
@@ -140,23 +151,22 @@ def telescoping_tolerance(g: SamplePath, eps: EpsilonSchedule) -> float:
     telescoping identity holds up to an average of |g - g(endpoint)| there;
     the steepest grid slope times 3 eps_last dominates it comfortably.
     """
-    h = g.dt
-    return 3.0 * eps.values[-1] * float(np.max(np.abs(np.diff(g.values)))) / h
+    steepest = float(np.max(np.abs(np.diff(instance(g, SamplePath, "g").values))))
+    return 3.0 * instance(eps, EpsilonSchedule, "eps").values[-1] * steepest / g.dt
 
 
-def _quotient_ladder(f, g: SamplePath, eps, tol, kernel, label) -> IntegralResult:
-    eps = eps if eps is not None else EpsilonSchedule.default_for(g.grid)
-    fv = _grid_values(f, g.grid, "f")
+def _quotient_ladder(f: Samples, g: SamplePath, eps, tol, kernel, label) -> IntegralResult:
+    fv = _grid_values(f, instance(g, SamplePath, "g").grid, "f")
     h = g.dt
     levels = []
-    for e, k in zip(eps.values, eps.strides(g.grid)):
+    for e, k in _rungs(eps, g.grid):
         est = float(np.trapezoid(fv * kernel(g.values, k, k * h), dx=h))
         levels.append((e, est))
     return _ladder_result(levels, tol, label)
 
 
 def symmetric_integral(
-    f, g: SamplePath, eps: Optional[EpsilonSchedule] = None, tol: float = CAUCHY_TOL
+    f: Samples, g: SamplePath, eps: Optional[EpsilonSchedule] = None, tol: float = CAUCHY_TOL
 ) -> IntegralResult:
     """(1/2 eps) int f(s) [g(s+eps) - g(s-eps)] ds over the epsilon ladder."""
 
@@ -167,7 +177,7 @@ def symmetric_integral(
 
 
 def forward_integral(
-    f, g: SamplePath, eps: Optional[EpsilonSchedule] = None, tol: float = CAUCHY_TOL
+    f: Samples, g: SamplePath, eps: Optional[EpsilonSchedule] = None, tol: float = CAUCHY_TOL
 ) -> IntegralResult:
     """(1/eps) int f(s) [g(s+eps) - g(s)] ds over the epsilon ladder.
 
@@ -182,7 +192,7 @@ def forward_integral(
 
 
 def backward_integral(
-    f, g: SamplePath, eps: Optional[EpsilonSchedule] = None, tol: float = CAUCHY_TOL
+    f: Samples, g: SamplePath, eps: Optional[EpsilonSchedule] = None, tol: float = CAUCHY_TOL
 ) -> IntegralResult:
     """(1/eps) int f(s) [g(s-eps) - g(s)] ds, kernel sign taken literally.
 
@@ -197,14 +207,14 @@ def backward_integral(
 
 
 def covariation(
-    x: SamplePath, y: SamplePath, eps: Optional[EpsilonSchedule] = None, tol: float = CAUCHY_TOL
+    x: Union[SamplePath, ForwardProcess], y: Samples, eps: Optional[EpsilonSchedule] = None,
+    tol: float = CAUCHY_TOL,
 ) -> IntegralResult:
     """(1/eps) int [x(u+eps) - x(u)][y(u+eps) - y(u)] du over the ladder."""
-    yv = _grid_values(y, x.grid, "y")
-    eps = eps if eps is not None else EpsilonSchedule.default_for(x.grid)
+    yv = _grid_values(y, instance(x, (SamplePath, ForwardProcess), "x").grid, "y")
     h = x.dt
     levels = []
-    for e, k in zip(eps.values, eps.strides(x.grid)):
+    for e, k in _rungs(eps, x.grid):
         dx = _shifted(x.values, k) - x.values
         dy = _shifted(yv, k) - yv
         levels.append((e, float(np.trapezoid(dx * dy, dx=h)) / e))
@@ -212,7 +222,7 @@ def covariation(
 
 
 def riemann_stieltjes_integral(
-    u: SamplePath, g: SamplePath, levels: int = 5, tol: float = 0.01
+    u: Samples, g: SamplePath, levels: int = 5, tol: float = 0.01
 ) -> IntegralResult:
     """Left-point Stieltjes sums of u against g at dyadic mesh coarsenings.
 
@@ -222,7 +232,7 @@ def riemann_stieltjes_integral(
     sufficient rather than necessary.  A constant u has bounded variation
     (p = 1 < 1/(1-H)) and is not probed.
     """
-    uv = _grid_values(u, g.grid, "u")
+    uv = _grid_values(u, instance(g, SamplePath, "g").grid, "u")
     levels = dyadic_levels(levels, g.grid.n_steps)
     notes = []
     if g.hurst is None:
@@ -247,7 +257,7 @@ def riemann_stieltjes_integral(
 
 
 def symmetric_forward_relation_check(
-    f, g: SamplePath, eps: Optional[EpsilonSchedule] = None, tol: float = CAUCHY_TOL
+    f: Samples, g: SamplePath, eps: Optional[EpsilonSchedule] = None, tol: float = CAUCHY_TOL
 ):
     """Returns (symmetric, forward, cov, residual) on shared inputs.
 
@@ -258,7 +268,7 @@ def symmetric_forward_relation_check(
     statement of the identity would leave; it misses by -1/2 [X,Y] on
     Brownian input and is deliberately not used.
     """
-    fv = _grid_values(f, g.grid, "f")
+    fv = _grid_values(f, instance(g, SamplePath, "g").grid, "f")
     sym = symmetric_integral(fv, g, eps, tol)
     fwd = forward_integral(fv, g, eps, tol)
     x_path = f if isinstance(f, (SamplePath, ForwardProcess)) else SamplePath(
@@ -273,7 +283,7 @@ def symmetric_forward_relation_check(
 
 
 def extended_forward_integral(
-    f, g: SamplePath, eps_levels: int = 4, u_points: int = 48, tol: float = 0.02
+    f: Samples, g: SamplePath, eps_levels: int = 4, u_points: int = 48, tol: float = 0.02
 ) -> IntegralResult:
     """Gamma-weighted average of difference quotients over all shift scales.
 
@@ -288,7 +298,7 @@ def extended_forward_integral(
     # an epsilon ladder below 1e-12 underflows the weight differences
     eps_levels = integer(eps_levels, "eps_levels", 3, 12)
     u_points = integer(u_points, "u_points", 1)
-    fv = _grid_values(f, g.grid, "f")
+    fv = _grid_values(f, instance(g, SamplePath, "g").grid, "f")
     h, T = g.dt, g.grid.t_max
     gv = g.values
     n = gv.size - 1
@@ -320,9 +330,11 @@ def extended_forward_integral(
     return _ladder_result(levels, tol, "extended-forward")
 
 
-def fractional_forward_process(x0: float, alpha, f, g: SamplePath) -> ForwardProcess:
+def fractional_forward_process(
+    x0: float, alpha: Samples, f: Samples, g: SamplePath
+) -> ForwardProcess:
     """X = x0 + int alpha dt + forward sums of f against g on the grid."""
-    av = _grid_values(alpha, g.grid, "alpha")
+    av = _grid_values(alpha, instance(g, SamplePath, "g").grid, "alpha")
     fv = _grid_values(f, g.grid, "f")
     values = accumulate(real(x0, "x0"), av, g.dt, fv, np.diff(g.values))
     return ForwardProcess(g.grid, values, g.hurst)
@@ -336,7 +348,7 @@ def fbm_ito_formula_check(g_fn, g_t, g_x, X: Union[SamplePath, ForwardProcess]):
     the 1/2 g_xx correction; lower Hurst indices are rejected.
     Returns (lhs_path, rhs_path, max_gap).
     """
-    if X.hurst is None or X.hurst <= 0.5:
+    if instance(X, (SamplePath, ForwardProcess), "X").hurst is None or X.hurst <= 0.5:
         raise ValueError("the formula needs a known Hurst index above 1/2")
     lhs, rhs = change_of_variables(g_fn, g_t, g_x, X.times, X.values, X.dt)
     return lhs, rhs, float(np.max(np.abs(lhs - rhs)))
@@ -344,9 +356,4 @@ def fbm_ito_formula_check(g_fn, g_t, g_x, X: Union[SamplePath, ForwardProcess]):
 
 def integral_record(result: IntegralResult) -> dict:
     """JSON-ready form of a ladder result."""
-    return {
-        "value": result.value,
-        "levels": [[e, v] for e, v in result.levels],
-        "converged": result.converged,
-        "diagnostic": result.diagnostic,
-    }
+    return asdict(instance(result, IntegralResult, "result"))

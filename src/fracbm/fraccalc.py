@@ -22,12 +22,14 @@ from __future__ import annotations
 import enum
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._csvio import read_csv, write_csv
-from ._validate import finite, integer, real
+from ._nodecalc import diffpow
+from ._validate import finite, instance, integer, real, reals
 
 __all__ = [
     "Side",
@@ -107,7 +109,7 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
+        vals = reals(self.values, "samples")
         object.__setattr__(self, "values", vals)
         real(self.b, "b", real(self.a, "a"))  # a finite domain with a < b
         if vals.ndim != 1 or vals.size < 3:
@@ -128,19 +130,14 @@ class GridFunction:
         return np.linspace(self.a, self.b, self.values.size)
 
     @classmethod
-    def from_callable(cls, fn, a: float, b: float, n: int) -> "GridFunction":
-        t = np.linspace(a, b, n + 1)
-        return cls(a, b, np.asarray(fn(t), dtype=float))
+    def from_callable(cls, fn: Callable, a: float, b: float, n: int) -> "GridFunction":
+        """Samples of fn at the n + 1 nodes of [a, b], fn taking an array of times."""
+        t = np.linspace(real(a, "a"), real(b, "b", a), integer(n, "n", 2) + 1)
+        return cls(a, b, instance(fn, Callable, "fn")(t))
 
     def reflected(self) -> "GridFunction":
         """Samples of t -> f(a + b - t) on the same grid."""
         return GridFunction(self.a, self.b, self.values[::-1].copy())
-
-
-def _diffpow(d: np.ndarray, p: float) -> np.ndarray:
-    """d**p - (d-1)**p for integer-valued d >= 1, computed without cancellation."""
-    with np.errstate(divide="ignore"):
-        return d**p * (-np.expm1(p * np.log1p(-1.0 / d)))
 
 
 def _gammaln(x: float) -> float:
@@ -229,9 +226,9 @@ def _derivative_kernel(alpha: float, h: float, n: int) -> tuple[np.ndarray, np.n
     e[0] = p1[0] and e[m] = p1[m] + h * c0[m-1].
     """
     d = np.arange(2, n + 1, dtype=float)
-    p0 = -_diffpow(d, -alpha) / alpha  # ((d-1)**-a - d**-a) / a
+    p0 = -diffpow(d, -alpha) / alpha  # ((d-1)**-a - d**-a) / a
     c0 = np.cumsum(p0 * h ** (-alpha))  # c0[k-2] = sum of p0 over d=2..k
-    e = (d * p0 - _diffpow(d, 1.0 - alpha) / (1.0 - alpha)) * h ** (1.0 - alpha)  # p1
+    e = (d * p0 - diffpow(d, 1.0 - alpha) / (1.0 - alpha)) * h ** (1.0 - alpha)  # p1
     e[1:] += h * c0[:-1]
     # a power-of-two size of at least 2(n - 1) leaves the n - 1 outputs unwrapped
     return _kept(np.fft.rfft(e, 1 << (2 * n - 3).bit_length()), c0)
@@ -294,9 +291,9 @@ def fractional_derivative(f: GridFunction, spec: DifferintegralSpec) -> GridFunc
 
 def _one_sided(f: GridFunction, spec: DifferintegralSpec, kind: OperatorKind, left):
     """left(samples, alpha, h) on spec's side; the right side reflects the samples and back."""
-    if spec.kind is not kind:
+    if instance(spec, DifferintegralSpec, "spec").kind is not kind:
         raise ValueError(f"spec.kind must be {kind.name}")
-    vals = finite(f.values, "samples")
+    vals = finite(instance(f, GridFunction, "f").values, "samples")
     if spec.side is Side.LEFT:
         return GridFunction(f.a, f.b, left(vals, spec.alpha, f.h))
     return GridFunction(f.a, f.b, left(vals[::-1], spec.alpha, f.h)[::-1])
@@ -346,10 +343,10 @@ def fractal_integral(f: GridFunction, g: GridFunction, alpha: float) -> float:
     derivative on one side and the identity on the other.
     """
     alpha = real(alpha, "alpha", 0.0, 1.0, closed=True)
-    if f.values.size != g.values.size or abs(f.a - g.a) > 1e-12 or abs(f.b - g.b) > 1e-12:
+    fv = finite(instance(f, GridFunction, "f").values, "f samples")
+    gv = finite(instance(g, GridFunction, "g").values, "g samples")
+    if fv.size != gv.size or abs(f.a - g.a) > 1e-12 or abs(f.b - g.b) > 1e-12:
         raise ValueError("f and g must share one grid")
-    fv = finite(f.values, "f samples")
-    gv = finite(g.values, "g samples")
     h = f.h
     f_low = fv - fv[0]
     g_up = gv - gv[-1]
@@ -368,7 +365,7 @@ def fractal_integral(f: GridFunction, g: GridFunction, alpha: float) -> float:
 
 def write_grid_csv(f: GridFunction, path) -> None:
     """Two-column CSV (t,value) with 17 significant digits."""
-    write_csv(path, f.times, f.values)
+    write_csv(path, instance(f, GridFunction, "f").times, f.values)
 
 
 def read_grid_csv(path) -> GridFunction:

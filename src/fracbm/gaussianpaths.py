@@ -69,6 +69,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _validate
 from ._csvio import read_csv, write_csv
+from ._nodecalc import diffpow
 
 __all__ = [
     "GridSpec",
@@ -206,12 +207,15 @@ class SamplePath:
     generator: PathGenerator = PathGenerator.EXTERNAL
 
     def __post_init__(self) -> None:
-        vals = _validate.node_values(self.values, self.grid.n_steps, "path values")
+        n_steps = _validate.instance(self.grid, GridSpec, "grid").n_steps
+        vals = _validate.node_values(self.values, n_steps, "path values")
         object.__setattr__(self, "values", vals)
         if vals[0] != 0.0:
             raise ValueError("paths start at exactly zero")
         if self.hurst is not None:
             _validate.hurst(self.hurst, "hurst")
+        if self.seed is not None:
+            _validate.instance(self.seed, RngSeed, "seed")
 
     @property
     def times(self) -> np.ndarray:
@@ -320,6 +324,13 @@ def _draw(law, grid: GridSpec, root: int, streams) -> np.ndarray:
     return out
 
 
+def _single(law, grid: GridSpec, seed: RngSeed, hurst: float, generator) -> SamplePath:
+    """The path of law drawn from seed's stream."""
+    seed = _validate.instance(seed, RngSeed, "seed")
+    values = _draw(law, grid, seed.root, [seed.stream])[0]
+    return SamplePath(grid, values, float(hurst), seed, generator)
+
+
 def _streams(root: int, replicates: int) -> range:
     RngSeed(root)  # validates the root once, for every stream
     return range(_validate.integer(replicates, "replicates"))
@@ -345,7 +356,7 @@ def _rowwise_gemv(A: np.ndarray):
 
 
 def _bm_law(grid: GridSpec):
-    scale = math.sqrt(grid.dt)
+    scale = math.sqrt(_validate.instance(grid, GridSpec, "grid").dt)
 
     def shape(z: np.ndarray, dest: np.ndarray) -> None:
         np.cumsum(np.multiply(z, scale, out=z), axis=1, out=dest)
@@ -355,8 +366,7 @@ def _bm_law(grid: GridSpec):
 
 def generate_bm(grid: GridSpec, seed: RngSeed) -> SamplePath:
     """Standard Brownian motion from scaled i.i.d. Gaussian increments."""
-    values = _draw(_bm_law(grid), grid, seed.root, [seed.stream])[0]
-    return SamplePath(grid, values, 0.5, seed, PathGenerator.BM_INCREMENTS)
+    return _single(_bm_law(grid), grid, seed, 0.5, PathGenerator.BM_INCREMENTS)
 
 
 def bm_ensemble(grid: GridSpec, root: int, replicates: int) -> np.ndarray:
@@ -397,7 +407,7 @@ def _cholesky_factor(t_max: float, n_steps: int, H: float) -> np.ndarray:
 def _cholesky_law(grid: GridSpec, H: float, max_nodes: int):
     H = _validate.hurst(H)
     cap = _validate.integer(max_nodes, "max_nodes", 1)
-    _validate.integer(grid.n_steps, "n_steps", 1, cap)
+    _validate.integer(_validate.instance(grid, GridSpec, "grid").n_steps, "n_steps", 1, cap)
     return grid.n_steps, _rowwise_gemv(_cholesky_factor(grid.t_max, grid.n_steps, H))
 
 
@@ -410,8 +420,7 @@ def generate_fbm_cholesky(
     and memory are quadratic in n_steps and grids are capped at max_nodes.
     The factor is cached, so replicated draws pay it once.
     """
-    values = _draw(_cholesky_law(grid, H, max_nodes), grid, seed.root, [seed.stream])[0]
-    return SamplePath(grid, values, float(H), seed, PathGenerator.FBM_CHOLESKY)
+    return _single(_cholesky_law(grid, H, max_nodes), grid, seed, H, PathGenerator.FBM_CHOLESKY)
 
 
 def fbm_cholesky_ensemble(
@@ -452,7 +461,7 @@ def _circulant_sqrt_eigenvalues(H: float, n: int) -> np.ndarray:
 
 def _circulant_law(grid: GridSpec, H: float):
     H = _validate.hurst(H)
-    n = grid.n_steps
+    n = _validate.instance(grid, GridSpec, "grid").n_steps
     m = 2 * n
     # spectral synthesis: a Hermitian w with E|w_k|^2 = eig_k / m has a real
     # transform ~ N(0, circulant).  w_0 and w_n are real; w_k for 0 < k < n takes
@@ -483,8 +492,7 @@ def generate_fbm_circulant(grid: GridSpec, H: float, seed: RngSeed) -> SamplePat
     (it is for fractional Gaussian noise at any Hurst index in practice),
     with O(n log n) cost; the generator of choice for long grids.
     """
-    values = _draw(_circulant_law(grid, H), grid, seed.root, [seed.stream])[0]
-    return SamplePath(grid, values, float(H), seed, PathGenerator.FBM_CIRCULANT)
+    return _single(_circulant_law(grid, H), grid, seed, H, PathGenerator.FBM_CIRCULANT)
 
 
 def fbm_circulant_ensemble(grid: GridSpec, H: float, root: int, replicates: int) -> np.ndarray:
@@ -507,21 +515,16 @@ def _fft_size(n: int) -> int:
     return best
 
 
-def _ma_kernel(u: np.ndarray, q: float) -> np.ndarray:
-    """u_+^q - (u-1)_+^q, formed as a product so that large u does not cancel."""
-    with np.errstate(divide="ignore"):
-        return np.maximum(u, 0.0) ** q * -np.expm1(q * np.log1p(-1.0 / np.maximum(u, 1.0)))
-
-
 def _moving_average_law(
     grid: GridSpec, H: float, truncation: Optional[float], kernel_mesh: int
 ):
     H = _validate.hurst(H)
+    n = _validate.instance(grid, GridSpec, "grid").n_steps
+    M = _validate.integer(kernel_mesh, "kernel_mesh", 1)
     if truncation is None:
         truncation = 50.0 * grid.t_max
     rule = "be finite and at least t_max"
     truncation = _validate.real(truncation, "truncation", grid.t_max, closed=True, rule=rule)
-    n, M = grid.n_steps, _validate.integer(kernel_mesh, "kernel_mesh", 1)
     aux_h = grid.dt / M
     m = int(round((truncation + grid.t_max) / aux_h))
     q = H + 0.5
@@ -529,7 +532,7 @@ def _moving_average_law(
     # cell average with aux_h^(q-1) / q, sqrt(aux_h) and 1 / C(H) folded in:
     # node k weights cell j by r[(n-k)M + j] - r[nM + j]
     u = truncation / aux_h + n * M - np.arange(n * M + m)
-    r = _ma_kernel(u, q) * (aux_h**H / (q * normalizing_constant(H)))
+    r = diffpow(u, q) * (aux_h**H / (q * normalizing_constant(H)))
     if n * m <= _GEMV_MAX:
         w = sliding_window_view(r, m)[::M]  # w[i] = r[iM : iM + m], the row of node n - i
         shape = _rowwise_gemv(np.subtract(w[n - 1 :: -1], w[n], order="C"))
@@ -582,8 +585,7 @@ def generate_fbm_moving_average(
     bounded by moving_average_truncation_bias.
     """
     law = _moving_average_law(grid, H, truncation, kernel_mesh)
-    values = _draw(law, grid, seed.root, [seed.stream])[0]
-    return SamplePath(grid, values, float(H), seed, PathGenerator.FBM_MOVING_AVERAGE)
+    return _single(law, grid, seed, H, PathGenerator.FBM_MOVING_AVERAGE)
 
 
 def fbm_moving_average_ensemble(
@@ -606,10 +608,10 @@ def ensemble_manifest(
 ) -> dict:
     """JSON-ready record of how an ensemble was drawn."""
     return {
-        "t_max": grid.t_max,
+        "t_max": _validate.instance(grid, GridSpec, "grid").t_max,
         "n_steps": grid.n_steps,
         "hurst": hurst,
-        "generator": generator.value,
+        "generator": PathGenerator(generator).value,
         "root_seed": int(root),
         "replicates": int(replicates),
     }
@@ -617,9 +619,7 @@ def ensemble_manifest(
 
 def empirical_covariance(values: np.ndarray) -> np.ndarray:
     """Second-moment matrix over nodes for an ensemble of zero-mean paths."""
-    v = _validate.reals(values, "values")
-    if v.ndim != 2 or v.shape[0] < 2:
-        raise ValueError("values must be a (replicates, nodes) array of at least 2 rows")
+    v = _validate.ensemble(values, "empirical_covariance", 2)
     _validate.finite_rows(v, "empirical_covariance")
     return (v.T @ v) / v.shape[0]
 
@@ -631,7 +631,7 @@ def empirical_covariance(values: np.ndarray) -> np.ndarray:
 def scale_path(path: SamplePath, a: float) -> SamplePath:
     """Self-similarity transform t -> a^(-H) X(a t) on the rescaled grid."""
     a = _validate.real(a, "scale factor a", 0.0)
-    if path.hurst is None:
+    if _validate.instance(path, SamplePath, "path").hurst is None:
         raise ValueError("scaling needs a path with a known Hurst index")
     grid = GridSpec(path.grid.t_max / a, path.grid.n_steps)
     return SamplePath(
@@ -649,7 +649,7 @@ def time_invert_bm(path: SamplePath) -> SamplePath:
     output nodes u_k = k / t_max with k dividing n_steps, where 1/u_k hits
     an input node and the Brownian law is exact.
     """
-    if path.hurst != 0.5:
+    if _validate.instance(path, SamplePath, "path").hurst != 0.5:
         raise ValueError("time inversion applies to Brownian paths (hurst 0.5)")
     n = path.grid.n_steps
     grid = GridSpec(n / path.grid.t_max, n)
@@ -666,7 +666,7 @@ def time_invert_bm(path: SamplePath) -> SamplePath:
 
 def write_path_csv(path: SamplePath, dest) -> None:
     """Path CSV: provenance header comments then t,value rows at 17 digits."""
-    seed = path.seed
+    seed = _validate.instance(path, SamplePath, "path").seed
     header = {
         "hurst": "" if path.hurst is None else repr(path.hurst),
         "seed": "" if seed is None else f"{seed.root}/{seed.stream}",

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from ._nodecalc import accumulate, change_of_variables, eval2
-from ._validate import finite, finite_rows, grid_steps, partition, real, reals
+from ._validate import ensemble, finite, finite_rows, grid_steps, instance, partition, real
 from .gaussianpaths import GridSpec, SamplePath, Z_CONFIDENCE
 
 __all__ = [
@@ -61,19 +62,19 @@ class PathPrefix:
         return float(self.values[-1])
 
     def value_at(self, t: float) -> float:
+        return float(np.interp(self._reachable(t), self.times, self.values))
+
+    def up_to(self, t: float) -> "PathPrefix":
+        k = int(np.searchsorted(self.times, self._reachable(t) + 1e-12 * max(t, 1.0), side="right"))
+        return PathPrefix(self.times[:k], self.values[:k])
+
+    def _reachable(self, t: float) -> float:
+        """t, if it lies within the prefix; a later time raises AdaptednessError."""
         if t > self.t + 1e-12 * max(self.t, 1.0):
             raise AdaptednessError(
                 f"integrand requested the path at t={t}, beyond its prefix end {self.t}"
             )
-        return float(np.interp(t, self.times, self.values))
-
-    def up_to(self, t: float) -> "PathPrefix":
-        if t > self.t + 1e-12 * max(self.t, 1.0):
-            raise AdaptednessError(
-                f"cannot extend a prefix ending at {self.t} forward to {t}"
-            )
-        k = int(np.searchsorted(self.times, t + 1e-12 * max(t, 1.0), side="right"))
-        return PathPrefix(self.times[:k], self.values[:k])
+        return t
 
 
 @dataclass(frozen=True)
@@ -105,6 +106,7 @@ class AdaptedIntegrand:
 
     @classmethod
     def deterministic(cls, fn: Callable[[float], float]) -> "AdaptedIntegrand":
+        fn = instance(fn, Callable, "fn")
         # values are not read, so the times stand in for them
         return cls._stock(
             lambda t, prefix: float(fn(t)),
@@ -160,6 +162,7 @@ class SimpleProcess:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "partition", partition(self.partition, "partition"))
+        instance(self.rule, Callable, "rule")
 
     def as_integrand(self) -> AdaptedIntegrand:
         part = self.partition
@@ -174,8 +177,8 @@ class SimpleProcess:
         return AdaptedIntegrand(step_rule)
 
 
-def _require_bm(path: SamplePath) -> None:
-    if path.hurst != 0.5:
+def _require_bm(path: SamplePath, name: str = "path") -> None:
+    if instance(path, SamplePath, name).hurst != 0.5:
         raise ValueError("Ito sums integrate against Brownian paths (hurst 0.5)")
 
 
@@ -198,7 +201,7 @@ def ito_integral(
         idx = grid_steps(part, path.dt, "partition time", 0, path.grid.n_steps)
     left = idx[:-1]
     steps = values[idx[1:]] - values[left]
-    e = f.on_nodes(times, values, left)
+    e = instance(f, AdaptedIntegrand, "f").on_nodes(times, values, left)
     return float(np.dot(e, steps))
 
 
@@ -210,12 +213,8 @@ def _check_ensemble(values: np.ndarray, grid: GridSpec, what: str, least: int):
     replicate-floor warning comes only once every block has been, so a call
     that fails warns of nothing.
     """
-    v = reals(values, "values")
-    if v.ndim != 2 or v.shape[1] != grid.n_steps + 1:
-        raise ValueError("values must be a (replicates, nodes) array matching the grid")
+    v = ensemble(values, what, least, instance(grid, GridSpec, "grid").n_steps + 1)
     n = v.shape[0]
-    if n < least:
-        raise ValueError(f"{what} needs at least {least} replicate{'s' * (least > 1)}, got {n}")
 
     def blocks():
         for lo in range(0, n, _ENSEMBLE_ROWS):
@@ -258,11 +257,12 @@ def isometry_check(f: AdaptedIntegrand, values: np.ndarray, grid: GridSpec):
     is separate from the Monte Carlo spread that ci measures.
     """
     n, blocks = _check_ensemble(values, grid, "isometry_check", 2)
+    on_rows = instance(f, AdaptedIntegrand, "f")._on_rows
     times = np.linspace(0.0, grid.t_max, grid.n_steps + 1)
     lhs_samples = np.empty(n)
     rhs_samples = np.empty(n)
     for lo, block in blocks:
-        e = f._on_rows(times, block)
+        e = on_rows(times, block)
         # one dot product per row, the ddot that np.dot makes for a single row
         dots = np.matmul(e[:, None, :-1], np.diff(block, axis=1)[:, :, None])[:, 0, 0]
         lhs_samples[lo : lo + len(block)] = dots**2
@@ -282,7 +282,7 @@ def ito_integral_qv(f: AdaptedIntegrand, path: SamplePath):
     the same grid.
     """
     _require_bm(path)
-    e = f.on_nodes(path.times, path.values)
+    e = instance(f, AdaptedIntegrand, "f").on_nodes(path.times, path.values)
     steps = np.diff(path.values)
     qv = float(np.sum((e[:-1] * steps) ** 2))
     target = float(np.trapezoid(e**2, dx=path.dt))
@@ -300,7 +300,9 @@ class ItoProcess:
 
     def __post_init__(self) -> None:
         real(self.x0, "x0")
-        _require_bm(self.driving_path)
+        for name in ("drift", "diffusion"):
+            instance(getattr(self, name), AdaptedIntegrand, name)
+        _require_bm(self.driving_path, "driving_path")
 
     def realize(self):
         """Node values of X and of the diffusion coefficient along the path."""
@@ -317,7 +319,7 @@ def ito_formula_apply(g, g_t, g_x, g_xx, process: ItoProcess):
     g_t dt + g_x dX + 1/2 g_xx nu^2 dt, which is what the second-order
     expansion leaves after dt*dt and dt*dB vanish and dB*dB turns into dt.
     """
-    x, nu = process.realize()
+    x, nu = instance(process, ItoProcess, "process").realize()
     t = process.driving_path.times
     dt = process.driving_path.dt
     second_order = 0.5 * eval2(g_xx, t[:-1], x[:-1]) * nu[:-1] ** 2 * dt

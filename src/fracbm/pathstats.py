@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._validate import dyadic_levels, finite, hurst, integer, real
+from ._validate import dyadic_levels, finite, hurst, instance, integer, real
 from .gaussianpaths import SamplePath, _fgn_autocovariance
 
 __all__ = [
@@ -84,7 +84,7 @@ class HurstEstimate:
 
 def quadratic_variation(path: SamplePath) -> float:
     """Sum of squared increments over the path's own grid."""
-    return float(np.sum(np.diff(path.values) ** 2))
+    return float(np.sum(np.diff(instance(path, SamplePath, "path").values) ** 2))
 
 
 def _dyadic_increments(values: np.ndarray, dt: float, levels: int):
@@ -118,6 +118,7 @@ def p_variation(path: SamplePath, p: float, levels: int = 5) -> VariationEstimat
     blow up, and a flat profile that they stabilize.
     """
     p = real(p, "p", 0.0)
+    path = instance(path, SamplePath, "path")
     pairs = _power_sums(_dyadic_increments(path.values, path.dt, levels), p)
     if all(v == 0.0 for _, v in pairs):
         # flat path: zero variation at every mesh
@@ -145,8 +146,7 @@ def variation_index(
     the crossover is located by bisecting the sign of the mesh-scaling slope.
     The final bracket half-width (in 1/p units) is reported as the stderr.
     """
-    if path.grid.n_steps < 2**10:
-        raise ValueError("variation index needs at least 2^10 steps")
+    integer(instance(path, SamplePath, "path").grid.n_steps, "path n_steps", 2**10)
     h_tol = real(h_tol, "h_tol", 0.0)
     lo = real(p_lo, "p_lo", 0.0)
     hi = real(p_hi, "p_hi", lo)
@@ -222,7 +222,7 @@ def empirical_acf(path: SamplePath, max_lag: int) -> np.ndarray:
     times first.
     """
     max_lag = integer(max_lag, "max_lag", 1)
-    if abs(path.dt - 1.0) <= 1e-12:
+    if abs(instance(path, SamplePath, "path").dt - 1.0) <= 1e-12:
         vals = path.values
     else:
         m = int(math.floor(path.grid.t_max + 1e-9))
@@ -269,9 +269,7 @@ def holder_exponent(path: SamplePath) -> HurstEstimate:
     ladder.  Lipschitz paths report an exponent near 1, outside the (0,1)
     model range, and are flagged through `accepted`.
     """
-    n = path.grid.n_steps
-    if n < 2**10:
-        raise ValueError("regularity estimate needs at least 2^10 steps")
+    n = integer(instance(path, SamplePath, "path").grid.n_steps, "path n_steps", 2**10)
     vals = path.values
     block_data = []
     lag = 1
@@ -291,7 +289,7 @@ def hurst_record(estimate: HurstEstimate, series) -> dict:
 
     x = np.ascontiguousarray(np.asarray(series, dtype=float))
     return {
-        "estimator": estimate.method.value,
+        "estimator": instance(estimate, HurstEstimate, "estimate").method.value,
         "inputs_sha256": hashlib.sha256(x.tobytes()).hexdigest(),
         "h_hat": estimate.h_hat,
         "stderr": estimate.stderr,

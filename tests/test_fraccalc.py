@@ -8,6 +8,7 @@ from scipy.integrate import cumulative_trapezoid, quad
 from scipy.special import gamma as scipy_gamma, gammaln
 
 from fracbm import fraccalc
+from fracbm._nodecalc import diffpow
 from fracbm.gaussianpaths import GridSpec, RngSeed, generate_fbm_circulant, write_path_csv
 from fracbm.fraccalc import (
     DifferintegralSpec,
@@ -51,6 +52,19 @@ class TestGridFunction:
     def test_rejects_scalar_values(self):
         with pytest.raises(ValueError):
             GridFunction(0.0, 1.0, np.array(3.0))
+
+    @pytest.mark.parametrize(
+        "values", [[True, False, True], np.array([True, False, True]), ["0", "x", "1"]],
+        ids=["bools", "bool-array", "text"],
+    )
+    def test_samples_must_be_real_numbers(self, values):
+        # float conversion would read the bools as 1, 0, 1
+        with pytest.raises(ValueError, match="samples must be real numbers"):
+            GridFunction(0.0, 1.0, values)
+
+    def test_from_callable_takes_a_whole_node_count(self):
+        with pytest.raises(ValueError, match="n must be an integer of at least 2, got 2.5"):
+            GridFunction.from_callable(np.sin, 0.0, 1.0, 2.5)
 
 
 class TestSpecValidation:
@@ -120,8 +134,8 @@ def direct_derivative(vals, alpha, h):
     """Marchaud quadrature with its far-cell sums over p0 and p1 by np.convolve."""
     n = vals.size - 1
     d = np.arange(2, n + 1, dtype=float)
-    p0 = -fraccalc._diffpow(d, -alpha) / alpha
-    p1 = (d * p0 - fraccalc._diffpow(d, 1.0 - alpha) / (1.0 - alpha)) * h ** (1.0 - alpha)
+    p0 = -diffpow(d, -alpha) / alpha
+    p1 = (d * p0 - diffpow(d, 1.0 - alpha) / (1.0 - alpha)) * h ** (1.0 - alpha)
     p0 *= h ** (-alpha)
     slope = np.diff(vals) / h
     core = np.diff(vals) * h ** (-alpha) / (1.0 - alpha)

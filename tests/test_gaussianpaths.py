@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from math import gamma, pi, sin
 
 from fracbm import gaussianpaths
+from fracbm._nodecalc import diffpow
 from fracbm.gaussianpaths import (
     CHOLESKY_MAX_NODES,
     GridSpec,
@@ -48,7 +49,6 @@ from fracbm.gaussianpaths import (
     _draw,
     _GEMV_MAX,
     _fft_size,
-    _ma_kernel,
     _usable_cpus,
     _THREAD_MIN_NORMALS,
 )
@@ -179,13 +179,6 @@ class TestSeedsAndGrids:
         with pytest.raises(ValueError, match="t_max"):
             GridSpec(t_max, 4)
 
-    @pytest.mark.parametrize(
-        "root, stream, field", [(True, 0, "root"), (1, False, "stream"), (1.5, 0, "root")]
-    )
-    def test_seed_parts_must_be_integers(self, root, stream, field):
-        with pytest.raises(ValueError, match=field):
-            RngSeed(root, stream)
-
     def test_times_span_the_interval(self):
         g = GridSpec(2.0, 8)
         assert g.times[0] == 0.0 and g.times[-1] == pytest.approx(2.0)
@@ -256,7 +249,7 @@ def moving_average_table(grid, H, mesh=16):
     h = grid.dt / mesh
     m = 51 * mesh * n
     q = H + 0.5
-    r = _ma_kernel(50.0 * grid.t_max / h + n * mesh - np.arange(n * mesh + m), q)
+    r = diffpow(50.0 * grid.t_max / h + n * mesh - np.arange(n * mesh + m), q)
     r *= h**H / (q * normalizing_constant(H))
     k = np.arange(1, n + 1)[:, None]
     j = np.arange(m)[None, :]
