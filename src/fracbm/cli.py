@@ -35,9 +35,6 @@ class RunConfig:
     parameters: dict
     out_dir: str
 
-    def record(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class RunManifest:

@@ -4,17 +4,19 @@ All operators use product quadrature: on each grid cell the singular kernel
 is integrated in closed form against the piecewise-linear interpolant of the
 samples, so kernel singularities never meet a naive pointwise evaluation.
 On a uniform grid each operator is one causal (Volterra) convolution of the
-samples with one kernel sequence, evaluated by one FFT pair in O(n log n):
-the integral folds its left- and right-sample weights into one kernel, and
-the derivative writes each sample as the base sample plus h times the
-slopes below it, which folds its two sums into one.  The kernel spectrum
-depends only on the order, the step and the node count; the integral keeps
-its last one and the derivative its last two, so a left/right pair, the
-orders alpha and 1 - alpha of fractal_integral, and repeated calls on one
-grid transform only their samples.  Rounding error is bounded relative to the
-largest output value rather than entry by entry.  Right-sided operators are
-evaluated by reflecting the samples, applying the left-sided routine, and
-reflecting back; the reflection identity then holds bitwise.
+samples with one kernel sequence, evaluated in O(n log n) by the FFT pair
+the moving-average generator also uses (`_nodecalc.convolve`, at the least
+5-smooth length without wrap-around): the integral folds its left- and
+right-sample weights into one kernel, and the derivative writes each sample
+as the base sample plus h times the slopes below it, which folds its two
+sums into one.  The kernel spectrum depends only on the order, the step and
+the node count; the integral keeps its last one and the derivative its last
+two, so a left/right pair, the orders alpha and 1 - alpha of
+fractal_integral, and repeated calls on one grid transform only their
+samples.  Rounding error is bounded relative to the largest output value
+rather than entry by entry.  Right-sided operators are evaluated by
+reflecting the samples, applying the left-sided routine, and reflecting
+back; the reflection identity then holds bitwise.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._csvio import read_csv, write_csv
-from ._nodecalc import diffpow
+from ._nodecalc import convolve, diffpow, kernel_spectrum
 from ._validate import finite, instance, integer, real, reals
 
 __all__ = [
@@ -179,27 +181,18 @@ def _kept(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _convolve(x: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
-    """Cyclic convolution of x with the kernel behind spectrum, at its transform size."""
-    size = 2 * (spectrum.size - 1)
-    return np.fft.irfft(np.fft.rfft(x, size) * spectrum, size)
-
-
 @functools.lru_cache(maxsize=1)
 def _integral_kernel(alpha: float, h: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Spectrum of the single integral kernel c, and the w1 terms the base sample lacks.
 
     Sample j reaches node k through w0 at distance k - j and through w1 at
     k - j + 1, so c[0] = w1[0], c[d] = w0[d-1] + w1[d] and c[n] = w0[n-1].
-    The power-of-two size of at least 2n lets only the unused output 0 wrap.
+    A cyclic length of at least 2n lets only the unused output 0 wrap.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         w0, w1 = _integral_weights(alpha, h, n)
-        c = np.empty(n + 1)
-        c[0] = w1[0]
-        c[1:n] = w0[:-1] + w1[1:]
-        c[n] = w0[-1]
-    return _kept(np.fft.rfft(c, 1 << (2 * n - 1).bit_length()), w1[1:])
+        c = np.concatenate((w1[:1], w0[:-1] + w1[1:], w0[-1:]))
+    return _kept(kernel_spectrum(c, 2 * n), w1[1:])
 
 
 def _left_integral(vals: np.ndarray, alpha: float, h: float) -> np.ndarray:
@@ -207,7 +200,7 @@ def _left_integral(vals: np.ndarray, alpha: float, h: float) -> np.ndarray:
     spectrum, tail = _integral_kernel(float(alpha), float(h), n)
     out = np.empty_like(vals)
     with np.errstate(over="ignore", invalid="ignore"):
-        out[1:] = _convolve(vals, spectrum)[1 : n + 1]
+        out[1:] = convolve(vals, spectrum, 2 * n)[1 : n + 1]
         out[1:n] -= vals[0] * tail
     out[0] = 0.0
     if not np.isfinite(out).all():
@@ -230,8 +223,8 @@ def _derivative_kernel(alpha: float, h: float, n: int) -> tuple[np.ndarray, np.n
     c0 = np.cumsum(p0 * h ** (-alpha))  # c0[k-2] = sum of p0 over d=2..k
     e = (d * p0 - diffpow(d, 1.0 - alpha) / (1.0 - alpha)) * h ** (1.0 - alpha)  # p1
     e[1:] += h * c0[:-1]
-    # a power-of-two size of at least 2(n - 1) leaves the n - 1 outputs unwrapped
-    return _kept(np.fft.rfft(e, 1 << (2 * n - 3).bit_length()), c0)
+    # a cyclic length of at least 2(n - 1) leaves the n - 1 outputs unwrapped
+    return _kept(kernel_spectrum(e, 2 * n - 2), c0)
 
 
 def _left_derivative(vals: np.ndarray, alpha: float, h: float) -> np.ndarray:
@@ -242,16 +235,13 @@ def _left_derivative(vals: np.ndarray, alpha: float, h: float) -> np.ndarray:
     # formed before the boundary term, which is then not held while the FFT runs
     step = vals[1:] - vals[:-1]
     core = step * h ** (-alpha) / (1.0 - alpha)
-    core[1:] += (vals[2:] - vals[0]) * c0 - _convolve(step[:-1] / h, spectrum)[: n - 1]
+    core[1:] += (vals[2:] - vals[0]) * c0 - convolve(step[:-1] / h, spectrum, 2 * n - 2)[: n - 1]
     k = np.arange(1, n + 1, dtype=float)
     boundary = vals[1:] * (k * h) ** (-alpha)
     out = np.empty_like(vals)
     out[1:] = (boundary + alpha * core) / math.gamma(1.0 - alpha)
     # one-sided limit at the base point: divergent unless the sample vanishes
-    if vals[0] == 0.0:
-        out[0] = 0.0
-    else:
-        out[0] = np.inf * np.sign(vals[0])
+    out[0] = np.inf * np.sign(vals[0]) if vals[0] != 0.0 else 0.0
     if not np.isfinite(out[1:]).all():
         raise ValueError("non-finite derivative values: integrand too rough for the grid")
     return out

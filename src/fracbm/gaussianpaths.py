@@ -29,10 +29,11 @@ stationary: node k weights cell j by g(Tc + k kernel_mesh - j) - g(Tc - j),
 with g(u) = u_+^q - (u-1)_+^q, q = H + 1/2 and Tc = truncation/h, so every
 node's weights are shifts of one sequence, formed once with h^H / (q C(H))
 folded in.  Grids whose n x m weight table has at most _GEMV_MAX entries
-apply the table by one gemv per row; larger grids read one FFT causal
-convolution of each stream with the sequence at the n + 1 lattice points
-t_k and subtract the value at t_0.  The crossover depends only on the grid,
-so a single path and an ensemble row take the same route.
+apply the table by one gemv per row; larger grids convolve each stream with
+the sequence by `_nodecalc.convolve`, the operators' FFT pair, at the least
+2^a 3^b 5^c length of at least the sequence's, read it at the n + 1 lattice
+points t_k and subtract the value at t_0.  The crossover depends only on
+the grid, so a single path and an ensemble row take the same route.
 
 Every generator, Brownian increments included, is set up once per call.
 Each stream then draws its normals into one row of a block of streams, and
@@ -69,7 +70,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _validate
 from ._csvio import read_csv, write_csv
-from ._nodecalc import diffpow
+from ._nodecalc import convolve, diffpow, kernel_spectrum
 
 __all__ = [
     "GridSpec",
@@ -499,22 +500,6 @@ def fbm_circulant_ensemble(grid: GridSpec, H: float, root: int, replicates: int)
     return _draw(_circulant_law(grid, H), grid, root, _streams(root, replicates))
 
 
-def _fft_size(n: int) -> int:
-    """The least 2^a 3^b 5^c >= n: a length numpy's FFT transforms fast."""
-    best = 1 << (n - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            p = p35
-            while p < n:
-                p *= 2
-            best = min(best, p)
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
 def _moving_average_law(
     grid: GridSpec, H: float, truncation: Optional[float], kernel_mesh: int
 ):
@@ -538,14 +523,11 @@ def _moving_average_law(
         shape = _rowwise_gemv(np.subtract(w[n - 1 :: -1], w[n], order="C"))
     else:
         # sum_j z[j] r[(n-k)M + j] is the causal convolution of z with r reversed,
-        # read at m - 1 + kM; no circular wrap reaches those terms at this size
-        size = _fft_size(r.size)
-        kernel = np.fft.rfft(r[::-1], size)
+        # read at m - 1 + kM; from a cyclic length of r.size = m + nM on, none of them wraps
+        kernel = kernel_spectrum(r[::-1], m + n * M)
 
         def shape(z: np.ndarray, dest: np.ndarray) -> None:
-            spectrum = np.fft.rfft(z, size, axis=1)
-            spectrum *= kernel
-            at = np.fft.irfft(spectrum, size, axis=1)[:, m - 1 : m + n * M : M]
+            at = convolve(z, kernel, m + n * M)[:, m - 1 : m + n * M : M]
             np.subtract(at[:, 1:], at[:, :1], out=dest)
 
     return m, shape
@@ -610,10 +592,10 @@ def ensemble_manifest(
     return {
         "t_max": _validate.instance(grid, GridSpec, "grid").t_max,
         "n_steps": grid.n_steps,
-        "hurst": hurst,
+        "hurst": None if hurst is None else _validate.hurst(hurst, "hurst"),
         "generator": PathGenerator(generator).value,
-        "root_seed": int(root),
-        "replicates": int(replicates),
+        "root_seed": _validate.integer(root, "root", 0, 2**64 - 1),
+        "replicates": _validate.integer(replicates, "replicates"),
     }
 
 

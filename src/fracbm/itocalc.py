@@ -93,6 +93,10 @@ class AdaptedIntegrand:
     #: per row, and returns values that broadcast to the block
     _takes_rows: bool = field(default=False, init=False, repr=False, compare=False)
 
+    def __post_init__(self) -> None:
+        instance(self.rule, Callable, "rule")
+        instance(self.grid_eval, (Callable, type(None)), "grid_eval")
+
     @classmethod
     def _stock(cls, rule, grid_eval) -> "AdaptedIntegrand":
         f = cls(rule, grid_eval)
@@ -322,5 +326,5 @@ def ito_formula_apply(g, g_t, g_x, g_xx, process: ItoProcess):
     x, nu = instance(process, ItoProcess, "process").realize()
     t = process.driving_path.times
     dt = process.driving_path.dt
-    second_order = 0.5 * eval2(g_xx, t[:-1], x[:-1]) * nu[:-1] ** 2 * dt
+    second_order = 0.5 * eval2(g_xx, t[:-1], x[:-1], "g_xx") * nu[:-1] ** 2 * dt
     return change_of_variables(g, g_t, g_x, t, x, dt, second_order)

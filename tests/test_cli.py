@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +45,7 @@ class TestGenerate:
             "hurst": 0.7, "steps": 128, "tmax": 1.0, "seed": 5,
             "stream": 0, "generator": "circulant", "truncation": None,
         }, str(out))
-        assert manifest["config"] == cfg.record()
+        assert manifest["config"] == asdict(cfg)
 
     def test_reruns_are_byte_identical(self, runner, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -313,7 +314,7 @@ class TestRunConfig:
     def test_record_round_trip(self, tmp_path):
         cfg = RunConfig("generate", {"hurst": 0.7, "n_steps": 128}, "out")
         RunManifest(cfg, __version__, 1).write(tmp_path / "manifest.json")
-        assert json.loads((tmp_path / "manifest.json").read_text())["config"] == cfg.record()
+        assert json.loads((tmp_path / "manifest.json").read_text())["config"] == asdict(cfg)
 
 
 def test_version_flag(runner):

@@ -167,9 +167,12 @@ def fbm_samples(n=2**12):
 class TestFftEvaluation:
     """Each operator is one FFT convolution; the direct two-sum quadrature is the reference."""
 
+    # 2^12 cells transform at 8,192 points; 3,000 cells at 6,000, where a
+    # power of two would take 8,192
+    @pytest.mark.parametrize("n", [2**12, 3000])
     @pytest.mark.parametrize("op,spec,direct", OPERATORS, ids=OPERATOR_IDS)
-    def test_agrees_with_the_direct_sum(self, op, spec, direct):
-        f = fbm_samples()
+    def test_agrees_with_the_direct_sum(self, op, spec, direct, n):
+        f = fbm_samples(n)
         out = op(f, spec).values
         ref = direct(f.values, spec.alpha, f.h)
         finite = np.isfinite(ref)

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from math import gamma, pi, sin
 
 from fracbm import gaussianpaths
-from fracbm._nodecalc import diffpow
+from fracbm._nodecalc import diffpow, fft_size
 from fracbm.gaussianpaths import (
     CHOLESKY_MAX_NODES,
     GridSpec,
@@ -48,7 +48,6 @@ from fracbm.gaussianpaths import (
     _keyed_generator,
     _draw,
     _GEMV_MAX,
-    _fft_size,
     _usable_cpus,
     _THREAD_MIN_NORMALS,
 )
@@ -555,7 +554,8 @@ class TestFbmGenerators:
             assert np.array_equal(ens[r], single.values)
 
     # tables at 8 and 16 steps, FFTs beyond; at 24 steps a truncation of 50.823
-    # puts the FFT length 20,000 between m = 19,900 cells and m + nM = 20,284
+    # gives m = 19,900 cells and m + nM = 20,284, so the FFT length is 20,480:
+    # any length below m + nM would wrap into outputs the route reads
     @pytest.mark.parametrize("n, truncation", [(8, 50.0), (16, 50.0), (24, 50.0), (64, 50.0), (24, 50.823)])
     @pytest.mark.parametrize("H", [0.25, 0.75])
     def test_moving_average_stays_close_to_the_former_law(self, n, truncation, H):
@@ -576,7 +576,7 @@ class TestFbmGenerators:
             return k == 1
 
         for n in range(1, 3000):
-            size = _fft_size(n)
+            size = fft_size(n)
             assert size >= n and smooth(size)
             assert not any(smooth(k) for k in range(n, size))
 

@@ -193,7 +193,8 @@ TABLE = {
     "ensemble_manifest": (
         ensemble_manifest,
         dict(grid=G, hurst=0.7, generator=PathGenerator.FBM_CIRCULANT, root=1, replicates=2), {
-            **GRID, "generator": (ENUM, "PathGenerator")}),
+            **GRID, "hurst": (OPTIONAL_UNIT, "hurst"), "generator": (ENUM, "PathGenerator"),
+            "root": (INTEGER, "root"), "replicates": (INTEGER, "replicates")}),
     "scale_path": (scale_path, dict(path=PATH, a=2.0), {
         "path": (OBJECT, "path"), "a": (NONNEGATIVE, "a")}),
     "time_invert_bm": (time_invert_bm, dict(path=BM), {"path": (OBJECT, "path")}),
@@ -276,9 +277,14 @@ TABLE = {
     "fbm_ito_formula_check": (
         fbm_ito_formula_check,
         dict(g_fn=lambda t, x: x * x, g_t=lambda t, x: 0.0, g_x=lambda t, x: 2 * x, X=PATH), {
+            # the formula's function g, whatever the parameter is called
+            "g_fn": (OBJECT, "g"), "g_t": (OBJECT, "g_t"), "g_x": (OBJECT, "g_x"),
             "X": (OBJECT, "X")}),
     "integral_record": (integral_record, dict(result=forward_integral(1.0, PATH)), {
         "result": (OBJECT, "result")}),
+    "AdaptedIntegrand": (
+        AdaptedIntegrand, dict(rule=lambda t, p: 1.0, grid_eval=lambda t, x: np.ones(t.shape)), {
+            "rule": (OBJECT, "rule"), "grid_eval": (OPTIONAL_OBJECT, "grid_eval")}),
     "AdaptedIntegrand.constant": (AdaptedIntegrand.constant, dict(c=1.0), {
         "c": (FINITE, "c")}),
     "AdaptedIntegrand.deterministic": (AdaptedIntegrand.deterministic, dict(fn=np.sin), {
@@ -305,7 +311,8 @@ TABLE = {
         ito_formula_apply,
         dict(g=lambda t, x: x * x, g_t=lambda t, x: 0.0, g_x=lambda t, x: 2 * x,
              g_xx=lambda t, x: 2.0, process=ItoProcess(0.0, ONE, ONE, BM)), {
-            "process": (OBJECT, "process")}),
+            "g": (OBJECT, "g"), "g_t": (OBJECT, "g_t"), "g_x": (OBJECT, "g_x"),
+            "g_xx": (OBJECT, "g_xx"), "process": (OBJECT, "process")}),
     "run_experiment": (run_experiment, dict(exp_id="E3", cfg=VerifyConfig()), {
         "cfg": (OPTIONAL_OBJECT, "cfg")}),
 }
