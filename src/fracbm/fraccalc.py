@@ -355,7 +355,7 @@ def fractal_integral(f: GridFunction, g: GridFunction, alpha: float) -> float:
 
 def write_grid_csv(f: GridFunction, path) -> None:
     """Two-column CSV (t,value) with 17 significant digits."""
-    write_csv(path, instance(f, GridFunction, "f").times, f.values)
+    write_csv(path, instance(f, GridFunction, "f").a, f.b, f.values)
 
 
 def read_grid_csv(path) -> GridFunction:

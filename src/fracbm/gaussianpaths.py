@@ -654,7 +654,7 @@ def write_path_csv(path: SamplePath, dest) -> None:
         "seed": "" if seed is None else f"{seed.root}/{seed.stream}",
         "generator": path.generator.value,
     }
-    write_csv(dest, path.times, path.values, header)
+    write_csv(dest, 0.0, path.grid.t_max, path.values, header)
 
 
 def _parse_seed(text: str) -> Optional[RngSeed]:

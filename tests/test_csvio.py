@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fracbm import _csvio
 from fracbm._csvio import _BLOCK, read_csv, write_csv
 
 
@@ -20,23 +21,35 @@ def reference_bytes(t, v, header):
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e300, -1e300, 1.7976931348623157e308, 0.1, 1 / 3]
 
 
+def twin(x):
+    """The neighbouring grid end: -x for a zero, so 0.0 and -0.0 are told apart."""
+    return -x if x == 0.0 else np.nextafter(x, np.inf)
+
+
 class TestWrite:
     @settings(max_examples=60, deadline=None)
     @given(
         rows=st.sampled_from([1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]),
+        a=st.sampled_from([-2.0, 0.0, -0.0]),
+        b=st.sampled_from([3.0, 0.0, -0.0, 5e-324]),
+        step=st.sampled_from([-1, 1]),
         seed=st.integers(0, 2**32 - 1),
         ends=st.tuples(*[st.sampled_from([np.inf, -np.inf, 0.0, -0.0, 5e-324])] * 2),
         header=st.dictionaries(st.sampled_from(["hurst", "seed", "generator"]), st.text("abc0123./=-", max_size=8)),
     )
-    def test_bytes_equal_the_row_at_a_time_format(self, tmp_path_factory, rows, seed, ends, header):
+    def test_bytes_equal_the_row_at_a_time_format(self, tmp_path_factory, rows, a, b, step, seed, ends, header):
+        # two writes on one grid, then grids that differ from it only in a, b
+        # or the row count, then the first grid again: kept rows or fresh ones
         rng = np.random.default_rng(seed)
-        t = np.linspace(-2.0, 3.0, rows)
-        wide = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
-        v = np.where(rng.random(rows) < 0.3, rng.choice(SPECIAL, rows), wide)
-        v[0], v[-1] = ends
         dest = tmp_path_factory.mktemp("csv") / "f.csv"
-        write_csv(dest, t, v, header)
-        assert dest.read_bytes() == reference_bytes(t, v, header)
+        grids = [(a, b, rows), (a, b, rows), (twin(a), b, rows), (a, twin(b), rows), (a, b, rows + step), (a, b, rows)]
+        for a, b, rows in grids:
+            wide = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+            v = np.where(rng.random(rows) < 0.3, rng.choice(SPECIAL, rows), wide)
+            if rows:
+                v[0], v[-1] = ends
+            write_csv(dest, a, b, v, header)
+            assert dest.read_bytes() == reference_bytes(np.linspace(a, b, rows), v, header)
 
 
 class Unformattable:
@@ -54,10 +67,9 @@ class TestRewrite:
         data=st.data(),
     )
     def test_bytes_equal_a_write_to_a_fresh_path(self, tmp_path_factory, rows, old, data):
-        t = np.linspace(0.0, 1.0, rows)
-        v = np.sin(7.0 * t) * 10.0 ** data.draw(st.integers(-300, 300), label="exponent")
+        v = np.sin(7.0 * np.linspace(0.0, 1.0, rows)) * 10.0 ** data.draw(st.integers(-300, 300), label="exponent")
         fresh = tmp_path_factory.mktemp("csv") / "fresh.csv"
-        write_csv(fresh, t, v, {"hurst": "0.7"})
+        write_csv(fresh, 0.0, 1.0, v, {"hurst": "0.7"})
         want = fresh.read_bytes()
         size = {
             "empty": 0,
@@ -67,29 +79,29 @@ class TestRewrite:
         }[old]
         dest = tmp_path_factory.mktemp("csv") / "f.csv"
         dest.write_bytes((b"t,value\n" + b"9,9\n" * size)[:size])  # stale rows that would parse
-        write_csv(dest, t, v, {"hurst": "0.7"})
+        write_csv(dest, 0.0, 1.0, v, {"hurst": "0.7"})
         assert dest.read_bytes() == want
 
     @pytest.mark.parametrize(
-        "header, rows",
-        [({"hurst": 0.7, "seed": Unformattable()}, 8), ({}, 2 * _BLOCK)],
+        "header, templates",
+        [({"hurst": 0.7, "seed": Unformattable()}, None), ({}, ("%.17g\n" * _BLOCK, "%.17g\n" * (_BLOCK + 1)))],
         ids=["header-value-that-will-not-format", "rows-past-the-first-block"],
     )
-    def test_a_write_that_raises_leaves_the_file_empty(self, tmp_path, header, rows):
+    def test_a_write_that_raises_leaves_the_file_empty(self, tmp_path, monkeypatch, header, templates):
         dest = tmp_path / "f.csv"
-        write_csv(dest, np.arange(3 * _BLOCK, dtype=float), np.ones(3 * _BLOCK))
-        t = np.arange(rows, dtype=float)
-        v = np.ones(_BLOCK + 1)  # a second block of rows does not match t and raises
-        with pytest.raises((RuntimeError, ValueError)):
-            write_csv(dest, t, v, header)
+        write_csv(dest, 0.0, 1.0, np.ones(3 * _BLOCK))
+        if templates:  # a second block of rows that asks for one value too many raises
+            monkeypatch.setattr(_csvio, "_row_templates", lambda a, b, rows: templates)
+        with pytest.raises((RuntimeError, TypeError)):
+            write_csv(dest, 0.0, 1.0, np.ones(2 * _BLOCK), header)
         assert dest.read_bytes() == b""
 
     def test_an_existing_file_keeps_its_inode_and_mode(self, tmp_path):
         dest = tmp_path / "f.csv"
-        write_csv(dest, np.arange(100.0), np.ones(100))
+        write_csv(dest, 0.0, 99.0, np.ones(100))
         dest.chmod(0o640)
         before = dest.stat()
-        write_csv(dest, np.arange(10.0), np.zeros(10))
+        write_csv(dest, 0.0, 9.0, np.zeros(10))
         after = dest.stat()
         assert (after.st_ino, stat.S_IMODE(after.st_mode)) == (before.st_ino, 0o640)
         assert read_csv(dest, "grid", 2)[2].tolist() == [0.0] * 10
@@ -98,12 +110,12 @@ class TestRewrite:
         # a pipe has no offset and no length, as in `fracbm fracint --out /dev/stdout | ...`
         r, w = os.pipe()
         try:
-            write_csv(f"/dev/fd/{w}", np.arange(5.0), np.ones(5))
+            write_csv(f"/dev/fd/{w}", 0.0, 4.0, np.ones(5))
         finally:
             os.close(w)
         with os.fdopen(r, "rb") as fh:
             piped = fh.read()
-        write_csv(tmp_path / "f.csv", np.arange(5.0), np.ones(5))
+        write_csv(tmp_path / "f.csv", 0.0, 4.0, np.ones(5))
         assert piped == (tmp_path / "f.csv").read_bytes()
 
 
@@ -131,6 +143,45 @@ class TestRead:
         header, t, v = read_csv(dest, "grid", 3)
         assert header == {"hurst": "0.7"}
         assert t.tolist() == [0.0, 1.0, 2.0] and v.tolist() == [1.0, 2.0, 3.0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        a=st.floats(-1e6, 1e6),
+        span=st.floats(1e-6, 1e6),
+        rows=st.sampled_from([2, 3, 1000, _BLOCK + 1]),
+    )
+    def test_every_written_grid_reads_back(self, tmp_path_factory, a, span, rows):
+        dest = tmp_path_factory.mktemp("csv") / "f.csv"
+        write_csv(dest, a, a + span, np.zeros(rows))
+        assert read_csv(dest, "grid", 2)[1].tobytes() == np.linspace(a, a + span, rows).tobytes()
+
+    @pytest.mark.parametrize(
+        "times, uniform",
+        [
+            (["0", "1e-10", "5e-10"], False),
+            (["1e6", "1000000.001", "1000000.002"], True),
+            ([f"{t:.10g}" for t in np.linspace(0.0, 1.0, 4097)], True),
+        ],
+        ids=["steps-far-below-unit-spacing", "steps-near-the-rounding-of-t", "t-at-10-significant-digits"],
+    )
+    def test_spacing_is_checked_relative_to_the_step(self, tmp_path, times, uniform):
+        dest = tmp_path / "f.csv"
+        dest.write_text("t,value\n" + "".join(f"{t},0\n" for t in times))
+        if uniform:
+            assert read_csv(dest, "grid", 3)[1].tolist() == [float(t) for t in times]
+        else:
+            with pytest.raises(ValueError, match="uniformly spaced"):
+                read_csv(dest, "grid", 3)
+
+    def test_a_byte_order_mark_is_skipped(self, tmp_path):
+        # as a spreadsheet's UTF-8 export begins; a bad row is still named by its line
+        dest = tmp_path / "f.csv"
+        dest.write_text("\ufeff# hurst=0.7\nt,value\n0,1\n1,2\n2,3\n", encoding="utf-8")
+        header, t, v = read_csv(dest, "grid", 3)
+        assert header == {"hurst": "0.7"} and t.tolist() == [0.0, 1.0, 2.0] and v.tolist() == [1.0, 2.0, 3.0]
+        dest.write_text("\ufeffx,1\n0,1\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape("malformed CSV at line 1: 'x,1\\n'")):
+            read_csv(dest, "grid", 2)
 
     @pytest.mark.parametrize(
         "text, lineno",
