@@ -1,4 +1,3 @@
-import concurrent.futures
 import json
 import math
 import os
@@ -47,9 +46,9 @@ from fracbm.gaussianpaths import (
     _cholesky_factor,
     _keyed_generator,
     _draw,
+    _FAR_RATIO,
     _GEMV_MAX,
-    _usable_cpus,
-    _THREAD_MIN_NORMALS,
+    _moving_average_law,
 )
 
 
@@ -233,38 +232,51 @@ BLOCK_SPANNING = {
     "bm": (GridSpec(1.0, 1024), 1024),
     "cholesky": (GridSpec(1.0, 256), 256),
     "circulant": (GridSpec(1.0, 1024), 2048),
-    "moving-average": (GridSpec(1.0, 8), 51 * 16 * 8),
+    "moving-average": (GridSpec(1.0, 8), 2 * 16 * 8 + 81),
 }
 
 
-def moving_average_table(grid, H, mesh=16):
-    """Weights W[k-1, j] = g(Tc + k mesh - j) - g(Tc - j) of node k on cell j, scaled.
+def far_edges(truncation):
+    """Far cell edges over t_max = 1: (1 + ratio)^j below truncation, then truncation."""
+    grades = math.ceil(math.log(truncation) / math.log1p(_FAR_RATIO))
+    e = (1.0 + _FAR_RATIO) ** np.arange(grades + 1.0)
+    return np.append(e[e < truncation], truncation)
 
-    g(u) = u_+^q - (u-1)_+^q at q = H + 1/2 on the auxiliary lattice of step
-    h = dt/mesh, Tc = 50 t_max / h; the scale h^H / (q C(H)) folds in the cell
-    width, sqrt(h) and the normalizer.
+
+def moving_average_table(grid, H, truncation=50.0, mesh=16):
+    """Weights of node k on each cell, in the order a stream draws the cells (t_max = 1).
+
+    Near cells first, of width h = dt/mesh over [-1, 1]: W[k-1, j] =
+    g(Tc + k mesh - j) - g(Tc - j) with g(u) = u_+^q - (u-1)_+^q at q = H + 1/2
+    and Tc = n mesh, scaled by h^H / (q C(H)).  Then the far cells [-e_(j+1), -e_j]
+    outward from -1: (F(e_(j+1)) - F(e_j)) / (q C(H) sqrt(e_(j+1) - e_j)) with
+    F(e) = (t + e)^q - e^q, formed as e^(q-1) (e expm1(q log1p(t/e))).
     """
     n = grid.n_steps
     h = grid.dt / mesh
-    m = 51 * mesh * n
     q = H + 0.5
-    r = diffpow(50.0 * grid.t_max / h + n * mesh - np.arange(n * mesh + m), q)
-    r *= h**H / (q * normalizing_constant(H))
+    scale = 1.0 / (q * normalizing_constant(H))
+    r = diffpow(2 * n * mesh - np.arange(3 * n * mesh, dtype=float), q) * (h**H * scale)
     k = np.arange(1, n + 1)[:, None]
-    j = np.arange(m)[None, :]
-    return r[(n - k) * mesh + j] - r[n * mesh + j]
+    j = np.arange(2 * n * mesh)[None, :]
+    e = far_edges(truncation)
+    F = np.expm1(q * np.log1p(k / n / e)) * e * e ** (q - 1.0)
+    far = np.diff(F, axis=1) * (scale / np.sqrt(np.diff(e)))
+    return np.hstack([r[(n - k) * mesh + j] - r[n * mesh + j], far])
 
 
 def old_moving_average_path(grid, H, z, truncation, mesh=16):
-    """The node values of the former law: per-node cell averages of primitive differences."""
-    aux_h = grid.dt / mesh
-    edges = -truncation + aux_h * np.arange(z.size + 1)
+    """The node values of z's cells by per-cell primitive differences of the kernel (t_max = 1)."""
+    near = -1.0 + grid.dt / mesh * np.arange(2 * grid.n_steps * mesh + 1)
+    e = far_edges(truncation)
+    lo = np.concatenate([near[:-1], -e[1:]])
+    hi = np.concatenate([near[1:], -e[:-1]])
     q = H + 0.5
-    db = z * math.sqrt(aux_h)
-    x = []
-    for t in grid.times[1:]:
-        prim = (np.maximum(-edges, 0.0) ** q - np.maximum(t - edges, 0.0) ** q) / q
-        x.append(np.dot(np.diff(prim) / np.diff(edges), db))
+
+    def prim(t, s):
+        return (np.maximum(-s, 0.0) ** q - np.maximum(t - s, 0.0) ** q) / q
+
+    x = [np.dot((prim(t, hi) - prim(t, lo)) / np.sqrt(hi - lo), z) for t in grid.times[1:]]
     return np.concatenate(([0.0], x)) / normalizing_constant(H)
 
 
@@ -293,7 +305,8 @@ def per_stream_reference(kind, grid, H, root, replicates):
             w[1:n] = z[2::2] * inner - 1j * (z[3::2] * inner)
             x = np.cumsum(np.fft.irfft(w, m, norm="forward")[:n])
         else:  # default truncation 50 * t_max and kernel mesh 16, a table-sized grid
-            x = moving_average_table(grid, H) @ rng.standard_normal(51 * 16 * n)
+            table = moving_average_table(grid, H)
+            x = table @ rng.standard_normal(table.shape[1])
         rows.append(np.concatenate(([0.0], x)))
     return np.array(rows)
 
@@ -326,13 +339,13 @@ class TestStreamKeying:
 class TestFbmGenerators:
     @pytest.mark.parametrize("kind", sorted(SINGLE_AND_ENSEMBLE))
     def test_single_matches_ensemble_row(self, kind):
-        # the first and last rows of the first block of streams and of the next
+        # rows at the ends of three blocks of streams, the last one short
         single_fn, ensemble_fn, args = SINGLE_AND_ENSEMBLE[kind]
         grid, count = BLOCK_SPANNING[kind]
         rows = _BLOCK_NORMALS // count
-        replicates = rows + rows // 2 + 1
+        replicates = 2 * rows + rows // 4 + 1
         ens = ensemble_fn(grid, *args, 101, replicates)
-        for r in (0, rows - 1, rows, replicates - 1):
+        for r in (0, rows - 1, rows, 2 * rows - 1, 2 * rows, replicates - 1):
             assert np.array_equal(ens[r], single_fn(grid, *args, RngSeed(101, r)).values)
 
     @pytest.mark.parametrize("kind", sorted(SINGLE_AND_ENSEMBLE))
@@ -522,6 +535,16 @@ class TestFbmGenerators:
         assert np.abs(got - full[: n + 1]).max() <= 1e-14
         assert np.abs(full[n + 1 :] - full[n - 1 : 0 : -1]).max() <= 1e-14
 
+    def test_a_negative_circulant_eigenvalue_raises(self, monkeypatch):
+        # the row 1, 2, 0, ..., 0, 2 has eigenvalue 1 + 4 cos(pi k / n) < 0 at k = n
+        monkeypatch.setattr(gaussianpaths, "_fgn_autocovariance", lambda H, n: np.r_[1.0, 2.0, np.zeros(n - 1)])
+        _circulant_sqrt_eigenvalues.cache_clear()
+        try:
+            with pytest.raises(ValueError, match="not nonnegative definite for H=0.7, n=4"):
+                generate_fbm_circulant(GridSpec(1.0, 4), 0.7, RngSeed(1, 0))
+        finally:
+            _circulant_sqrt_eigenvalues.cache_clear()
+
     def test_a_long_circulant_draw_forms_no_full_spectrum(self):
         # 2^16 steps draw 2^17 normals (1 MiB); the complex FFT of the whole
         # Hermitian vector held about 9.5 MiB at once, half a spectrum 4.5 MiB
@@ -541,10 +564,11 @@ class TestFbmGenerators:
         b = generate_fbm_moving_average(grid, 0.6, RngSeed(7, 2))
         assert np.array_equal(a.values, b.values)
 
-    @pytest.mark.parametrize("n, table", [(8, True), (22, True), (23, False), (24, False)])
+    @pytest.mark.parametrize("n, table", [(8, True), (110, True), (111, False), (112, False)])
     def test_moving_average_rows_match_single_draws_around_the_crossover(self, n, table):
         grid = GridSpec(1.0, n)
-        count = 51 * 16 * n
+        count = 2 * 16 * n + 81
+        assert _moving_average_law(grid, 0.3, None, 16)[0] == count
         assert (n * count <= _GEMV_MAX) is table
         rows = _BLOCK_NORMALS // count
         replicates = 2 * rows + 1
@@ -553,20 +577,47 @@ class TestFbmGenerators:
             single = generate_fbm_moving_average(grid, 0.3, RngSeed(2**64 - 1, r))
             assert np.array_equal(ens[r], single.values)
 
-    # tables at 8 and 16 steps, FFTs beyond; at 24 steps a truncation of 50.823
-    # gives m = 19,900 cells and m + nM = 20,284, so the FFT length is 20,480:
-    # any length below m + nM would wrap into outputs the route reads
-    @pytest.mark.parametrize("n, truncation", [(8, 50.0), (16, 50.0), (24, 50.0), (64, 50.0), (24, 50.823)])
+    # tables up to 110 steps, FFTs beyond; a truncation of 50.823 clips the last
+    # far cell, and one of t_max leaves no far cell
+    @pytest.mark.parametrize(
+        "n, truncation", [(8, 50.0), (16, 50.0), (64, 50.0), (112, 50.0), (24, 50.823), (112, 1.0)]
+    )
     @pytest.mark.parametrize("H", [0.25, 0.75])
-    def test_moving_average_stays_close_to_the_former_law(self, n, truncation, H):
-        # the former law differenced primitives of size truncation^q and placed
-        # nodes off the lattice by rounding; measured at most 1.12e-9 apart here
+    def test_moving_average_is_the_per_cell_primitive_difference(self, n, truncation, H):
+        # primitives of size up to (1 + truncation)^q differenced cell by cell:
+        # measured at most 1.4e-10 from the law
         grid = GridSpec(1.0, n)
-        m = round((truncation + 1.0) * 16 * n)
+        count = _moving_average_law(grid, H, truncation, 16)[0]
+        assert count == 2 * 16 * n + far_edges(truncation).size - 1
         for stream in (0, 1):
             new = generate_fbm_moving_average(grid, H, RngSeed(5, stream), truncation).values
-            old = old_moving_average_path(grid, H, fresh_philox(5, stream).standard_normal(m), truncation)
+            old = old_moving_average_path(grid, H, fresh_philox(5, stream).standard_normal(count), truncation)
             assert np.abs(new - old).max() <= 2e-9
+
+    @pytest.mark.parametrize(
+        "n, H, parent", [(8, 0.25, 1.6675e-2), (8, 0.75, 2.0180e-2), (64, 0.25, 5.9290e-3), (64, 0.75, 2.0128e-2)]
+    )
+    def test_moving_average_covariance_error(self, n, H, parent):
+        # the node covariance of the law is W W^T for its weight matrix W, read off
+        # by shaping unit normals; `parent` is the error of the former uniform cells
+        # back to -50 t_max, which the graded far cells may exceed by 0.1% at most
+        grid = GridSpec(1.0, n)
+        count, shape = _moving_average_law(grid, H, None, 16)
+        W = np.empty((count, n))
+        shape(np.eye(count), W)
+        exact = exact_cov_matrix(H, grid.times[1:])
+        err = np.abs(W.T @ W - exact).max()
+        assert err <= 1.001 * parent
+
+    @pytest.mark.parametrize("truncation, cells", [(1e9, 425), (1e300, 14159)])
+    @pytest.mark.parametrize("H", [0.25, 0.75])
+    def test_long_truncations_cost_few_far_cells(self, truncation, cells, H):
+        # uniform cells back to 1e9 took 1.28e11 normals and failed with a MemoryError;
+        # at 1e300 the far weights are formed without the overflowing e^q
+        grid = GridSpec(1.0, 8)
+        assert _moving_average_law(grid, H, truncation, 16)[0] == 2 * 16 * 8 + cells
+        path = generate_fbm_moving_average(grid, H, RngSeed(5, 0), truncation)
+        assert np.isfinite(path.values).all()
 
     def test_fft_lengths_are_the_least_5_smooth_numbers(self):
         def smooth(k):
@@ -581,12 +632,12 @@ class TestFbmGenerators:
             assert not any(smooth(k) for k in range(n, size))
 
     def test_moving_average_ignores_the_blas_thread_count(self):
-        # tables of 8 and 16 steps, FFTs from 23; at 25 steps a table would pass
-        # the 460,800 entries from which OpenBLAS threads a gemv, and 25 rows
-        # split unevenly
+        # tables up to 110 steps, FFTs from 111; at 120 steps a table would pass
+        # the 460,800 entries from which OpenBLAS threads a gemv, and from 4,939
+        # steps the far table of 81 cells is applied in two row chunks
         runs = hashes_under_blas_threads(
             """
-            for n in (8, 16, 24, 25, 32, 64):
+            for n in (8, 64, 110, 111, 120, 4939):
                 grid = GridSpec(1.0, n)
                 single = generate_fbm_moving_average(grid, 0.7, RngSeed(3, 1)).values
                 ens = fbm_moving_average_ensemble(grid, 0.3, 3, 3)
@@ -638,67 +689,26 @@ def hashes_under_blas_threads(body):
     return runs
 
 
-def workers_on(monkeypatch, cpus):
-    """Let every draw of several blocks start up to `cpus` workers, whatever its stream length."""
-    monkeypatch.setattr(gaussianpaths, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(gaussianpaths, "_MAX_WORKERS", cpus)
-    monkeypatch.setattr(gaussianpaths, "_THREAD_MIN_NORMALS", 1)
+class TestDrawLoop:
+    """Blocks of streams are drawn one after another on the calling thread."""
 
-
-@pytest.fixture
-def pools(monkeypatch):
-    """The worker count of every thread pool started, and every thread started."""
-    sizes, started = [], []
-
-    class Recording(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, workers):
-            sizes.append(workers)
-            super().__init__(workers)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
-    start = threading.Thread.start
-    monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t) or start(t))
-    return sizes, started
-
-
-class TestThreadedDraw:
-    """Blocks of long streams are drawn by one worker per usable CPU, at most two."""
-
-    @pytest.mark.parametrize("kind", sorted(SINGLE_AND_ENSEMBLE))
-    def test_output_is_independent_of_the_worker_count(self, kind, monkeypatch):
-        single_fn, ensemble_fn, args = SINGLE_AND_ENSEMBLE[kind]
-        grid, count = BLOCK_SPANNING[kind]
-        rows = _BLOCK_NORMALS // count
-        replicates = 2 * rows + rows // 4 + 1  # three blocks, the last one short
-        draws = []
-        for cpus in (1, 2, 8):
-            workers_on(monkeypatch, cpus)
-            draws.append(ensemble_fn(grid, *args, 2**64 - 1, replicates))
-        assert all(np.array_equal(d, draws[0]) for d in draws[1:])
-        for r in (0, rows - 1, rows, 2 * rows, replicates - 1):
-            assert np.array_equal(draws[0][r], single_fn(grid, *args, RngSeed(2**64 - 1, r)).values)
-
-    @pytest.mark.parametrize("cpus", [1, 2, 8])
-    def test_each_block_is_drawn_once(self, cpus, monkeypatch):
+    def test_each_block_is_drawn_once(self, monkeypatch):
         # blocks of 2 streams of 4 normals: streams 0-1, 2-3, 4-5 and 6
         monkeypatch.setattr(gaussianpaths, "_BLOCK_NORMALS", 8)
-        workers_on(monkeypatch, cpus)
         shaped = []
 
         def shape(z, dest):
-            shaped.append(len(z))
+            shaped.append((len(z), threading.get_ident()))
             dest[:] = z
 
         out = _draw((4, shape), GridSpec(1.0, 4), 5, range(7))
-        assert sorted(shaped) == [1, 2, 2, 2]
+        assert shaped == [(2, threading.get_ident())] * 3 + [(1, threading.get_ident())]
         want = [fresh_philox(5, r).standard_normal(4) for r in range(7)]
         assert np.array_equal(out[:, 1:], want) and not out[:, 0].any()
 
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_shape_error_reaches_the_caller(self, cpus, monkeypatch):
+    def test_shape_error_reaches_the_caller(self, monkeypatch):
         # blocks of 2 streams of 4 normals; shaping fails on the block of streams 2-3
         monkeypatch.setattr(gaussianpaths, "_BLOCK_NORMALS", 8)
-        workers_on(monkeypatch, cpus)
         second = fresh_philox(5, 2).standard_normal()
 
         def shape(z, dest):
@@ -709,50 +719,11 @@ class TestThreadedDraw:
         with pytest.raises(ValueError, match="second block"):
             _draw((4, shape), GridSpec(1.0, 4), 5, range(6))
 
-    @pytest.mark.parametrize("kind", sorted(SINGLE_AND_ENSEMBLE))
-    def test_one_block_starts_no_thread(self, kind, monkeypatch, pools):
-        single_fn, ensemble_fn, args = SINGLE_AND_ENSEMBLE[kind]
-        sizes, started = pools
-        workers_on(monkeypatch, 8)
-        grid, count = BLOCK_SPANNING[kind]
-        single_fn(grid, *args, RngSeed(3, 1))
-        ensemble_fn(grid, *args, 3, _BLOCK_NORMALS // count)
-        assert sizes == [] and started == []
-        ensemble_fn(grid, *args, 3, _BLOCK_NORMALS // count + 1)
-        # an idle pool thread may take the second share, so one or two threads start
-        assert sizes == [2] and 1 <= len(started) <= 2
+    def test_zero_streams_shape_nothing(self):
+        def shape(z, dest):
+            raise AssertionError("no block to shape")
 
-    def test_zero_replicates_start_no_worker(self, monkeypatch, pools):
-        # streams of 51 * 16 * 8 normals, past the threading threshold, and no block
-        sizes, started = pools
-        monkeypatch.setattr(gaussianpaths, "_usable_cpus", lambda: 2)
-        assert fbm_moving_average_ensemble(GridSpec(1.0, 8), 0.7, 3, 0).shape == (0, 9)
-        assert sizes == [] and started == []
-
-    def test_two_workers_draw_the_bytes_of_one(self, monkeypatch, pools):
-        # Cholesky streams of 1,536 normals, the shortest that start workers; three blocks
-        sizes, _ = pools
-        grid = GridSpec(1.0, _THREAD_MIN_NORMALS)
-        rows = _BLOCK_NORMALS // _THREAD_MIN_NORMALS
-        draws = []
-        for cpus in (1, 2):
-            monkeypatch.setattr(gaussianpaths, "_usable_cpus", lambda: cpus)
-            draws.append(fbm_cholesky_ensemble(grid, 0.7, 9, 2 * rows + 1).tobytes())
-        assert sizes == [2] and draws[0] == draws[1]
-
-    @pytest.mark.parametrize("steps, workers", [(1535, []), (1536, [2])])
-    def test_short_streams_run_inline_and_workers_are_capped(self, steps, workers, monkeypatch, pools):
-        sizes, started = pools
-        monkeypatch.setattr(gaussianpaths, "_usable_cpus", lambda: 8)
-        bm_ensemble(GridSpec(1.0, steps), 3, 4 * (_BLOCK_NORMALS // steps))  # four blocks
-        assert sizes == workers
-        assert bool(started) == bool(workers)
-
-    def test_usable_cpus_follow_the_affinity_mask(self, monkeypatch):
-        if hasattr(os, "sched_getaffinity"):
-            assert _usable_cpus() == len(os.sched_getaffinity(0))
-            monkeypatch.delattr(os, "sched_getaffinity")
-        assert _usable_cpus() == (os.cpu_count() or 1)
+        assert _draw((4, shape), GridSpec(1.0, 4), 5, range(0)).shape == (0, 5)
 
 
 class TestTransforms:
