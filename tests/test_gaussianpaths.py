@@ -692,6 +692,20 @@ def hashes_under_blas_threads(body):
 class TestDrawLoop:
     """Blocks of streams are drawn one after another on the calling thread."""
 
+    @pytest.mark.parametrize("kind", sorted(SINGLE_AND_ENSEMBLE))
+    def test_output_is_independent_of_the_block_size(self, kind, monkeypatch):
+        # three blocks at the default size, the last one short; then one stream
+        # a block, and three streams a block with a short last block
+        _, ensemble_fn, args = SINGLE_AND_ENSEMBLE[kind]
+        grid, count = BLOCK_SPANNING[kind]
+        rows = _BLOCK_NORMALS // count
+        replicates = 2 * rows + rows // 4 + 1
+        draws = []
+        for block in (_BLOCK_NORMALS, count, 3 * count):
+            monkeypatch.setattr(gaussianpaths, "_BLOCK_NORMALS", block)
+            draws.append(ensemble_fn(grid, *args, 2**64 - 1, replicates))
+        assert replicates % 3 and all(np.array_equal(d, draws[0]) for d in draws[1:])
+
     def test_each_block_is_drawn_once(self, monkeypatch):
         # blocks of 2 streams of 4 normals: streams 0-1, 2-3, 4-5 and 6
         monkeypatch.setattr(gaussianpaths, "_BLOCK_NORMALS", 8)
