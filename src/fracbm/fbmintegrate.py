@@ -3,9 +3,9 @@
 Difference-quotient integrals (symmetric, forward, backward) are evaluated
 on a ladder of grid-aligned epsilon values; convergence means the last two
 levels agree within a Cauchy tolerance, the desk-scale stand-in for the
-limit in probability.  Path values outside [0, T] are clamped to the
-endpoint values, an O(epsilon) boundary effect covered by the telescoping
-tolerance helper.
+limit in probability.  Path values outside [0, T] are held at the endpoint
+values (Russo & Vallois 1993) by one helper, `_clamped_shifts`, an O(epsilon)
+boundary effect covered by the telescoping tolerance helper.
 
 Sign conventions follow the defining difference quotients literally; the
 backward kernel g(s-eps) - g(s) therefore telescopes to -(g(T) - g(0)) for
@@ -24,7 +24,7 @@ import numpy as np
 from ._nodecalc import accumulate, change_of_variables
 from ._validate import dyadic_levels, finite, grid_steps, hurst, instance, integer, node_values, real
 from .gaussianpaths import GridSpec, SamplePath
-from .pathstats import quadratic_variation, variation_index
+from .pathstats import variation_index
 
 __all__ = [
     "EpsilonSchedule",
@@ -125,16 +125,21 @@ def _grid_values(f: Samples, grid: GridSpec, name: str) -> np.ndarray:
     return node_values(f, grid.n_steps, name)
 
 
-def _shifted(values: np.ndarray, k: int) -> np.ndarray:
-    # sample at s + k*h with endpoint clamping
-    idx = np.clip(np.arange(values.size) + k, 0, values.size - 1)
-    return values[idx]
+def _clamped_shifts(values: np.ndarray, lo: int, hi: int):
+    """k -> values at node i + k for lo <= k <= hi, held at the end values off the grid.
+
+    values is padded once, on the sides the shifts reach and by at most its
+    own length; each shift is a view of the padded copy.
+    """
+    back, ahead = min(-lo, values.size), min(hi, values.size)
+    padded = np.concatenate([np.full(back, values[0]), values, np.full(ahead, values[-1])])
+    return lambda k: padded[back + min(max(k, -back), ahead) :][: values.size]
 
 
-def _rungs(eps: Optional[EpsilonSchedule], grid: GridSpec):
+def _rungs(eps: Optional[EpsilonSchedule], grid: GridSpec) -> list:
     """(epsilon, stride) pairs of eps, EpsilonSchedule.default_for(grid) when eps is None."""
     eps = EpsilonSchedule.default_for(grid) if eps is None else instance(eps, EpsilonSchedule, "eps")
-    return zip(eps.values, eps.strides(grid))
+    return list(zip(eps.values, eps.strides(grid)))
 
 
 def _ladder_result(levels, tol: float, label: str, notes=()) -> IntegralResult:
@@ -155,13 +160,17 @@ def telescoping_tolerance(g: SamplePath, eps: EpsilonSchedule) -> float:
     return 3.0 * instance(eps, EpsilonSchedule, "eps").values[-1] * steepest / g.dt
 
 
-def _quotient_ladder(f: Samples, g: SamplePath, eps, tol, kernel, label) -> IntegralResult:
+def _quotient_ladder(f: Samples, g: SamplePath, eps, tol, lead, lag, span, label) -> IntegralResult:
+    """int f(s) [g(s + lead eps) - g(s + lag eps)] / (span eps) ds over the ladder."""
     fv = _grid_values(f, instance(g, SamplePath, "g").grid, "f")
     h = g.dt
+    rungs = _rungs(eps, g.grid)
+    reach = max(k for _, k in rungs)
+    g_at = _clamped_shifts(g.values, reach * min(lead, lag), reach * max(lead, lag))
     levels = []
-    for e, k in _rungs(eps, g.grid):
-        est = float(np.trapezoid(fv * kernel(g.values, k, k * h), dx=h))
-        levels.append((e, est))
+    for e, k in rungs:
+        kernel = (g_at(lead * k) - g_at(lag * k)) / (span * (k * h))
+        levels.append((e, float(np.trapezoid(fv * kernel, dx=h))))
     return _ladder_result(levels, tol, label)
 
 
@@ -169,11 +178,7 @@ def symmetric_integral(
     f: Samples, g: SamplePath, eps: Optional[EpsilonSchedule] = None, tol: float = CAUCHY_TOL
 ) -> IntegralResult:
     """(1/2 eps) int f(s) [g(s+eps) - g(s-eps)] ds over the epsilon ladder."""
-
-    def kernel(gv, k, e):
-        return (_shifted(gv, k) - _shifted(gv, -k)) / (2.0 * e)
-
-    return _quotient_ladder(f, g, eps, tol, kernel, "symmetric")
+    return _quotient_ladder(f, g, eps, tol, 1, -1, 2.0, "symmetric")
 
 
 def forward_integral(
@@ -184,11 +189,7 @@ def forward_integral(
     A single difference quotient; diverging ladders (small Hurst index)
     surface as converged=False rather than an error.
     """
-
-    def kernel(gv, k, e):
-        return (_shifted(gv, k) - gv) / e
-
-    return _quotient_ladder(f, g, eps, tol, kernel, "forward")
+    return _quotient_ladder(f, g, eps, tol, 1, 0, 1.0, "forward")
 
 
 def backward_integral(
@@ -199,11 +200,7 @@ def backward_integral(
     With this orientation f = 1 telescopes to -(g(T) - g(0)); negate the
     result for the right-endpoint-sum reading.
     """
-
-    def kernel(gv, k, e):
-        return (_shifted(gv, -k) - gv) / e
-
-    return _quotient_ladder(f, g, eps, tol, kernel, "backward")
+    return _quotient_ladder(f, g, eps, tol, -1, 0, 1.0, "backward")
 
 
 def covariation(
@@ -213,10 +210,12 @@ def covariation(
     """(1/eps) int [x(u+eps) - x(u)][y(u+eps) - y(u)] du over the ladder."""
     yv = _grid_values(y, instance(x, (SamplePath, ForwardProcess), "x").grid, "y")
     h = x.dt
+    rungs = _rungs(eps, x.grid)
+    x_at, y_at = (_clamped_shifts(v, 0, max(k for _, k in rungs)) for v in (x.values, yv))
     levels = []
-    for e, k in _rungs(eps, x.grid):
-        dx = _shifted(x.values, k) - x.values
-        dy = _shifted(yv, k) - yv
+    for e, k in rungs:
+        dx = x_at(k) - x.values
+        dy = y_at(k) - yv
         levels.append((e, float(np.trapezoid(dx * dy, dx=h)) / e))
     return _ladder_result(levels, tol, "covariation")
 
@@ -301,23 +300,23 @@ def extended_forward_integral(
     fv = _grid_values(f, instance(g, SamplePath, "g").grid, "f")
     h, T = g.dt, g.grid.t_max
     gv = g.values
-    n = gv.size - 1
-    # trapezoid weights times f; g continues past T at its endpoint value
-    a = h * fv
+    # trapezoid weights times f, and u, in units of a power of two c <= h: the scaling is
+    # exact, and keeps a and the u midpoints clear of under- and overflow in any time unit
+    c = math.ldexp(1.0, math.frexp(h)[1] - 1)
+    a = h / c * fv
     a[[0, -1]] *= 0.5
-    ext = np.concatenate([gv, np.full(n + 1, gv[-1])])
+    g_at = _clamped_shifts(gv, 0, gv.size)
 
     def inner(u: float) -> float:
         # g(s + u) on the grid is (1 - theta) g_(i+k) + theta g_(i+k+1), u = (k + theta) h;
         # g is subtracted before summing, so small shifts keep their digits
-        k = min(int(u / h), n)
+        k = int(u / h)
         theta = u / h - k
-        lo = np.add.reduce(a * (ext[k : k + n + 1] - gv))
-        hi = np.add.reduce(a * (ext[k + 1 : k + n + 2] - gv))
-        return float((1.0 - theta) * lo + theta * hi) / u
+        lo, hi = (np.add.reduce(a * (g_at(j) - gv)) for j in (k, k + 1))
+        return float((1.0 - theta) * lo + theta * hi) / (u / c)
 
     edges = h * (T / h) ** (np.arange(u_points + 1) / u_points)
-    mids = np.sqrt(edges[:-1] * edges[1:])
+    mids = c * np.sqrt(edges[:-1] / c * (edges[1:] / c))
     i_mid = np.array([inner(u) for u in mids])
     i_floor = inner(h)
     log_ratio = math.log(T / h) / u_points

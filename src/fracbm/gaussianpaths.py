@@ -471,6 +471,10 @@ def _moving_average_law(
         truncation = 50.0 * grid.t_max
     rule = "be finite and at least t_max"
     truncation = _validate.real(truncation, "truncation", grid.t_max, closed=True, rule=rule)
+    reach = truncation / grid.t_max  # far edges are formed in units of t_max, one grade past it
+    if reach * (1.0 + _FAR_RATIO) == math.inf:
+        ratio = f"{truncation!r} / {grid.t_max!r}"
+        raise ValueError(f"truncation / t_max must stay clear of float overflow, got {ratio}")
     h = grid.dt / M
     m = 2 * n * M  # near cells on [-t_max, t_max]
     q = H + 0.5
@@ -485,7 +489,7 @@ def _moving_average_law(
     # has factors near e^(q-1) and q t, which stay finite, and t_max^H scales the weights
     grades = math.ceil((math.log(truncation) - math.log(grid.t_max)) / math.log1p(_FAR_RATIO))
     e = (1.0 + _FAR_RATIO) ** np.arange(grades + 1.0)
-    e = np.append(e[e < truncation / grid.t_max], truncation / grid.t_max)
+    e = np.append(e[e < reach], reach)
     F = np.expm1(q * np.log1p(np.arange(1, n + 1)[:, None] / n / e)) * e * e ** (q - 1.0)
     far = np.diff(F, axis=1)
     far *= grid.t_max**H * scale / np.sqrt(np.diff(e))

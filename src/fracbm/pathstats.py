@@ -218,11 +218,13 @@ def theoretical_acf(H: float, n: int) -> float:
 def empirical_acf(path: SamplePath, max_lag: int) -> np.ndarray:
     """Sample autocorrelations of unit-spaced increments, lags 0..max_lag.
 
-    Paths not sampled at unit spacing are linearly resampled onto integer
-    times first.
+    Paths sampled finer than unit spacing are linearly resampled onto
+    integer times first; a coarser path has no unit-spaced increments.
     """
     max_lag = integer(max_lag, "max_lag", 1)
-    if abs(instance(path, SamplePath, "path").dt - 1.0) <= 1e-12:
+    if instance(path, SamplePath, "path").dt - 1.0 > 1e-12:
+        raise ValueError(f"path dt must be at most 1 to resample at unit spacing, got {path.dt!r}")
+    if abs(path.dt - 1.0) <= 1e-12:
         vals = path.values
     else:
         m = int(math.floor(path.grid.t_max + 1e-9))

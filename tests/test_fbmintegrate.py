@@ -1,4 +1,5 @@
 import json
+import math
 from math import gamma
 
 import numpy as np
@@ -14,6 +15,7 @@ from fracbm.gaussianpaths import (
 from fracbm.itocalc import AdaptedIntegrand, ItoProcess, ito_integral
 from fracbm.fbmintegrate import (
     EpsilonSchedule,
+    ForwardProcess,
     backward_integral,
     covariation,
     extended_forward_integral,
@@ -287,6 +289,101 @@ class TestExtendedForward:
             cell = edges[:-1] ** e * np.expm1(e * np.log(1.0 / h) / u_points) / gamma(1.0 + e)
             ref = float(np.dot(cell, i_mid)) + inner(h) * h**e / gamma(1.0 + e)
             assert abs(est - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("t_max", [1e-300, 1e300])
+    def test_any_time_unit_gives_finite_levels(self, t_max):
+        # as raw products the u midpoints underflow to 0 on [0, 1e-300] and overflow on [0, 1e300]
+        g = generate_fbm_circulant(GridSpec(t_max, 1024), 0.75, RngSeed(1, 0))
+        res = extended_forward_integral(1.0, g)
+        span = g.values[-1] - g.values[0]
+        assert np.isfinite([est for _, est in res.levels]).all()
+        assert abs(res.value - span) <= 0.1 * abs(span)
+
+
+def clamped(values, k):
+    """values at node i + k, held at the end values off the grid, by an index gather."""
+    return values[np.clip(np.arange(values.size) + k, 0, values.size - 1)]
+
+
+def trap(y, h):
+    return float(np.trapezoid(y, dx=h))
+
+
+class TestEndValueRule:
+    """Every regularized integral against np.clip-gather references, bitwise.
+
+    The second schedule's largest stride, 100, passes the end of the 64-step
+    grid, so whole shifts lie beyond it; f and x do not vanish at the ends.
+    """
+
+    KERNELS = {
+        symmetric_integral: lambda gv, k, e: (clamped(gv, k) - clamped(gv, -k)) / (2.0 * e),
+        forward_integral: lambda gv, k, e: (clamped(gv, k) - gv) / e,
+        backward_integral: lambda gv, k, e: (clamped(gv, -k) - gv) / e,
+    }
+
+    @pytest.fixture(
+        params=[(64, None), (64, (100, 40, 7, 3)), (4096, None)],
+        ids=["default-64", "past-the-end-64", "default-4096"],
+    )
+    def case(self, request):
+        n, strides = request.param
+        grid = GridSpec(1.0, n)
+        eps = None if strides is None else EpsilonSchedule(tuple(k * grid.dt for k in strides))
+        ladder = EpsilonSchedule.default_for(grid) if eps is None else eps
+        g = generate_fbm_circulant(grid, 0.75, RngSeed(22, n))
+        f = 2.0 + np.cos(3.0 * grid.times)
+        return g, f, eps, list(zip(ladder.values, strides or (32, 16, 8, 4, 2)))
+
+    def quotient_levels(self, integral, f, g, rungs):
+        h = g.dt
+        return [(e, trap(f * self.KERNELS[integral](g.values, k, k * h), h)) for e, k in rungs]
+
+    @staticmethod
+    def covariation_levels(xv, yv, h, rungs):
+        return [(e, trap((clamped(xv, k) - xv) * (clamped(yv, k) - yv), h) / e) for e, k in rungs]
+
+    @pytest.mark.parametrize("integral", list(KERNELS), ids=lambda fn: fn.__name__)
+    def test_quotient_ladders(self, case, integral):
+        g, f, eps, rungs = case
+        assert list(integral(f, g, eps).levels) == self.quotient_levels(integral, f, g, rungs)
+
+    def test_covariation(self, case):
+        g, f, eps, rungs = case
+        x = ForwardProcess(g.grid, 1.5 + g.values + 0.2 * g.times, 0.75)
+        ref = self.covariation_levels(x.values, f, g.dt, rungs)
+        assert list(covariation(x, f, eps).levels) == ref
+
+    def test_relation_check(self, case):
+        g, f, eps, rungs = case
+        sym = self.quotient_levels(symmetric_integral, f, g, rungs)[-1][1]
+        fwd = self.quotient_levels(forward_integral, f, g, rungs)[-1][1]
+        cov = self.covariation_levels(f - f[0], g.values, g.dt, rungs)[-1][1]
+        ref = (sym, fwd, cov, sym - fwd - 0.5 * cov)
+        assert symmetric_forward_relation_check(f, g, eps, tol=1e300) == ref
+
+    def test_extended_forward(self, case):
+        # the interpolated shift of every u-grid midpoint, from gathers up to n + 1 steps
+        g, f, _, _ = case
+        gv, h, n = g.values, g.dt, g.grid.n_steps
+        a = h * f
+        a[[0, -1]] *= 0.5
+
+        def inner(u):
+            k = min(int(u / h), n)
+            theta = u / h - k
+            lo = np.add.reduce(a * (clamped(gv, k) - gv))
+            hi = np.add.reduce(a * (clamped(gv, k + 1) - gv))
+            return float((1.0 - theta) * lo + theta * hi) / u
+
+        edges = h * (1.0 / h) ** (np.arange(49) / 48)
+        i_mid = np.array([inner(u) for u in np.sqrt(edges[:-1] * edges[1:])])
+        ref = []
+        for j in range(1, 5):
+            e = 10.0**-j
+            cell = edges[:-1] ** e * math.expm1(e * math.log(1.0 / h) / 48) / gamma(1.0 + e)
+            ref.append((e, float(np.dot(cell, i_mid)) + inner(h) * h**e / gamma(1.0 + e)))
+        assert list(extended_forward_integral(f, g).levels) == ref
 
 
 class TestForwardProcess:

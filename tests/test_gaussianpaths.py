@@ -6,6 +6,7 @@ import sys
 import textwrap
 import threading
 import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -471,6 +472,17 @@ class TestFbmGenerators:
             generate_fbm_moving_average(GridSpec(1.0, 8), 0.7, RngSeed(1, 0), truncation=bad)
         with pytest.raises(ValueError, match="truncation must be finite and at least t_max"):
             fbm_moving_average_ensemble(GridSpec(1.0, 8), 0.7, 1, 2, truncation=bad)
+
+    def test_truncation_past_the_float_range_of_t_max_is_named(self):
+        # far edges are formed in units of t_max; 1e300 / 1e-300 overflows them
+        grid = GridSpec(1e-300, 8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="truncation / t_max must stay clear of float"):
+                generate_fbm_moving_average(grid, 0.75, RngSeed(1, 0), 1e300)
+            for ratio in (1e307, 1e308):
+                path = generate_fbm_moving_average(grid, 0.75, RngSeed(1, 0), ratio * 1e-300)
+                assert np.isfinite(path.values).all()
 
     def test_truncation_bias_shrinks_with_the_window(self):
         bias = [moving_average_truncation_bias(0.75, w, 1.0) for w in (10.0, 50.0, 250.0)]

@@ -251,6 +251,20 @@ class TestAutocorrelation:
         ac = empirical_acf(p, 10)
         assert np.abs(ac[1:]).max() <= 5.0 / np.sqrt(2**14)
 
+    def test_a_finer_grid_is_read_at_its_unit_nodes(self):
+        # 4,096 steps on [0, 1024]: every fourth node is an integer time
+        p = fbm(0.75, 8, 2, GridSpec(1024.0, 4096))
+        unit = SamplePath(GridSpec(1024.0, 1024), p.values[::4], 0.75)
+        assert np.array_equal(empirical_acf(p, 10), empirical_acf(unit, 10))
+
+    @pytest.mark.parametrize("t_max", [2048.0, 1e300])
+    def test_a_grid_coarser_than_unit_spacing_is_named(self, t_max):
+        # resampling would interpolate half-steps at dt = 2 and ask for 1e300 floats
+        p = fbm(0.75, 8, 3, GridSpec(t_max, 1024))
+        with pytest.raises(ValueError, match="path dt must be at most 1") as exc:
+            empirical_acf(p, 5)
+        assert str(exc.value).endswith(f"got {p.dt!r}")
+
 
 class TestLongRangeDependence:
     def test_persistent_sums_keep_growing(self):
