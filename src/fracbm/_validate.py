@@ -135,4 +135,6 @@ def grid_steps(t, h: float, name: str, least: int = 0, most=math.inf) -> np.ndar
 
 def dyadic_levels(levels, n_steps: int) -> int:
     """levels, at least 3, if the coarsest dyadic mesh of 2^(levels-1) steps fits n_steps twice."""
+    if n_steps < 8:
+        raise ValueError(f"levels need a path of at least 8 steps, got {n_steps} steps")
     return integer(levels, "levels", 3, (n_steps // 2).bit_length())

@@ -15,40 +15,12 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-from dataclasses import asdict, dataclass, field
-from typing import Optional
 
 import click
 import numpy as np
 
 from . import __version__
 from ._csvio import rewrite
-
-SUBCOMMANDS = ("generate", "fracint", "ito", "fbm-integrate", "stats", "verify")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Flag values that fully determine one command's outputs."""
-
-    command: str
-    parameters: dict
-    out_dir: str
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Summary written once per run directory, hashing every other artifact."""
-
-    config: RunConfig
-    tool_version: str
-    root_seed: Optional[int]
-    results: dict = field(default_factory=dict)
-    verdicts: dict = field(default_factory=dict)
-    artifacts: dict = field(default_factory=dict)
-
-    def write(self, dest) -> None:
-        _write_json(dest, asdict(self))
 
 
 def _write_json(dest, payload: dict) -> None:
@@ -76,9 +48,17 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _hash_artifacts(out_dir, names) -> dict:
-    """sha256 of each named file in out_dir: the files this run wrote, not all it holds."""
-    return {name: _sha256(os.path.join(out_dir, name)) for name in sorted(names)}
+def _write_manifest(out, command, parameters, names, root_seed=None, **records) -> None:
+    """Write out/manifest.json: the run's flags and records and a sha256 of each file it wrote."""
+    _write_json(os.path.join(out, "manifest.json"), {
+        "config": {"command": command, "parameters": parameters, "out_dir": out},
+        "tool_version": __version__,
+        "root_seed": root_seed,
+        "results": {},
+        "verdicts": {},
+        **records,
+        "artifacts": {name: _sha256(os.path.join(out, name)) for name in sorted(names)},
+    })
 
 
 def _coerce(text: str):
@@ -106,6 +86,16 @@ def _read_config(path) -> dict:
     return out
 
 
+class _Command(click.Command):
+    """A subcommand that reports a library ValueError as a usage error under its own usage line."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:
+            raise click.UsageError(str(exc), ctx)
+
+
 @click.group()
 @click.version_option(__version__)
 @click.option(
@@ -120,7 +110,10 @@ def main(ctx, config_path):
     """Fractional calculus, fBm path synthesis, and pathwise integration."""
     if config_path is not None:
         kv = _read_config(config_path)
-        ctx.default_map = {name: dict(kv) for name in SUBCOMMANDS}
+        ctx.default_map = {name: dict(kv) for name in ctx.command.commands}
+
+
+main.command_class = _Command
 
 
 def _load_path(source):
@@ -146,7 +139,8 @@ def _load_path(source):
 )
 @click.option("--truncation", type=float, default=None, help="Moving-average history length.")
 @click.option("--out", type=click.Path(file_okay=False), default="out", show_default=True)
-def generate(hurst, steps, tmax, seed, stream, generator, truncation, out):
+@click.pass_context
+def generate(ctx, hurst, steps, tmax, seed, stream, generator, truncation, out):
     """Draw one path and write CSV plus manifest; reruns are byte-identical."""
     from .gaussianpaths import (
         GridSpec,
@@ -160,30 +154,22 @@ def generate(hurst, steps, tmax, seed, stream, generator, truncation, out):
 
     if generator == "bm" and hurst != 0.5:
         raise click.BadParameter("--generator bm fixes hurst at 0.5", param_hint="--hurst")
-    try:
-        grid = GridSpec(tmax, steps)
-        rng_seed = RngSeed(seed, stream)
-        if generator == "bm":
-            path = generate_bm(grid, rng_seed)
-        elif generator == "cholesky":
-            path = generate_fbm_cholesky(grid, hurst, rng_seed)
-        elif generator == "circulant":
-            path = generate_fbm_circulant(grid, hurst, rng_seed)
-        else:
-            path = generate_fbm_moving_average(grid, hurst, rng_seed, truncation)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    grid = GridSpec(tmax, steps)
+    rng_seed = RngSeed(seed, stream)
+    if generator == "bm":
+        path = generate_bm(grid, rng_seed)
+    elif generator == "cholesky":
+        path = generate_fbm_cholesky(grid, hurst, rng_seed)
+    elif generator == "circulant":
+        path = generate_fbm_circulant(grid, hurst, rng_seed)
+    else:
+        path = generate_fbm_moving_average(grid, hurst, rng_seed, truncation)
     csv_path = os.path.join(out, "path.csv")
-    config = RunConfig("generate", {
-        "hurst": hurst, "steps": steps, "tmax": tmax, "seed": seed,
-        "stream": stream, "generator": generator, "truncation": truncation,
-    }, out)
+    flags = {name: value for name, value in ctx.params.items() if name != "out"}
     with _writing(out):
         os.makedirs(out, exist_ok=True)
         write_path_csv(path, csv_path)
-        RunManifest(
-            config, __version__, seed, artifacts=_hash_artifacts(out, ["path.csv"])
-        ).write(os.path.join(out, "manifest.json"))
+        _write_manifest(out, "generate", flags, ["path.csv"], seed)
     click.echo(f"wrote {csv_path} and {os.path.join(out, 'manifest.json')}")
 
 
@@ -199,8 +185,6 @@ def fracint(source, alpha, side, kind, out):
     """Apply a fractional integral or derivative to a (t,value) CSV."""
     from .fraccalc import (
         DifferintegralSpec,
-        OperatorKind,
-        Side,
         fractional_derivative,
         fractional_integral,
         read_grid_csv,
@@ -209,11 +193,10 @@ def fracint(source, alpha, side, kind, out):
 
     try:
         f = read_grid_csv(source)
-        spec = DifferintegralSpec(alpha, Side[side.upper()], OperatorKind[kind.upper()])
-        op = fractional_integral if spec.kind is OperatorKind.INTEGRAL else fractional_derivative
-        result = op(f, spec)
-    except (ValueError, OSError) as exc:
+    except OSError as exc:
         raise click.UsageError(str(exc))
+    op = fractional_integral if kind == "integral" else fractional_derivative
+    result = op(f, DifferintegralSpec(alpha, side, kind))
     with _writing(out):
         write_grid_csv(result, out)
     click.echo(f"wrote {out}")
@@ -244,7 +227,7 @@ def ito(source, integrand, stride):
     try:
         sub = None if stride == 1 else path.times[::stride]
         value = ito_integral(f, path, sub_partition=sub)
-    except (ValueError, AdaptednessError) as exc:
+    except AdaptednessError as exc:
         raise click.UsageError(str(exc))
     click.echo(json.dumps({
         "integrand": integrand,
@@ -292,10 +275,7 @@ def fbm_integrate(source, int_type, f_choice):
         "stieltjes": riemann_stieltjes_integral,
         "extended": extended_forward_integral,
     }
-    try:
-        result = ops[int_type](f, g)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    result = ops[int_type](f, g)
     click.echo(json.dumps({"type": int_type, **integral_record(result)}, sort_keys=True))
 
 
@@ -318,23 +298,20 @@ def stats(source, estimator):
     )
 
     path = _load_path(source)
-    try:
-        if estimator == "quadratic-variation":
-            rec = {
-                "estimator": estimator,
-                "n_steps": path.grid.n_steps,
-                "t_max": path.grid.t_max,
-                "value": quadratic_variation(path),
-            }
-        elif estimator == "rescaled-range":
-            series = np.diff(path.values)
-            rec = hurst_record(rescaled_range_hurst(series), series)
-        elif estimator == "variation-index":
-            rec = hurst_record(variation_index(path), path.values)
-        else:
-            rec = hurst_record(holder_exponent(path), path.values)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    if estimator == "quadratic-variation":
+        rec = {
+            "estimator": estimator,
+            "n_steps": path.grid.n_steps,
+            "t_max": path.grid.t_max,
+            "value": quadratic_variation(path),
+        }
+    elif estimator == "rescaled-range":
+        series = np.diff(path.values)
+        rec = hurst_record(rescaled_range_hurst(series), series)
+    elif estimator == "variation-index":
+        rec = hurst_record(variation_index(path), path.values)
+    else:
+        rec = hurst_record(holder_exponent(path), path.values)
     click.echo(json.dumps(rec, sort_keys=True))
 
 
@@ -375,7 +352,6 @@ def verify(ctx, suite, replicates, out):
         os.makedirs(out, exist_ok=True)
         rows = []
         results = {}
-        verdicts = {}
         for eid in ids:
             try:
                 res = experiments.run_experiment(eid, cfg)
@@ -389,7 +365,6 @@ def verify(ctx, suite, replicates, out):
                     "checks": [],
                 }
             _write_json(os.path.join(out, f"{eid}.json"), rec)
-            verdicts[eid] = rec["verdict"]
             results[eid] = {
                 "verdict": rec["verdict"],
                 "checks_passed": sum(1 for c in rec["checks"] if c["verdict"] == "pass"),
@@ -409,11 +384,11 @@ def verify(ctx, suite, replicates, out):
                 fh.write(",".join(
                     f"{v:.17g}" if isinstance(v, float) else str(v) for v in row
                 ) + "\n")
-        config = RunConfig("verify", {"suite": ",".join(ids), "replicates": replicates}, out)
-        RunManifest(
-            config, __version__, None, results, verdicts,
-            _hash_artifacts(out, [f"{eid}.json" for eid in ids] + ["summary.csv"]),
-        ).write(os.path.join(out, "manifest.json"))
+        verdicts = {eid: r["verdict"] for eid, r in results.items()}
+        _write_manifest(
+            out, "verify", {"suite": ",".join(ids), "replicates": replicates},
+            [f"{eid}.json" for eid in ids] + ["summary.csv"], results=results, verdicts=verdicts,
+        )
     click.echo(f"wrote {os.path.join(out, 'summary.csv')}")
     if any(v != "pass" for v in verdicts.values()):
         ctx.exit(1)

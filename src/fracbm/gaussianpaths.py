@@ -54,9 +54,10 @@ construction.  The blocks are drawn one after another on the calling thread.
 from __future__ import annotations
 
 import enum
+import inspect
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Optional
 
 import numpy as np
@@ -228,11 +229,30 @@ def _check_times(*times: float) -> list:
     return [_validate.real(x, "times", 0.0, closed=True) for x in times]
 
 
+def _in_float_range(law):
+    """law, raising a ValueError that names its inputs where its value overflows a float."""
+
+    @wraps(law)
+    def checked(*args, **kwargs):
+        try:
+            value = law(*args, **kwargs)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            inputs = inspect.signature(law).bind(*args, **kwargs).arguments
+            named = ", ".join(f"{name}={v!r}" for name, v in inputs.items())
+            raise ValueError(f"{law.__name__} overflows a float at {named}")
+        return value
+
+    return checked
+
+
 def bm_covariance(s: float, t: float) -> float:
     """E[B(s) B(t)] = min(s, t) for standard Brownian motion."""
     return min(_check_times(s, t))
 
 
+@_in_float_range
 def fbm_covariance(H: float, s: float, t: float) -> float:
     """E[B_H(s) B_H(t)] = (s^2H + t^2H - |t-s|^2H) / 2."""
     H = _validate.hurst(H)
@@ -240,6 +260,7 @@ def fbm_covariance(H: float, s: float, t: float) -> float:
     return 0.5 * (s ** (2 * H) + t ** (2 * H) - abs(t - s) ** (2 * H))
 
 
+@_in_float_range
 def increment_cross_covariance(H: float, s: float, t: float, u: float, v: float) -> float:
     """Covariance of the increments B_H(t) - B_H(s) and B_H(v) - B_H(u).
 
@@ -514,6 +535,7 @@ def _moving_average_law(
     return count, shape
 
 
+@_in_float_range
 def moving_average_truncation_bias(H: float, truncation: float, t: float) -> float:
     """Analytic bound on the variance lost to truncating the kernel at -truncation.
 

@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 import textwrap
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +11,7 @@ from click.testing import CliRunner
 
 import fracbm
 from fracbm import __version__
-from fracbm.cli import RunConfig, RunManifest, main
+from fracbm.cli import main
 from fracbm.experiments import CheckResult, ExperimentResult
 from fracbm.fraccalc import DifferintegralSpec, GridFunction, fractional_integral, read_grid_csv, write_grid_csv
 from fracbm.fbmintegrate import symmetric_integral
@@ -39,13 +38,18 @@ class TestGenerate:
         assert path.grid.n_steps == 128
         assert path.hurst == 0.7
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["tool_version"] == __version__
         assert "path.csv" in manifest["artifacts"]
-        cfg = RunConfig("generate", {
-            "hurst": 0.7, "steps": 128, "tmax": 1.0, "seed": 5,
-            "stream": 0, "generator": "circulant", "truncation": None,
-        }, str(out))
-        assert manifest["config"] == asdict(cfg)
+        # every flag but --out, which is recorded as out_dir
+        assert manifest["config"] == {
+            "command": "generate",
+            "parameters": {
+                "hurst": 0.7, "steps": 128, "tmax": 1.0, "seed": 5,
+                "stream": 0, "generator": "circulant", "truncation": None,
+            },
+            "out_dir": str(out),
+        }
+        assert manifest["tool_version"] == __version__
+        assert manifest["root_seed"] == 5
 
     def test_reruns_are_byte_identical(self, runner, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -310,11 +314,42 @@ class TestVerify:
         assert str(out / "summary.csv") in result.output
 
 
-class TestRunConfig:
-    def test_record_round_trip(self, tmp_path):
-        cfg = RunConfig("generate", {"hurst": 0.7, "n_steps": 128}, "out")
-        RunManifest(cfg, __version__, 1).write(tmp_path / "manifest.json")
-        assert json.loads((tmp_path / "manifest.json").read_text())["config"] == asdict(cfg)
+@pytest.mark.parametrize(
+    "command, args, message",
+    [
+        ("generate", ["--hurst", "1.5", "--out", "{out}"], "H must be a Hurst index"),
+        (
+            "fracint",
+            ["--input", "{fbm}", "--alpha", "1.5", "--kind", "derivative", "--out", "{out}"],
+            "derivative order",
+        ),
+        ("ito", ["--input", "{fbm}"], "hurst"),
+        ("fbm-integrate", ["--input", "{short}", "--type", "stieltjes"], "levels"),
+        ("stats", ["--input", "{short}"], "256"),
+    ],
+)
+def test_a_library_value_error_is_a_usage_error_of_its_subcommand(runner, tmp_path, command, args, message):
+    paths = {"fbm": tmp_path / "fbm.csv", "short": tmp_path / "short.csv", "out": tmp_path / "out"}
+    write_path_csv(generate_fbm_circulant(GridSpec(1.0, 64), 0.75, RngSeed(1, 0)), paths["fbm"])
+    write_path_csv(generate_fbm_circulant(GridSpec(1.0, 8), 0.75, RngSeed(1, 0)), paths["short"])
+    result = runner.invoke(main, [command, *(a.format(**paths) for a in args)], prog_name="fracbm")
+    assert result.exit_code == 2, result.output
+    assert f"Usage: fracbm {command} [OPTIONS]" in result.output
+    assert message in result.output and "Traceback" not in result.output
+
+
+def test_config_preseeds_every_subcommand(runner, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("estimator = holder\nreplicates = 2\n")
+    src = tmp_path / "path.csv"
+    write_path_csv(generate_fbm_circulant(GridSpec(1.0, 1024), 0.7, RngSeed(2, 0)), src)
+    seeded = run_ok(runner, ["--config", str(cfg), "stats", "--input", str(src)])
+    explicit = run_ok(runner, ["stats", "--input", str(src), "--estimator", "holder"])
+    assert seeded.output == explicit.output
+    out = tmp_path / "v"
+    run_ok(runner, ["--config", str(cfg), "verify", "--suite", "E1", "--out", str(out)])
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["parameters"] == {"suite": "E1", "replicates": 2}
 
 
 def test_version_flag(runner):

@@ -181,6 +181,11 @@ class TestRiemannStieltjes:
         with pytest.raises(ValueError):
             riemann_stieltjes_integral(1.0, g75, levels=2)
 
+    def test_a_path_below_eight_steps_is_named(self):
+        g = generate_fbm_circulant(GridSpec(1.0, 4), 0.75, RngSeed(1, 0))
+        with pytest.raises(ValueError, match="at least 8 steps, got 4 steps"):
+            riemann_stieltjes_integral(1.0, g, levels=3)
+
     def test_constant_integrand_meets_the_variation_condition(self, g75):
         # a constant has bounded variation, so no heuristic probe is needed
         res = riemann_stieltjes_integral(1.0, g75)

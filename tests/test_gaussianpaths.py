@@ -129,6 +129,28 @@ class TestCovarianceFormulas:
         with pytest.raises(ValueError, match="times must be finite and nonnegative"):
             call(bad)
 
+    @pytest.mark.parametrize(
+        "call, inputs",
+        [
+            (lambda: fbm_covariance(0.75, 1e300, 1e300), "H=0.75, s=1e+300, t=1e+300"),
+            (lambda: fbm_covariance(0.999, 1e154, 1.7e154), "H=0.999, s=1e+154, t=1.7e+154"),
+            (
+                lambda: increment_cross_covariance(0.75, 0, 1e300, 0, 1e300),
+                "H=0.75, s=0, t=1e+300, u=0, v=1e+300",
+            ),
+            (
+                lambda: moving_average_truncation_bias(0.25, 1e-300, 1e300),
+                "H=0.25, truncation=1e-300, t=1e+300",
+            ),
+        ],
+        ids=["fbm", "fbm-sum", "increment", "truncation-bias"],
+    )
+    def test_a_value_past_the_float_range_names_the_inputs(self, call, inputs):
+        # a float power raises OverflowError, and a sum of two finite powers can reach inf
+        with pytest.raises(ValueError, match="overflows a float") as info:
+            call()
+        assert str(info.value).endswith(inputs)
+
 
 class TestNormalizingConstant:
     def test_brownian_case_is_exactly_one(self):

@@ -71,6 +71,10 @@ class TestPvariation:
         meshes = [m for m, _ in est.mesh_levels]
         assert all(b < a for a, b in zip(meshes, meshes[1:]))
 
+    def test_a_path_below_eight_steps_is_named(self):
+        with pytest.raises(ValueError, match="at least 8 steps, got 4 steps"):
+            p_variation(generate_bm(GridSpec(1.0, 4), RngSeed(3, 1)), 2.0)
+
 
 class TestVariationIndex:
     @pytest.mark.parametrize("H,lo,hi", [(0.25, 0.15, 0.4), (0.5, 0.4, 0.6), (0.75, 0.6, 0.9)])
