@@ -70,8 +70,8 @@ def _coerce(text: str):
     return text
 
 
-def _read_config(path) -> dict:
-    """key = value per line; # starts a comment; keys are flag names."""
+def _read_config(path, names) -> dict:
+    """key = value per line; # starts a comment; keys are among the parameter names `names`."""
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -82,6 +82,8 @@ def _read_config(path) -> dict:
             key, value = key.strip(), value.strip()
             if not sep or not key:
                 raise click.UsageError(f"malformed config at line {lineno}: {raw.rstrip()!r}")
+            if key not in names:
+                raise click.UsageError(f"config key {key!r} at line {lineno} is no option of any subcommand")
             out[key] = _coerce(value)
     return out
 
@@ -109,8 +111,9 @@ class _Command(click.Command):
 def main(ctx, config_path):
     """Fractional calculus, fBm path synthesis, and pathwise integration."""
     if config_path is not None:
-        kv = _read_config(config_path)
-        ctx.default_map = {name: dict(kv) for name in ctx.command.commands}
+        commands = ctx.command.commands
+        kv = _read_config(config_path, {p.name for c in commands.values() for p in c.params})
+        ctx.default_map = {name: dict(kv) for name in commands}
 
 
 main.command_class = _Command

@@ -88,9 +88,16 @@ def quadratic_variation(path: SamplePath) -> float:
 
 
 def _dyadic_increments(values: np.ndarray, dt: float, levels: int):
-    """(mesh, |increments|) on each dyadic coarsening, coarsest first."""
+    """(mesh, |increments| / 2^e) on each dyadic coarsening, coarsest first, and e.
+
+    2^e is the power of two at the largest increment.  Dividing by it is exact and
+    leaves every increment below 1, so no power sum overflows or underflows to 0,
+    whatever the scale of the path.
+    """
     levels = dyadic_levels(levels, values.size - 1)
-    return [(2**j * dt, np.abs(np.diff(values[:: 2**j]))) for j in range(levels - 1, -1, -1)]
+    pairs = [(2**j * dt, np.abs(np.diff(values[:: 2**j]))) for j in range(levels - 1, -1, -1)]
+    e = math.frexp(max(float(a.max()) for _, a in pairs))[1]
+    return [(mesh, np.ldexp(a, -e)) for mesh, a in pairs], e
 
 
 def _power_sums(increments, p: float):
@@ -115,14 +122,20 @@ def p_variation(path: SamplePath, p: float, levels: int = 5) -> VariationEstimat
 
     The verdict comes from the slope of log v_p against log mesh: a positive
     slope means the sums shrink under refinement, a negative slope that they
-    blow up, and a flat profile that they stabilize.
+    blow up, and a flat profile that they stabilize.  The slope is taken on
+    the sums in units of a power of two, so it does not depend on the path's
+    scale; mesh_levels holds them in the path's units, which may overflow to
+    inf or underflow to 0.
     """
     p = real(p, "p", 0.0)
     path = instance(path, SamplePath, "path")
-    pairs = _power_sums(_dyadic_increments(path.values, path.dt, levels), p)
+    increments, e = _dyadic_increments(path.values, path.dt, levels)
+    pairs = _power_sums(increments, p)
+    with np.errstate(over="ignore", under="ignore"):
+        sums = tuple((mesh, float(v * np.exp2(e * p))) for mesh, v in pairs)
     if all(v == 0.0 for _, v in pairs):
         # flat path: zero variation at every mesh
-        return VariationEstimate(p, tuple(pairs), VariationVerdict.CONVERGES_TO_ZERO)
+        return VariationEstimate(p, sums, VariationVerdict.CONVERGES_TO_ZERO)
     slope = _loglog_fit(pairs)[0]
     if slope > SLOPE_BAND:
         verdict = VariationVerdict.CONVERGES_TO_ZERO
@@ -130,7 +143,7 @@ def p_variation(path: SamplePath, p: float, levels: int = 5) -> VariationEstimat
         verdict = VariationVerdict.DIVERGES
     else:
         verdict = VariationVerdict.STABILIZES
-    return VariationEstimate(p, tuple(pairs), verdict)
+    return VariationEstimate(p, sums, verdict)
 
 
 def variation_index(
@@ -150,7 +163,7 @@ def variation_index(
     h_tol = real(h_tol, "h_tol", 0.0)
     lo = real(p_lo, "p_lo", 0.0)
     hi = real(p_hi, "p_hi", lo)
-    increments = _dyadic_increments(path.values, path.dt, levels)  # formed once, for every p
+    increments = _dyadic_increments(path.values, path.dt, levels)[0]  # formed once, for every p
 
     def slope(p):
         pairs = _power_sums(increments, p)
@@ -186,11 +199,14 @@ def rescaled_range_hurst(series) -> HurstEstimate:
     into non-overlapping blocks; R is the range of the block's mean-adjusted
     partial sums and S its standard deviation (1/n normalization, as in the
     original statistic).  The estimate is the least-squares slope of
-    log mean(R/S) against log n.
+    log mean(R/S) against log n.  R/S has no units: the series is read in
+    units of the power of two at its largest |x|, an exact scaling, so the
+    statistic is bitwise the same at any scale and no square overflows.
     """
     x = finite(series, "series")
     if x.ndim != 1 or x.size < 256:
         raise ValueError("rescaled range needs a 1-d series of at least 256 samples")
+    x = np.ldexp(x, -math.frexp(float(np.max(np.abs(x))))[1])
     block_data = []
     size = 16
     while size <= x.size // 8:

@@ -126,6 +126,16 @@ class TestGenerate:
         assert result.exit_code == 2
         assert "line 2" in result.output
 
+    def test_a_config_key_that_names_no_option_is_rejected(self, runner, tmp_path):
+        # a misspelt key was once ignored: `hurts = 0.7` drew at hurst 0.5 and exited 0
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("steps = 16\nhurts = 0.7\n")
+        out = tmp_path / "g"
+        result = runner.invoke(main, ["--config", str(cfg), "generate", "--out", str(out)])
+        assert result.exit_code == 2
+        assert "'hurts' at line 2" in result.output
+        assert not out.exists()
+
 
 class TestFracint:
     def test_round_trips_through_the_module(self, runner, tmp_path):

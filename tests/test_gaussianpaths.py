@@ -255,7 +255,7 @@ BLOCK_SPANNING = {
     "bm": (GridSpec(1.0, 1024), 1024),
     "cholesky": (GridSpec(1.0, 256), 256),
     "circulant": (GridSpec(1.0, 1024), 2048),
-    "moving-average": (GridSpec(1.0, 8), 2 * 16 * 8 + 81),
+    "moving-average": (GridSpec(1.0, 8), 2 * 5 * 8 + 36),
 }
 
 
@@ -266,34 +266,41 @@ def far_edges(truncation):
     return np.append(e[e < truncation], truncation)
 
 
-def moving_average_table(grid, H, truncation=50.0, mesh=16):
+def step_fractions(mesh):
+    """Where the near cells of a step end, as fractions of it: 1 - (1 - g/mesh)^3."""
+    return 1.0 - (1.0 - np.arange(mesh + 1) / mesh) ** 3
+
+
+def moving_average_table(grid, H, truncation=1e4, mesh=5):
     """Weights of node k on each cell, in the order a stream draws the cells (t_max = 1).
 
-    Near cells first, of width h = dt/mesh over [-1, 1]: W[k-1, j] =
-    g(Tc + k mesh - j) - g(Tc - j) with g(u) = u_+^q - (u-1)_+^q at q = H + 1/2
-    and Tc = n mesh, scaled by h^H / (q C(H)).  Then the far cells [-e_(j+1), -e_j]
-    outward from -1: (F(e_(j+1)) - F(e_j)) / (q C(H) sqrt(e_(j+1) - e_j)) with
-    F(e) = (t + e)^q - e^q, formed as e^(q-1) (e expm1(q log1p(t/e))).
+    Near cells first, in time order over [-1, 1]: cell g of step i spans
+    (i - n + f_g, i - n + f_(g+1)) dt, and W[k-1, (i, g)] = c_g(k + n - i) - c_g(n - i)
+    with c_g(u) = ((u - f_g)_+^q - (u - f_(g+1))_+^q) dt^H / (q C(H) sqrt(f_(g+1) - f_g))
+    at q = H + 1/2.  Then the far cells [-e_(j+1), -e_j] outward from -1:
+    (F(e_(j+1)) - F(e_j)) / (q C(H) sqrt(e_(j+1) - e_j)) with F(e) = (t + e)^q - e^q,
+    formed as e^(q-1) (e expm1(q log1p(t/e))).
     """
     n = grid.n_steps
-    h = grid.dt / mesh
     q = H + 0.5
     scale = 1.0 / (q * normalizing_constant(H))
-    r = diffpow(2 * n * mesh - np.arange(3 * n * mesh, dtype=float), q) * (h**H * scale)
+    f = step_fractions(mesh)
+    width = np.diff(f)[:, None]
+    c = diffpow(np.arange(2 * n, -n, -1.0) - f[:-1, None], q, width) * (grid.dt**H * scale / np.sqrt(width))
+    i, g = np.divmod(np.arange(2 * n * mesh), mesh)
     k = np.arange(1, n + 1)[:, None]
-    j = np.arange(2 * n * mesh)[None, :]
     e = far_edges(truncation)
     F = np.expm1(q * np.log1p(k / n / e)) * e * e ** (q - 1.0)
     far = np.diff(F, axis=1) * (scale / np.sqrt(np.diff(e)))
-    return np.hstack([r[(n - k) * mesh + j] - r[n * mesh + j], far])
+    return np.hstack([c[g, n - k + i] - c[g, n + i], far])
 
 
-def old_moving_average_path(grid, H, z, truncation, mesh=16):
+def old_moving_average_path(grid, H, z, truncation, mesh=5):
     """The node values of z's cells by per-cell primitive differences of the kernel (t_max = 1)."""
-    near = -1.0 + grid.dt / mesh * np.arange(2 * grid.n_steps * mesh + 1)
+    near = -1.0 + grid.dt * (np.arange(2 * grid.n_steps)[:, None] + step_fractions(mesh)[None, :])
     e = far_edges(truncation)
-    lo = np.concatenate([near[:-1], -e[1:]])
-    hi = np.concatenate([near[1:], -e[:-1]])
+    lo = np.concatenate([near[:, :-1].ravel(), -e[1:]])
+    hi = np.concatenate([near[:, 1:].ravel(), -e[:-1]])
     q = H + 0.5
 
     def prim(t, s):
@@ -327,7 +334,7 @@ def per_stream_reference(kind, grid, H, root, replicates):
             w[0], w[n] = z[0] * a[0], z[1] * a[n]
             w[1:n] = z[2::2] * inner - 1j * (z[3::2] * inner)
             x = np.cumsum(np.fft.irfft(w, m, norm="forward")[:n])
-        else:  # default truncation 50 * t_max and kernel mesh 16, a table-sized grid
+        else:  # default truncation 1e4 * t_max and kernel mesh 5, a table-sized grid
             table = moving_average_table(grid, H)
             x = table @ rng.standard_normal(table.shape[1])
         rows.append(np.concatenate(([0.0], x)))
@@ -592,17 +599,26 @@ class TestFbmGenerators:
             tracemalloc.stop()
         assert peak <= 6 * 2**20
 
+    @pytest.mark.parametrize("p", [0.55, 1.0, 1.25, 1.45])
+    def test_width_aware_power_difference(self, p):
+        # u_+^p - (u - w)_+^p for the widths of graded cells, against long-double powers
+        u = np.array([-1.0, 0.0, 0.003, 0.2, 0.5, 1.0, 2.5, 37.0, 1e4])
+        for w in (0.008, 0.2, 0.488, 1.0):
+            ul = u.astype(np.longdouble)
+            want = np.maximum(ul, 0) ** p - np.maximum(ul - w, 0) ** p
+            assert np.allclose(diffpow(u, p, w), want.astype(float), rtol=1e-10, atol=0)
+
     def test_moving_average_determinism(self):
         grid = GridSpec(1.0, 32)
         a = generate_fbm_moving_average(grid, 0.6, RngSeed(7, 2))
         b = generate_fbm_moving_average(grid, 0.6, RngSeed(7, 2))
         assert np.array_equal(a.values, b.values)
 
-    @pytest.mark.parametrize("n, table", [(8, True), (110, True), (111, False), (112, False)])
+    @pytest.mark.parametrize("n, table", [(8, True), (198, True), (199, False), (200, False)])
     def test_moving_average_rows_match_single_draws_around_the_crossover(self, n, table):
         grid = GridSpec(1.0, n)
-        count = 2 * 16 * n + 81
-        assert _moving_average_law(grid, 0.3, None, 16)[0] == count
+        count = 2 * 5 * n + 36
+        assert _moving_average_law(grid, 0.3, None, 5)[0] == count
         assert (n * count <= _GEMV_MAX) is table
         rows = _BLOCK_NORMALS // count
         replicates = 2 * rows + 1
@@ -611,45 +627,53 @@ class TestFbmGenerators:
             single = generate_fbm_moving_average(grid, 0.3, RngSeed(2**64 - 1, r))
             assert np.array_equal(ens[r], single.values)
 
-    # tables up to 110 steps, FFTs beyond; a truncation of 50.823 clips the last
-    # far cell, and one of t_max leaves no far cell
+    # tables up to 198 steps with the default mesh, FFTs beyond; a truncation of
+    # 9000.5 clips the last far cell, and one of t_max leaves no far cell
     @pytest.mark.parametrize(
-        "n, truncation", [(8, 50.0), (16, 50.0), (64, 50.0), (112, 50.0), (24, 50.823), (112, 1.0)]
+        "n, truncation, mesh",
+        [(8, 1e4, 5), (16, 1e4, 5), (64, 1e4, 5), (200, 1e4, 5), (24, 9000.5, 5), (200, 1.0, 5),
+         (8, 1e4, 1), (64, 1e4, 16), (32, 50.0, 2)],
     )
     @pytest.mark.parametrize("H", [0.25, 0.75])
-    def test_moving_average_is_the_per_cell_primitive_difference(self, n, truncation, H):
+    def test_moving_average_is_the_per_cell_primitive_difference(self, n, truncation, mesh, H):
         # primitives of size up to (1 + truncation)^q differenced cell by cell:
-        # measured at most 1.4e-10 from the law
+        # measured at most 3.2e-10 from the law
         grid = GridSpec(1.0, n)
-        count = _moving_average_law(grid, H, truncation, 16)[0]
-        assert count == 2 * 16 * n + far_edges(truncation).size - 1
+        count = _moving_average_law(grid, H, truncation, mesh)[0]
+        assert count == 2 * mesh * n + far_edges(truncation).size - 1
         for stream in (0, 1):
-            new = generate_fbm_moving_average(grid, H, RngSeed(5, stream), truncation).values
-            old = old_moving_average_path(grid, H, fresh_philox(5, stream).standard_normal(count), truncation)
+            new = generate_fbm_moving_average(grid, H, RngSeed(5, stream), truncation, mesh).values
+            z = fresh_philox(5, stream).standard_normal(count)
+            old = old_moving_average_path(grid, H, z, truncation, mesh)
             assert np.abs(new - old).max() <= 2e-9
 
     @pytest.mark.parametrize(
-        "n, H, parent", [(8, 0.25, 1.6675e-2), (8, 0.75, 2.0180e-2), (64, 0.25, 5.9290e-3), (64, 0.75, 2.0128e-2)]
+        "n, H, bound",
+        [(8, 0.25, 0.7 * 1.6677e-2), (8, 0.5, 4.5e-16), (8, 0.75, 0.2 * 2.0189e-2),
+         (64, 0.25, 0.7 * 5.9311e-3), (64, 0.5, 4.5e-16), (64, 0.75, 0.2 * 2.0137e-2)],
     )
-    def test_moving_average_covariance_error(self, n, H, parent):
+    def test_moving_average_covariance_error(self, n, H, bound):
         # the node covariance of the law is W W^T for its weight matrix W, read off
-        # by shaping unit normals; `parent` is the error of the former uniform cells
-        # back to -50 t_max, which the graded far cells may exceed by 0.1% at most
+        # by shaping unit normals.  The bounds are fractions of the error of the
+        # former law (16 uniform cells a step, far cells graded by 1.05 back to
+        # -50 t_max); the graded cells measured 0.585 and 0.592 of it at H = 0.25,
+        # 0.099 and 0.087 at H = 0.75.  At H = 1/2 the kernel is the indicator of
+        # (0, t), whose ends are cell edges, so the law is exact to rounding
         grid = GridSpec(1.0, n)
-        count, shape = _moving_average_law(grid, H, None, 16)
+        count, shape = _moving_average_law(grid, H, None, 5)
         W = np.empty((count, n))
         shape(np.eye(count), W)
         exact = exact_cov_matrix(H, grid.times[1:])
         err = np.abs(W.T @ W - exact).max()
-        assert err <= 1.001 * parent
+        assert err <= bound
 
-    @pytest.mark.parametrize("truncation, cells", [(1e9, 425), (1e300, 14159)])
+    @pytest.mark.parametrize("truncation, cells", [(1e9, 79), (1e300, 2633)])
     @pytest.mark.parametrize("H", [0.25, 0.75])
     def test_long_truncations_cost_few_far_cells(self, truncation, cells, H):
         # uniform cells back to 1e9 took 1.28e11 normals and failed with a MemoryError;
         # at 1e300 the far weights are formed without the overflowing e^q
         grid = GridSpec(1.0, 8)
-        assert _moving_average_law(grid, H, truncation, 16)[0] == 2 * 16 * 8 + cells
+        assert _moving_average_law(grid, H, truncation, 5)[0] == 2 * 5 * 8 + cells
         path = generate_fbm_moving_average(grid, H, RngSeed(5, 0), truncation)
         assert np.isfinite(path.values).all()
 
@@ -666,12 +690,12 @@ class TestFbmGenerators:
             assert not any(smooth(k) for k in range(n, size))
 
     def test_moving_average_ignores_the_blas_thread_count(self):
-        # tables up to 110 steps, FFTs from 111; at 120 steps a table would pass
-        # the 460,800 entries from which OpenBLAS threads a gemv, and from 4,939
-        # steps the far table of 81 cells is applied in two row chunks
+        # tables up to 198 steps, FFTs from 199; at 213 steps a table would pass
+        # the 460,800 entries from which OpenBLAS threads a gemv, and from 11,112
+        # steps the far table of 36 cells is applied in two row chunks
         runs = hashes_under_blas_threads(
             """
-            for n in (8, 64, 110, 111, 120, 4939):
+            for n in (8, 64, 198, 199, 213, 11112):
                 grid = GridSpec(1.0, n)
                 single = generate_fbm_moving_average(grid, 0.7, RngSeed(3, 1)).values
                 ens = fbm_moving_average_ensemble(grid, 0.3, 3, 3)
@@ -734,11 +758,12 @@ class TestDrawLoop:
         grid, count = BLOCK_SPANNING[kind]
         rows = _BLOCK_NORMALS // count
         replicates = 2 * rows + rows // 4 + 1
+        replicates += replicates % 3 == 0  # keeps the last block of three streams short
         draws = []
         for block in (_BLOCK_NORMALS, count, 3 * count):
             monkeypatch.setattr(gaussianpaths, "_BLOCK_NORMALS", block)
             draws.append(ensemble_fn(grid, *args, 2**64 - 1, replicates))
-        assert replicates % 3 and all(np.array_equal(d, draws[0]) for d in draws[1:])
+        assert all(np.array_equal(d, draws[0]) for d in draws[1:])
 
     def test_each_block_is_drawn_once(self, monkeypatch):
         # blocks of 2 streams of 4 normals: streams 0-1, 2-3, 4-5 and 6

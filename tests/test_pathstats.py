@@ -3,7 +3,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fracbm.gaussianpaths import (
     GridSpec,
@@ -85,12 +85,15 @@ class TestVariationIndex:
 
     @pytest.mark.parametrize("H", [0.25, 0.75])
     def test_increments_formed_once_give_the_per_step_estimate(self, H):
-        # the bisection as it was: |increments| formed anew at every order p
+        # the bisection as it was: |increments| formed anew at every order p, here
+        # in units of the power of two at the largest of them
         path = fbm(H, 6, 1, GridSpec(1.0, 2**12))
+        largest = max(np.abs(np.diff(path.values[:: 2**j])).max() for j in range(5))
+        unit = 2.0 ** np.frexp(largest)[1]
 
         def slope(p):
             pairs = [
-                (2**j * path.dt, float(np.sum(np.abs(np.diff(path.values[:: 2**j])) ** p)))
+                (2**j * path.dt, float(np.sum((np.abs(np.diff(path.values[:: 2**j])) / unit) ** p)))
                 for j in range(4, -1, -1)
             ]
             x, y = np.log([m for m, _ in pairs]), np.log([v for _, v in pairs])
@@ -139,6 +142,27 @@ class TestVariationIndex:
         tight = variation_index(path, h_tol=1e-300)
         assert 0.0 < tight.stderr <= 1e-15
         assert abs(tight.h_hat - variation_index(path).h_hat) <= 1e-3
+
+
+SCALED = fbm(0.7, 8, 0, GridSpec(1.0, 4096))
+
+
+@settings(max_examples=40, deadline=None)
+@given(j=st.integers(-900, 900))
+@example(j=300)
+@example(j=-300)
+@example(j=600)
+@example(j=-600)
+def test_hurst_estimators_do_not_depend_on_the_scale_of_the_path(j):
+    # a path times 2^j is exact, and the estimators read increments in units of a
+    # power of two near their largest.  Once R/S returned nan at 2^600 and found
+    # no usable block at 2^-600, the variation index named a wrong bracket at 2^300
+    # and a zero sum at 2^-300, and p_variation read inf sums as STABILIZES
+    path = SamplePath(SCALED.grid, SCALED.values * 2.0**j, SCALED.hurst)
+    for a, b in ((rescaled_range_hurst(np.diff(path.values)), rescaled_range_hurst(np.diff(SCALED.values))),
+                 (variation_index(path), variation_index(SCALED))):
+        assert (a.h_hat, a.stderr, a.block_data) == (b.h_hat, b.stderr, b.block_data)
+    assert p_variation(path, 2.0).verdict is p_variation(SCALED, 2.0).verdict is VariationVerdict.CONVERGES_TO_ZERO
 
 
 class TestRescaledRange:
