@@ -13,8 +13,10 @@ body, and `verify` alone loads every layer, through `experiments`.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import os
+import sys
 
 import click
 import numpy as np
@@ -48,11 +50,26 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
+@functools.cache
+def _environment() -> dict:
+    """Python, numpy and click versions and the usable CPU count, looked up once a process."""
+    from importlib.metadata import version
+
+    affinity = getattr(os, "sched_getaffinity", None)
+    return {
+        "python": ".".join(map(str, sys.version_info[:3])),
+        "numpy": np.__version__,
+        "click": version("click"),
+        "cpu_count": len(affinity(0)) if affinity else os.cpu_count(),
+    }
+
+
 def _write_manifest(out, command, parameters, names, root_seed=None, **records) -> None:
-    """Write out/manifest.json: the run's flags and records and a sha256 of each file it wrote."""
+    """Write out/manifest.json: the run's flags, environment, records and each file's sha256."""
     _write_json(os.path.join(out, "manifest.json"), {
         "config": {"command": command, "parameters": parameters, "out_dir": out},
         "tool_version": __version__,
+        "environment": _environment(),
         "root_seed": root_seed,
         "results": {},
         "verdicts": {},

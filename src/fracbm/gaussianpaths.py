@@ -47,11 +47,11 @@ Every generator, Brownian increments included, is set up once per call.
 Each stream then draws its normals into one row of a block of streams, and
 the block is shaped into paths by operations that treat each row on its own:
 cumulative sums and real FFTs along the rows, and for Cholesky and the
-moving-average tables the gemvs of one np.dot per row chunk.  Those are the
-gemvs a single stream makes, so a row rounds as a single draw does (a matrix
-product over the rows would round differently).  A single path is a block
-of one, so ensemble row r equals the stream-r single draw bitwise by
-construction.  The blocks are drawn one after another on the calling thread.
+moving-average tables one np.matmul per row chunk, whose loop over the rows
+makes the gemv a single stream makes; there is no gemm across rows, which
+would round differently.  A single path is a block of one, so ensemble row r
+equals the stream-r single draw bitwise by construction.  The blocks are
+drawn one after another on the calling thread.
 """
 
 from __future__ import annotations
@@ -327,19 +327,19 @@ def _streams(root: int, replicates: int) -> range:
 
 
 def _rowwise_gemv(A: np.ndarray):
-    """shape(z, dest) writing A @ z[i] into dest[i], one np.dot per row chunk.
+    """shape(z, dest) writing A @ z[i] into dest[i], one np.matmul per row chunk.
 
-    The chunks, of at most _GEMV_MAX entries, depend on A's shape only, so a
-    row makes the gemvs a single stream makes and rounds as a single draw
-    does, where z @ A.T (one gemm) would not.
+    The chunks, of at most _GEMV_MAX entries, depend on A's shape only.
+    np.matmul of a chunk with the stack of columns z[i] loops over the rows
+    of z and makes for each the gemv a single stream makes, so a row rounds
+    as a single draw does; there is no gemm across rows, as z @ A.T would be.
     """
     step = max(1, _GEMV_MAX // max(1, A.shape[1]))
     chunks = [(A[lo : lo + step], slice(lo, lo + step)) for lo in range(0, A.shape[0], step)]
 
     def shape(z: np.ndarray, dest: np.ndarray) -> None:
-        for zr, dr in zip(z, dest):
-            for rows, at in chunks:
-                np.dot(rows, zr, out=dr[at])
+        for rows, at in chunks:
+            np.matmul(rows, z[:, :, None], out=dest[:, at, None])
 
     return shape
 

@@ -251,6 +251,8 @@ def empirical_acf(path: SamplePath, max_lag: int) -> np.ndarray:
     if max_lag >= x.size / 4:
         raise ValueError("max_lag must be below a quarter of the increment count")
     xc = x - x.mean()
+    # in units of the power of two at max|xc|, an exact scaling: no lag sum over- or underflows
+    xc = np.ldexp(xc, -math.frexp(float(np.max(np.abs(xc))))[1])
     denom = float(np.dot(xc, xc))
     if denom == 0.0:
         raise ValueError("degenerate series: zero variance")

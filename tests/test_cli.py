@@ -51,6 +51,27 @@ class TestGenerate:
         assert manifest["tool_version"] == __version__
         assert manifest["root_seed"] == 5
 
+    def test_manifest_records_the_environment_once_a_process(self, runner, tmp_path):
+        from importlib.metadata import version
+
+        from fracbm import cli
+
+        a, b = tmp_path / "a", tmp_path / "b"
+        for out in (a, b):
+            run_ok(runner, ["generate", "--steps", "64", "--out", str(out)])
+        environment = json.loads((a / "manifest.json").read_text())["environment"]
+        affinity = getattr(os, "sched_getaffinity", None)
+        assert environment == {
+            "python": "%d.%d.%d" % sys.version_info[:3],
+            "numpy": np.__version__,
+            "click": version("click"),
+            "cpu_count": len(affinity(0)) if affinity else os.cpu_count(),
+        }
+        assert cli._environment() is cli._environment()
+        # a key only: reruns still write the same path and, up to the directory, the same manifest
+        assert (a / "path.csv").read_bytes() == (b / "path.csv").read_bytes()
+        assert (a / "manifest.json").read_text().replace(str(a), str(b)) == (b / "manifest.json").read_text()
+
     def test_reruns_are_byte_identical(self, runner, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         args = ["generate", "--hurst", "0.3", "--steps", "64", "--seed", "9", "--stream", "2"]

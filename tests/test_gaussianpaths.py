@@ -50,6 +50,7 @@ from fracbm.gaussianpaths import (
     _FAR_RATIO,
     _GEMV_MAX,
     _moving_average_law,
+    _rowwise_gemv,
 )
 
 
@@ -797,6 +798,46 @@ class TestDrawLoop:
             raise AssertionError("no block to shape")
 
         assert _draw((4, shape), GridSpec(1.0, 4), 5, range(0)).shape == (0, 5)
+
+
+def dot_per_row(A, z, chunk):
+    """A @ z[r] a row at a time, one np.dot per chunk of `chunk` rows of A: a single stream's gemvs."""
+    out = np.empty((len(z), A.shape[0]))
+    for zr, dr in zip(z, out):
+        for lo in range(0, A.shape[0], chunk):
+            np.dot(A[lo : lo + chunk], zr, out=dr[lo : lo + chunk])
+    return out
+
+
+class TestRowwiseGemv:
+    """A table shapes a block of streams by one np.matmul per row chunk, each row bitwise its own dots.
+
+    At 200 x 2000 and 400 x 1000 one gemm over the rows, z @ A.T, rounds differently.
+    """
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 1000])
+    @pytest.mark.parametrize("n, k", [(1, 7), (16, 16), (8, 116), (200, 2000), (400, 1000), (1000, 401)])
+    def test_each_row_is_the_dot_of_its_stream(self, n, k, rows):
+        # (1000, 401) takes two row chunks; the far table of the FFT route reads z[:, m:],
+        # rows of a wider block, and every law writes into out[:, 1:]
+        rng = np.random.default_rng([n, k, rows])
+        A = rng.standard_normal((n, k))
+        block = rng.standard_normal((rows, k + 3))
+        for z in (block[:, :k], block[:, 3:]):
+            out = np.zeros((rows, n + 1))
+            _rowwise_gemv(A)(z, out[:, 1:])
+            assert np.array_equal(out[:, 1:], dot_per_row(A, z, max(1, _GEMV_MAX // k)))
+            assert not out[:, 0].any()
+
+    @pytest.mark.parametrize("gemv_max", [1, 300, 4 * 116 - 1])
+    def test_many_row_chunks(self, gemv_max, monkeypatch):
+        # one row of A a chunk, then 2 and 3 rows of 116 entries a chunk, the last one short
+        monkeypatch.setattr(gaussianpaths, "_GEMV_MAX", gemv_max)
+        rng = np.random.default_rng(gemv_max)
+        A, z = rng.standard_normal((8, 116)), rng.standard_normal((50, 116))
+        out = np.empty((50, 8))
+        _rowwise_gemv(A)(z, out)
+        assert np.array_equal(out, dot_per_row(A, z, max(1, gemv_max // 116)))
 
 
 class TestTransforms:

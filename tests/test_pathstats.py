@@ -165,6 +165,20 @@ def test_hurst_estimators_do_not_depend_on_the_scale_of_the_path(j):
     assert p_variation(path, 2.0).verdict is p_variation(SCALED, 2.0).verdict is VariationVerdict.CONVERGES_TO_ZERO
 
 
+UNIT_SCALED = fbm(0.7, 8, 0, GridSpec(4096.0, 4096))
+
+
+@settings(max_examples=40, deadline=None)
+@given(j=st.integers(-900, 900))
+@example(j=520)
+@example(j=-540)
+def test_empirical_acf_does_not_depend_on_the_scale_of_the_path(j):
+    # the centred increments are read in units of a power of two at their largest;
+    # once 2^520 overflowed the lag sums into nan and 2^-540 read as zero variance
+    path = SamplePath(UNIT_SCALED.grid, UNIT_SCALED.values * 2.0**j, UNIT_SCALED.hurst)
+    assert np.array_equal(empirical_acf(path, 10), empirical_acf(UNIT_SCALED, 10))
+
+
 class TestRescaledRange:
     def test_recovers_persistent_index(self):
         p = fbm(0.7, 5, 0, GridSpec(1.0, 4096))
