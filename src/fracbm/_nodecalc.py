@@ -22,12 +22,11 @@ import numpy as np
 from ._validate import finite, instance
 
 
-def diffpow(u: np.ndarray, p: float, width=1.0) -> np.ndarray:
-    """u_+^p - (u-w)_+^p for widths w > 0, formed as u_+^p (1 - (1 - w/u)^p) by expm1 and log1p
-    so that large u does not cancel; below u = w the second power is taken as zero, which needs
-    p > 0."""
+def diffpow(u: np.ndarray, p: float) -> np.ndarray:
+    """u_+^p - (u-1)_+^p, formed as u_+^p (1 - (1 - 1/u)^p) by expm1 and log1p so that large u
+    does not cancel; below u = 1 the second power is taken as zero, which needs p > 0."""
     with np.errstate(divide="ignore"):
-        return np.maximum(u, 0.0) ** p * -np.expm1(p * np.log1p(-width / np.maximum(u, width)))
+        return np.maximum(u, 0.0) ** p * -np.expm1(p * np.log1p(-1.0 / np.maximum(u, 1.0)))
 
 
 @functools.lru_cache(maxsize=16)  # each operator or generator call asks for one or two lengths

@@ -157,10 +157,9 @@ def _load_path(source):
     default="circulant",
     show_default=True,
 )
-@click.option("--truncation", type=float, default=None, help="Moving-average history length.")
 @click.option("--out", type=click.Path(file_okay=False), default="out", show_default=True)
 @click.pass_context
-def generate(ctx, hurst, steps, tmax, seed, stream, generator, truncation, out):
+def generate(ctx, hurst, steps, tmax, seed, stream, generator, out):
     """Draw one path and write CSV plus manifest; reruns are byte-identical."""
     from .gaussianpaths import (
         GridSpec,
@@ -183,7 +182,7 @@ def generate(ctx, hurst, steps, tmax, seed, stream, generator, truncation, out):
     elif generator == "circulant":
         path = generate_fbm_circulant(grid, hurst, rng_seed)
     else:
-        path = generate_fbm_moving_average(grid, hurst, rng_seed, truncation)
+        path = generate_fbm_moving_average(grid, hurst, rng_seed)
     csv_path = os.path.join(out, "path.csv")
     flags = {name: value for name, value in ctx.params.items() if name != "out"}
     with _writing(out):

@@ -10,6 +10,7 @@ Monte Carlo sizes for quick smoke runs at the cost of wider spread.
 from __future__ import annotations
 
 import time
+import warnings
 from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Callable, Optional
@@ -91,6 +92,7 @@ class ExperimentResult:
     title: str
     checks: tuple
     elapsed: float
+    warnings: tuple = ()  # messages of the warnings raised during the run, each once
 
     @property
     def passed(self) -> bool:
@@ -103,6 +105,7 @@ class ExperimentResult:
             "verdict": "pass" if self.passed else "fail",
             "elapsed_seconds": round(self.elapsed, 3),
             "checks": [c.record() for c in self.checks],
+            "warnings": list(self.warnings),
         }
 
 
@@ -488,8 +491,12 @@ def run_experiment(exp_id: str, cfg: Optional[VerifyConfig] = None) -> Experimen
     title, fn = EXPERIMENTS[exp_id]
     cfg = VerifyConfig() if cfg is None else instance(cfg, VerifyConfig, "cfg")
     start = time.perf_counter()
-    checks = fn(cfg)
-    return ExperimentResult(exp_id, title, tuple(checks), time.perf_counter() - start)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        checks = fn(cfg)
+    elapsed = time.perf_counter() - start
+    messages = tuple(dict.fromkeys(str(w.message) for w in caught))
+    return ExperimentResult(exp_id, title, tuple(checks), elapsed, messages)
 
 
 def run_suite(exp_ids=None, cfg: Optional[VerifyConfig] = None):

@@ -10,8 +10,8 @@ costs far less than building a generator per stream.  No law makes a
 threaded BLAS call, so no path depends on the BLAS thread count.
 
 Generators: exact covariance via Cholesky (reference, small grids), exact
-circulant embedding of the increment covariance (long grids), and a
-truncated moving-average discretization of the kernel representation
+circulant embedding of the increment covariance (long grids), and the hybrid
+scheme on the moving-average (Mandelbrot-Van Ness) kernel representation
 
     Z(t) = (1/C(H)) int [ (t-s)_+^(H-1/2) - (-s)_+^(H-1/2) ] dB(s).
 
@@ -23,25 +23,34 @@ Hermitian spectrum and one inverse real FFT of them gives the 2n-point
 Gaussian vector whose first n entries are the increments; the conjugate
 half of the spectrum is never formed.
 
-The moving average samples dB on near cells over [-t_max, t_max] and on far
-cells graded geometrically from -t_max back to -truncation, and weights each
-cell by the exact cell average of the kernel.  The kernel is singular only at
-lattice nodes, approached from the left, so each step of the near zone is
-split into G = kernel_mesh cells graded toward its right end, at fractions
-f_g = 1 - (1 - g/G)^3 of the step (a graded mesh for a weakly singular kernel,
-Brunner 1985).  The pattern repeats every step, so node k weights cell g of
-step i by c_g(k + n - i) - c_g(n - i), with c_g(u) = (u - f_g)_+^q -
-(u - f_(g+1))_+^q scaled by dt^H / (q C(H) sqrt(f_(g+1) - f_g)), q = H + 1/2:
-G stationary sequences, formed once.  A far cell [-b, -a] holds
-(1/C(H)) int (t-s)^(q-1) - (-s)^(q-1) ds over the cell, divided by
-sqrt(b - a): a difference of (t + e)^q - e^q over the edges e.  Grids whose
-n x m weight table, near and far cells together, has at most _GEMV_MAX
-entries apply it by one gemv per row; larger grids convolve each of a
-stream's G channels of near cells with its sequence by `_nodecalc.convolve`,
-the operators' FFT pair, at the least 2^a 3^b 5^c length of at least a
-sequence's, sum the channels at the n + 1 lattice points t_k, subtract the
-value at t_0 and add the far cells by gemvs.  The crossover depends only on
-the grid, so a single path and an ensemble row take the same route.
+The moving average draws 3n + 15 normals a stream, 39 on 8 steps: 2n step
+normals a_i over [-t_max, t_max], n + 1 hybrid normals b_j, 8 far cells
+graded by 1.3 back to -T = -8 t_max, and 6 for the history beyond -T.  Node k
+weights a_i by the kernel's step average, r(k + n - i) - r(n - i) with
+r(u) = (u_+^q - (u - 1)_+^q) dt^H / (q C(H)) and q = H + 1/2: one stationary
+sequence.  The hybrid scheme (Bennedsen, Lunde & Pakkanen 2017, kappa = 1)
+makes the integral over the step that ends at a node, where the kernel is
+singular, exact: it is (a/q + c b) dt^H with c = sqrt(1/(2H) - 1/q^2), and
+r(1) = 1/q is already its a-coefficient, so node k adds
+c dt^H / C(H) (b_k - b_0).  A far cell holds the kernel's integral over it
+divided by the square root of its width.  Beyond -T, with t <= t_max < T,
+the kernel is a power series in t, sum_k binom(q-1, k) t^k Z_k, whose moments
+E Z_k Z_l = T^(2H-k-l) / (k + l - 2H) are factored once per H (60 terms,
+numerical rank 6, so 6 normals): the law is not truncated.  The sup
+covariance error of the law against the exact one, at t_max = 1:
+
+    grid       H = 0.05  0.1      0.25     0.75     0.9      0.95
+    8 steps    6.7e-3    8.6e-3   4.3e-3   7.3e-4   6.7e-4   4.0e-4
+    64 steps   5.4e-3    5.7e-3   1.5e-3   2.0e-4   2.3e-4   1.5e-4
+
+At H = 1/2 it is exact to rounding.  A grid whose n x (3n + 15) table has at
+most _GEMV_MAX entries, up to 362 steps, applies it by one gemv per row;
+a larger grid convolves the step normals with r by `_nodecalc.convolve`, the
+operators' FFT pair, at the least 2^a 3^b 5^c length of at least 3n, reads
+the n + 1 nodes, subtracts the value at t_0, reads the hybrid normals by
+index and applies the far and history columns as one table.  The crossover
+depends only on the grid, so a single path and an ensemble row take the
+same route.
 
 Every generator, Brownian increments included, is set up once per call.
 Each stream then draws its normals into one row of a block of streams, and
@@ -83,12 +92,10 @@ __all__ = [
     "generate_fbm_cholesky",
     "generate_fbm_circulant",
     "generate_fbm_moving_average",
-    "moving_average_truncation_bias",
     "bm_ensemble",
     "fbm_cholesky_ensemble",
     "fbm_circulant_ensemble",
     "fbm_moving_average_ensemble",
-    "ensemble_manifest",
     "empirical_covariance",
     "scale_path",
     "time_invert_bm",
@@ -105,9 +112,15 @@ CHOLESKY_MAX_NODES = 4096
 #: a block of one row
 _BLOCK_NORMALS = 2**17
 
-#: growth ratio of the moving average's far history cells, which are graded
-#: geometrically from -t_max back to -truncation
+#: growth ratio of the moving average's far cells, graded geometrically from
+#: -t_max back to -_HISTORY_START t_max
 _FAR_RATIO = 0.3
+
+#: where the moving average's exact history begins, in units of t_max; the terms
+#: of its power series, and the normals a stream draws for it
+_HISTORY_START = 8.0
+_HISTORY_TERMS = 60
+_HISTORY_NORMALS = 6
 
 #: entries (3 MiB) of the largest matrix one gemv applies: a Cholesky factor is
 #: applied in row chunks of at most this size, and a larger moving-average table
@@ -485,146 +498,99 @@ def fbm_circulant_ensemble(grid: GridSpec, H: float, root: int, replicates: int)
     return _draw(_circulant_law(grid, H), grid, root, _streams(root, replicates))
 
 
-def _moving_average_law(
-    grid: GridSpec, H: float, truncation: Optional[float], kernel_mesh: int
-):
+@lru_cache(maxsize=8)
+def _history_factor(H: float) -> np.ndarray:
+    """Coefficients f_k (K x _HISTORY_NORMALS) of the history: sum_k f_k t^k has its law.
+
+    Beyond T = _HISTORY_START, in units of t_max, the kernel expands as
+    (t + r)^(q-1) - r^(q-1) = sum_(k>=1) binom(q-1, k) t^k r^(q-1-k) for t <= 1 < T,
+    so the history is sum_k binom(q-1, k) t^k Z_k with Z_k = int_T^inf r^(q-1-k) dW(r)
+    and E Z_k Z_l = T^(2H-k-l) / (k + l - 2H).  The series is cut at K = _HISTORY_TERMS
+    and the moment matrix M is factored as L L^T by a Cholesky factorization with
+    diagonal pivoting, stopped after _HISTORY_NORMALS columns or at a pivot below 1e-17
+    of the largest diagonal entry.  M is numerically of rank 6: its seventh eigenvalue
+    is below 1.5e-18 of the largest for H in [0.001, 0.999], and there L L^T meets M
+    within 6e-16 of its largest entry, where its six leading eigenpairs reach 1.2e-15.
+    The loop is numpy, so no LAPACK routine is paged in (an eigh added 1.2 MiB to the
+    resident set); the factor depends on H alone and is cached.
+    """
+    k = np.arange(1.0, _HISTORY_TERMS + 1)
+    M = _HISTORY_START ** (2 * H - k[:, None] - k) / (k[:, None] + k - 2 * H)
+    L = np.zeros((_HISTORY_TERMS, _HISTORY_NORMALS))
+    d = M.diagonal().copy()
+    for j in range(_HISTORY_NORMALS):
+        p = int(np.argmax(d))
+        if d[p] < 1e-17 * M[0, 0]:
+            break
+        L[:, j] = (M[:, p] - L @ L[p]) / math.sqrt(d[p])
+        d -= L[:, j] ** 2
+    L *= np.cumprod((H + 0.5 - k) / k)[:, None]  # binom(q - 1, k) = prod_(j<=k) (q - j) / j
+    L.flags.writeable = False  # every law of this H shares it
+    return L
+
+
+def _moving_average_law(grid: GridSpec, H: float):
     H = _validate.hurst(H)
     n = _validate.instance(grid, GridSpec, "grid").n_steps
-    G = _validate.integer(kernel_mesh, "kernel_mesh", 1)
-    if truncation is None:
-        truncation = 1e4 * grid.t_max
-    rule = "be finite and at least t_max"
-    truncation = _validate.real(truncation, "truncation", grid.t_max, closed=True, rule=rule)
-    reach = truncation / grid.t_max  # far edges are formed in units of t_max, one grade past it
-    if reach * (1.0 + _FAR_RATIO) == math.inf:
-        ratio = f"{truncation!r} / {grid.t_max!r}"
-        raise ValueError(f"truncation / t_max must stay clear of float overflow, got {ratio}")
-    m = 2 * n * G  # near cells on [-t_max, t_max], in time order
     q = H + 0.5
-    scale = 1.0 / (q * normalizing_constant(H))
-    # cell g of step i spans (i - n + f_g, i - n + f_(g+1)) dt, f_g = 1 - (1 - g/G)^3, and node k
-    # weights it by c_g(k + n - i) - c_g(n - i), c_g(u) = ((u - f_g)_+^q - (u - f_(g+1))_+^q) dt^H
-    # / (q C(H) sqrt(f_(g+1) - f_g)): channel g is one stationary sequence R[g, a] = c_g(2n - a),
-    # and node k weights cell (i, g) by R[g, n - k + i] - R[g, n + i]
-    f = 1.0 - (1.0 - np.arange(G + 1) / G) ** 3
-    width = np.diff(f)[:, None]
-    R = diffpow(np.arange(2 * n, -n, -1.0) - f[:-1, None], q, width)
-    R *= grid.dt**H * scale / np.sqrt(width)
-    # far cells [-e_(j+1), -e_j], e_j = t_max (1 + _FAR_RATIO)^j below truncation,
-    # then truncation; node t weights one by (F(e_(j+1)) - F(e_j)) / (q C(H) sqrt(width)),
-    # F(e) = (t + e)^q - e^q.  In units of t_max, F(e) = e^(q-1) (e expm1(q log1p(t/e)))
-    # has factors near e^(q-1) and q t, which stay finite, and t_max^H scales the weights
-    grades = math.ceil((math.log(truncation) - math.log(grid.t_max)) / math.log1p(_FAR_RATIO))
-    e = (1.0 + _FAR_RATIO) ** np.arange(grades + 1.0)
-    e = np.append(e[e < reach], reach)
-    F = np.expm1(q * np.log1p(np.arange(1, n + 1)[:, None] / n / e)) * e * e ** (q - 1.0)
-    far = np.diff(F, axis=1)
-    far *= grid.t_max**H * scale / np.sqrt(np.diff(e))
-    count = m + far.shape[1]
+    C = normalizing_constant(H)
+    # step i spans (i - n, i - n + 1) dt, and node k weights its normal a_i by r(k + n - i) -
+    # r(n - i), r(u) = (u_+^q - (u - 1)_+^q) dt^H / (q C(H)), the kernel's step average: one
+    # stationary sequence R[a] = r(2n - a), and node k weights a_i by R[n - k + i] - R[n + i]
+    R = diffpow(np.arange(2 * n, -n, -1.0), q) * (grid.dt**H / (q * C))
+    # hybrid: the step ending at t_k holds S = int (t_k - s)^(q-1) dW exactly, as (a/q + c b) dt^H
+    # with E S^2 = dt^2H / 2H; r(1) = 1/q is its a-coefficient, and c^2 = 1/(2H) - 1/q^2
+    hybrid = abs(H - 0.5) / (q * math.sqrt(2.0 * H)) * grid.dt**H / C
+    # far cells [-e_(j+1), -e_j], e_j = 1.3^j below _HISTORY_START, then _HISTORY_START, in
+    # units of t_max: node t weights one by (F(e_(j+1)) - F(e_j)) / (q C(H) sqrt(width)),
+    # F(e) = (t + e)^q - e^q = e^(q-1) (e expm1(q log1p(t/e))), and t_max^H scales the weights
+    t = np.arange(1, n + 1)[:, None] / n
+    e = np.append((1.0 + _FAR_RATIO) ** np.arange(8.0), _HISTORY_START)  # 1.3^7 < 8 < 1.3^8
+    far = np.diff(np.expm1(q * np.log1p(t / e)) * e * e ** (q - 1.0), axis=1) / (q * np.sqrt(np.diff(e)))
+    # einsum sums without BLAS, whose threaded gemm of a long grid could round differently
+    history = np.einsum("nk,kj->nj", t ** np.arange(1.0, _HISTORY_TERMS + 1), _history_factor(H))
+    rest = np.hstack([far, history]) * (grid.t_max**H / C)
+    count = 3 * n + 1 + rest.shape[1]  # the step normals, n + 1 hybrid normals, then the rest
     if n * count <= _GEMV_MAX:
-        w = sliding_window_view(R, 2 * n, axis=1)  # w[g, a] = R[g, a : a + 2n]
-        near = np.subtract(w[:, n - 1 :: -1], w[:, n : n + 1])  # near[g, k - 1, i]
-        shape = _rowwise_gemv(np.hstack([near.transpose(1, 2, 0).reshape(n, m), far]))
+        w = sliding_window_view(R, 2 * n)  # w[a] = R[a : a + 2n]
+        near = np.subtract(w[n - 1 :: -1], w[n])
+        S = np.eye(n, n + 1, 1) * hybrid  # node k takes hybrid (b_k - b_0)
+        S[:, 0] = -hybrid
+        shape = _rowwise_gemv(np.hstack([near, S, rest]))
     else:
-        # sum_i z[i, g] R[g, n - k + i] is the causal convolution of channel g with R[g]
-        # reversed, read at 2n - 1 + k; from a cyclic length of 3n on, none of them wraps
-        kernel = kernel_spectrum(R[:, ::-1], 3 * n)
-        far_shape = _rowwise_gemv(far)
+        # sum_i a_i R[n - k + i] is the causal convolution of a with R reversed, read at
+        # 2n - 1 + k; from a cyclic length of 3n on, none of them wraps
+        kernel = kernel_spectrum(R[::-1], 3 * n)
+        rest_shape = _rowwise_gemv(rest)
 
         def shape(z: np.ndarray, dest: np.ndarray) -> None:
-            near = z[:, :m].reshape(len(z), 2 * n, G).transpose(0, 2, 1)
-            channels = convolve(near, kernel, 3 * n)[:, :, 2 * n - 1 : 3 * n]
-            at = sum(channels[:, g] for g in range(G))  # in channel order, whatever the row count
-            far_shape(z[:, m:], dest)
+            at = convolve(z[:, : 2 * n], kernel, 3 * n)[:, 2 * n - 1 : 3 * n]
+            b = z[:, 2 * n : 3 * n + 1]
+            rest_shape(z[:, 3 * n + 1 :], dest)
             dest += np.subtract(at[:, 1:], at[:, :1])
+            dest += np.subtract(b[:, 1:], b[:, :1]) * hybrid
 
     return count, shape
 
 
-@_in_float_range
-def moving_average_truncation_bias(H: float, truncation: float, t: float) -> float:
-    """Analytic bound on the variance lost to truncating the kernel at -truncation.
+def generate_fbm_moving_average(grid: GridSpec, H: float, seed: RngSeed) -> SamplePath:
+    """Approximate fBm by the hybrid scheme on the moving-average kernel representation.
 
-    By the mean value theorem the kernel below s = -L is at most
-    |H-1/2| t (-s)^(H-3/2), so the missing squared mass is bounded by
-    (H-1/2)^2 t^2 L^(2H-2) / (2-2H), normalized by C(H)^2.  Zero for
-    H = 1/2, where the kernel has compact support.  This is the truncation
-    term only of the generator's covariance error.  Above H = 1/2 it is most
-    of that error: at the default 1e4 t_max the bound is 1.4e-3 at H = 0.75
-    and t = 1, against a sup error of 2.0e-3 on 8 steps.  Below H = 1/2 the
-    near mesh sets the error, which this bound does not see: 1.7e-8 at
-    H = 0.25, against 9.8e-3 with five graded cells a step.  The far cells,
-    graded by 1.3, add 0.6-1.8% at H = 0.25 and 18-21% at H = 0.75 against
-    far cells graded by 1.01 (8 and 64 steps).
+    A stream draws 3n + 15 normals, 39 for the default 8-step grid: one a
+    step over [-t_max, t_max], one for the exact integral over each step that
+    ends at a node, 8 far cells back to -8 t_max and 6 for the exact history
+    beyond.  The module docstring gives the law's covariance error, at most
+    8.6e-3 at H = 0.1 on 8 steps; at H = 1/2 the law is exact to rounding.
     """
-    H = _validate.hurst(H)
-    (t,) = _check_times(t)
-    truncation = _validate.real(truncation, "truncation", 0.0)
-    if H == 0.5:
-        return 0.0
-    beta = H - 0.5
-    tail = beta**2 * t**2 * truncation ** (2.0 * H - 2.0) / (2.0 - 2.0 * H)
-    return tail / normalizing_constant(H) ** 2
+    return _single(_moving_average_law(grid, H), grid, seed, H, PathGenerator.FBM_MOVING_AVERAGE)
 
 
-def generate_fbm_moving_average(
-    grid: GridSpec,
-    H: float,
-    seed: RngSeed,
-    truncation: Optional[float] = None,
-    kernel_mesh: int = 5,
-) -> SamplePath:
-    """Approximate fBm by discretizing the moving-average kernel representation.
-
-    An auxiliary Brownian motion on [-truncation, t_max] is sampled on
-    kernel_mesh cells a step over [-t_max, t_max], graded toward each step's
-    right end at fractions 1 - (1 - g/kernel_mesh)^3, and on cells growing
-    by the ratio 1 + _FAR_RATIO from -t_max back to -truncation, and summed
-    against exact cell averages of the kernel, which keeps the integrable
-    singularities at the nodes harmless.  A stream draws one normal per cell,
-    near cells first: 116 for the default 8-step grid.  Truncation defaults to
-    1e4 * t_max; the induced variance deficit is bounded by
-    moving_average_truncation_bias.  A long truncation costs a number of
-    far cells logarithmic in truncation / t_max.  The sup covariance error
-    of the law against the exact one, with the defaults:
-
-        grid       H = 0.25   H = 0.75
-        8 steps    9.76e-3    1.99e-3
-        64 steps   3.51e-3    1.75e-3
-
-    At H = 1/2 the law is exact to rounding: the cells meet at the nodes.
-    """
-    law = _moving_average_law(grid, H, truncation, kernel_mesh)
-    return _single(law, grid, seed, H, PathGenerator.FBM_MOVING_AVERAGE)
-
-
-def fbm_moving_average_ensemble(
-    grid: GridSpec,
-    H: float,
-    root: int,
-    replicates: int,
-    truncation: Optional[float] = None,
-    kernel_mesh: int = 5,
-) -> np.ndarray:
-    law = _moving_average_law(grid, H, truncation, kernel_mesh)
-    return _draw(law, grid, root, _streams(root, replicates))
+def fbm_moving_average_ensemble(grid: GridSpec, H: float, root: int, replicates: int) -> np.ndarray:
+    return _draw(_moving_average_law(grid, H), grid, root, _streams(root, replicates))
 
 
 # ---------------------------------------------------------------------------
-# ensemble bookkeeping
-
-def ensemble_manifest(
-    grid: GridSpec, hurst: Optional[float], generator: PathGenerator, root: int, replicates: int
-) -> dict:
-    """JSON-ready record of how an ensemble was drawn."""
-    return {
-        "t_max": _validate.instance(grid, GridSpec, "grid").t_max,
-        "n_steps": grid.n_steps,
-        "hurst": None if hurst is None else _validate.hurst(hurst, "hurst"),
-        "generator": PathGenerator(generator).value,
-        "root_seed": _validate.integer(root, "root", 0, 2**64 - 1),
-        "replicates": _validate.integer(replicates, "replicates"),
-    }
+# ensemble statistics
 
 
 def empirical_covariance(values: np.ndarray) -> np.ndarray:

@@ -44,7 +44,7 @@ class TestGenerate:
             "command": "generate",
             "parameters": {
                 "hurst": 0.7, "steps": 128, "tmax": 1.0, "seed": 5,
-                "stream": 0, "generator": "circulant", "truncation": None,
+                "stream": 0, "generator": "circulant",
             },
             "out_dir": str(out),
         }
@@ -299,6 +299,20 @@ class TestVerify:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["parameters"]["suite"] == "E2,E1"
         assert list(manifest["results"]) == ["E1", "E2"] and manifest["verdicts"] == {"E1": "pass", "E2": "pass"}
+
+    def test_records_keep_the_warnings_of_their_run(self, runner, tmp_path):
+        # the replicate floor warns during E8 at 50 replicates; the warning goes into E8.json
+        # and no column of summary.csv, whose rows rerun byte-identical
+        out = tmp_path / "v"
+        run_ok(runner, ["verify", "--suite", "E8", "--replicates", "50", "--out", str(out)])
+        warned = json.loads((out / "E8.json").read_text())["warnings"]
+        assert warned == ["50 replicates give wide confidence intervals (floor 1000)"]
+        summary = (out / "summary.csv").read_bytes()
+        assert summary.startswith(b"experiment,check,target,estimate,tolerance,verdict\n")
+        run_ok(runner, ["verify", "--suite", "E8", "--replicates", "50", "--out", str(out)])
+        assert (out / "summary.csv").read_bytes() == summary
+        run_ok(runner, ["verify", "--suite", "E1", "--out", str(out)])
+        assert json.loads((out / "E1.json").read_text())["warnings"] == []
 
     def test_unknown_experiment_is_a_usage_error(self, runner, tmp_path):
         result = runner.invoke(main, ["verify", "--suite", "E99", "--out", str(tmp_path / "v")])

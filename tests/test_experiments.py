@@ -35,6 +35,7 @@ def test_experiment_record_shape():
     assert rec["verdict"] == "pass"
     assert rec["elapsed_seconds"] == 0.123
     assert len(rec["checks"]) == 1
+    assert rec["warnings"] == []
     assert res.passed
 
 

@@ -26,7 +26,6 @@ from fracbm.gaussianpaths import (
     bm_covariance,
     bm_ensemble,
     empirical_covariance,
-    ensemble_manifest,
     fbm_cholesky_ensemble,
     fbm_circulant_ensemble,
     fbm_covariance,
@@ -36,7 +35,6 @@ from fracbm.gaussianpaths import (
     generate_fbm_circulant,
     generate_fbm_moving_average,
     increment_cross_covariance,
-    moving_average_truncation_bias,
     normalizing_constant,
     read_path_csv,
     scale_path,
@@ -47,7 +45,8 @@ from fracbm.gaussianpaths import (
     _cholesky_factor,
     _keyed_generator,
     _draw,
-    _FAR_RATIO,
+    _HISTORY_START,
+    _history_factor,
     _GEMV_MAX,
     _moving_average_law,
     _rowwise_gemv,
@@ -121,10 +120,8 @@ class TestCovarianceFormulas:
             lambda x: fbm_covariance(0.7, x, 1.0),
             lambda x: fbm_covariance(0.7, 1.0, x),
             lambda x: increment_cross_covariance(0.7, 0.0, 1.0, x, 2.0),
-            lambda x: moving_average_truncation_bias(0.7, 10.0, x),
-            lambda x: moving_average_truncation_bias(0.5, 10.0, x),
         ],
-        ids=["bm", "fbm-s", "fbm-t", "increment", "truncation-bias", "truncation-bias-half"],
+        ids=["bm", "fbm-s", "fbm-t", "increment"],
     )
     def test_times_must_be_finite_and_nonnegative(self, call, bad):
         with pytest.raises(ValueError, match="times must be finite and nonnegative"):
@@ -139,12 +136,8 @@ class TestCovarianceFormulas:
                 lambda: increment_cross_covariance(0.75, 0, 1e300, 0, 1e300),
                 "H=0.75, s=0, t=1e+300, u=0, v=1e+300",
             ),
-            (
-                lambda: moving_average_truncation_bias(0.25, 1e-300, 1e300),
-                "H=0.25, truncation=1e-300, t=1e+300",
-            ),
         ],
-        ids=["fbm", "fbm-sum", "increment", "truncation-bias"],
+        ids=["fbm", "fbm-sum", "increment"],
     )
     def test_a_value_past_the_float_range_names_the_inputs(self, call, inputs):
         # a float power raises OverflowError, and a sum of two finite powers can reach inf
@@ -256,59 +249,58 @@ BLOCK_SPANNING = {
     "bm": (GridSpec(1.0, 1024), 1024),
     "cholesky": (GridSpec(1.0, 256), 256),
     "circulant": (GridSpec(1.0, 1024), 2048),
-    "moving-average": (GridSpec(1.0, 8), 2 * 5 * 8 + 36),
+    "moving-average": (GridSpec(1.0, 8), 3 * 8 + 15),
 }
 
 
-def far_edges(truncation):
-    """Far cell edges over t_max = 1: (1 + ratio)^j below truncation, then truncation."""
-    grades = math.ceil(math.log(truncation) / math.log1p(_FAR_RATIO))
-    e = (1.0 + _FAR_RATIO) ** np.arange(grades + 1.0)
-    return np.append(e[e < truncation], truncation)
+def law_matrix(law, n):
+    """The matrix A of a table law, read off by shaping unit normals: node k is row k - 1 of A z."""
+    count, shape = law
+    A = np.empty((count, n))
+    shape(np.eye(count), A)
+    return np.ascontiguousarray(A.T)  # as the law's own table, for the same gemv
 
 
-def step_fractions(mesh):
-    """Where the near cells of a step end, as fractions of it: 1 - (1 - g/mesh)^3."""
-    return 1.0 - (1.0 - np.arange(mesh + 1) / mesh) ** 3
+def law_covariance_error(law, grid, H):
+    """Sup over the nodes of |A A^T - exact|, the exact one an np.longdouble 1/2 (s^2H + t^2H - |t-s|^2H)."""
+    A = law_matrix(law, grid.n_steps)
+    t = np.arange(1, grid.n_steps + 1, dtype=np.longdouble) * (np.longdouble(grid.t_max) / grid.n_steps)
+    p = 2 * np.longdouble(H)
+    exact = (t[:, None] ** p + t[None, :] ** p - np.abs(t[:, None] - t[None, :]) ** p) / 2
+    return float(np.abs(A @ A.T - exact).max())
 
 
-def moving_average_table(grid, H, truncation=1e4, mesh=5):
-    """Weights of node k on each cell, in the order a stream draws the cells (t_max = 1).
+def moving_average_reference(grid, H, z):
+    """Node values of a stream's normals z, one node at a time by kernel primitives (t_max = 1).
 
-    Near cells first, in time order over [-1, 1]: cell g of step i spans
-    (i - n + f_g, i - n + f_(g+1)) dt, and W[k-1, (i, g)] = c_g(k + n - i) - c_g(n - i)
-    with c_g(u) = ((u - f_g)_+^q - (u - f_(g+1))_+^q) dt^H / (q C(H) sqrt(f_(g+1) - f_g))
-    at q = H + 1/2.  Then the far cells [-e_(j+1), -e_j] outward from -1:
-    (F(e_(j+1)) - F(e_j)) / (q C(H) sqrt(e_(j+1) - e_j)) with F(e) = (t + e)^q - e^q,
-    formed as e^(q-1) (e expm1(q log1p(t/e))).
+    z holds 2n step normals a_i over [-1, 1], n + 1 hybrid normals b_j for the steps that
+    end at t_0..t_n, 8 far cells [-e_(j+1), -e_j] with e = 1.3^j below 8, then 8, and the
+    history's normals.  Node t weights a cell [lo, hi] by the primitive difference of
+    (t - s)_+^(q-1) - (-s)_+^(q-1) over it divided by sqrt(hi - lo), adds
+    sqrt(1/(2H) - 1/q^2) dt^H b for the step ending at t (the hybrid part of the exact
+    integral over that step), and the history sum_k binom(q-1, k) t^k (F xi)_k.  Near
+    edges are taken in steps, whole numbers, so that no rounding of t - s meets the
+    singular power at 0.
     """
-    n = grid.n_steps
-    q = H + 0.5
-    scale = 1.0 / (q * normalizing_constant(H))
-    f = step_fractions(mesh)
-    width = np.diff(f)[:, None]
-    c = diffpow(np.arange(2 * n, -n, -1.0) - f[:-1, None], q, width) * (grid.dt**H * scale / np.sqrt(width))
-    i, g = np.divmod(np.arange(2 * n * mesh), mesh)
-    k = np.arange(1, n + 1)[:, None]
-    e = far_edges(truncation)
-    F = np.expm1(q * np.log1p(k / n / e)) * e * e ** (q - 1.0)
-    far = np.diff(F, axis=1) * (scale / np.sqrt(np.diff(e)))
-    return np.hstack([c[g, n - k + i] - c[g, n + i], far])
-
-
-def old_moving_average_path(grid, H, z, truncation, mesh=5):
-    """The node values of z's cells by per-cell primitive differences of the kernel (t_max = 1)."""
-    near = -1.0 + grid.dt * (np.arange(2 * grid.n_steps)[:, None] + step_fractions(mesh)[None, :])
-    e = far_edges(truncation)
-    lo = np.concatenate([near[:, :-1].ravel(), -e[1:]])
-    hi = np.concatenate([near[:, 1:].ravel(), -e[:-1]])
-    q = H + 0.5
+    n, q = grid.n_steps, H + 0.5
+    dt = grid.dt
+    e = np.array([1.3**j for j in range(9) if 1.3**j < _HISTORY_START] + [_HISTORY_START])
+    a, b, cells, xi = np.split(z, [2 * n, 3 * n + 1, 3 * n + e.size])
+    edges = np.arange(-n, n + 1.0)
+    history = _history_factor(H) @ xi
 
     def prim(t, s):
         return (np.maximum(-s, 0.0) ** q - np.maximum(t - s, 0.0) ** q) / q
 
-    x = [np.dot((prim(t, hi) - prim(t, lo)) / np.sqrt(hi - lo), z) for t in grid.times[1:]]
-    return np.concatenate(([0.0], x)) / normalizing_constant(H)
+    def X(k):
+        near = np.diff(prim(k, edges)) * dt**q / math.sqrt(dt)
+        far = -np.diff(prim(k * dt, -e)) / np.sqrt(np.diff(e))  # cells [-e_(j+1), -e_j]
+        hybrid = math.sqrt(1.0 / (2 * H) - 1.0 / q**2) * dt**H * b[k]
+        past = sum((k * dt) ** j * f for j, f in enumerate(history, 1))
+        return np.dot(near, a) + np.dot(far, cells) + hybrid + past
+
+    x0 = X(0)
+    return np.array([X(k) - x0 for k in range(n + 1)]) / normalizing_constant(H)
 
 
 def fresh_philox(root, stream):
@@ -335,8 +327,8 @@ def per_stream_reference(kind, grid, H, root, replicates):
             w[0], w[n] = z[0] * a[0], z[1] * a[n]
             w[1:n] = z[2::2] * inner - 1j * (z[3::2] * inner)
             x = np.cumsum(np.fft.irfft(w, m, norm="forward")[:n])
-        else:  # default truncation 1e4 * t_max and kernel mesh 5, a table-sized grid
-            table = moving_average_table(grid, H)
+        else:  # a table-sized grid
+            table = law_matrix(_moving_average_law(grid, H), n)
             x = table @ rng.standard_normal(table.shape[1])
         rows.append(np.concatenate(([0.0], x)))
     return np.array(rows)
@@ -465,14 +457,6 @@ class TestFbmGenerators:
         with pytest.raises(ValueError, match="max_nodes"):
             fbm_cholesky_ensemble(grid, 0.7, 1, 2, max_nodes=bad)
 
-    @pytest.mark.parametrize("bad", [2.5, True, 0])
-    def test_kernel_mesh_must_be_a_positive_integer(self, bad):
-        grid = GridSpec(1.0, 16)
-        with pytest.raises(ValueError, match="kernel_mesh must be a positive integer"):
-            generate_fbm_moving_average(grid, 0.7, RngSeed(1, 0), kernel_mesh=bad)
-        with pytest.raises(ValueError, match="kernel_mesh must be a positive integer"):
-            fbm_moving_average_ensemble(grid, 0.7, 1, 2, kernel_mesh=bad)
-
     def test_circulant_covariance(self):
         grid = GridSpec(1.0, 16)
         ens = fbm_circulant_ensemble(grid, 0.25, 102, 5000)
@@ -490,34 +474,18 @@ class TestFbmGenerators:
         cov_ch = empirical_covariance(fbm_cholesky_ensemble(grid, 0.75, 105, 5000))
         assert np.abs(cov_ma - cov_ch).max() <= 0.06
 
-    @pytest.mark.parametrize("H", [0.5, 0.75])
-    @pytest.mark.parametrize("bad", [np.nan, 0.0, -1.0])
-    def test_truncation_bias_needs_a_positive_window(self, H, bad):
-        with pytest.raises(ValueError, match="truncation must be positive"):
-            moving_average_truncation_bias(H, bad, 1.0)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.5, "5", 1j, True])
-    def test_moving_average_truncation_is_named(self, bad):
-        with pytest.raises(ValueError, match="truncation must be finite and at least t_max"):
-            generate_fbm_moving_average(GridSpec(1.0, 8), 0.7, RngSeed(1, 0), truncation=bad)
-        with pytest.raises(ValueError, match="truncation must be finite and at least t_max"):
-            fbm_moving_average_ensemble(GridSpec(1.0, 8), 0.7, 1, 2, truncation=bad)
-
-    def test_truncation_past_the_float_range_of_t_max_is_named(self):
-        # far edges are formed in units of t_max; 1e300 / 1e-300 overflows them
-        grid = GridSpec(1e-300, 8)
+    @pytest.mark.parametrize("t_max", [1e-300, 1.0, 1e300])
+    @pytest.mark.parametrize("H", [0.01, 0.05, 0.5, 0.95, 0.99])
+    def test_moving_average_is_finite_and_silent_at_the_extremes(self, t_max, H):
+        # the far and history weights are formed in units of t_max and scaled by t_max^H
+        grid = GridSpec(t_max, 8)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="truncation / t_max must stay clear of float"):
-                generate_fbm_moving_average(grid, 0.75, RngSeed(1, 0), 1e300)
-            for ratio in (1e307, 1e308):
-                path = generate_fbm_moving_average(grid, 0.75, RngSeed(1, 0), ratio * 1e-300)
-                assert np.isfinite(path.values).all()
-
-    def test_truncation_bias_shrinks_with_the_window(self):
-        bias = [moving_average_truncation_bias(0.75, w, 1.0) for w in (10.0, 50.0, 250.0)]
-        assert all(b > 0 for b in bias)
-        assert all(b2 < b1 for b1, b2 in zip(bias, bias[1:]))
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                path = generate_fbm_moving_average(grid, H, RngSeed(1, 0))
+                ens = fbm_moving_average_ensemble(grid, H, 1, 2)
+        assert np.isfinite(path.values).all() and np.array_equal(ens[0], path.values)
+        assert path.values[1:].any()
 
     def test_circulant_determinism(self):
         grid = GridSpec(1.0, 64)
@@ -601,13 +569,12 @@ class TestFbmGenerators:
         assert peak <= 6 * 2**20
 
     @pytest.mark.parametrize("p", [0.55, 1.0, 1.25, 1.45])
-    def test_width_aware_power_difference(self, p):
-        # u_+^p - (u - w)_+^p for the widths of graded cells, against long-double powers
+    def test_power_difference(self, p):
+        # u_+^p - (u - 1)_+^p against long-double powers
         u = np.array([-1.0, 0.0, 0.003, 0.2, 0.5, 1.0, 2.5, 37.0, 1e4])
-        for w in (0.008, 0.2, 0.488, 1.0):
-            ul = u.astype(np.longdouble)
-            want = np.maximum(ul, 0) ** p - np.maximum(ul - w, 0) ** p
-            assert np.allclose(diffpow(u, p, w), want.astype(float), rtol=1e-10, atol=0)
+        ul = u.astype(np.longdouble)
+        want = np.maximum(ul, 0) ** p - np.maximum(ul - 1, 0) ** p
+        assert np.allclose(diffpow(u, p), want.astype(float), rtol=1e-10, atol=0)
 
     def test_moving_average_determinism(self):
         grid = GridSpec(1.0, 32)
@@ -615,11 +582,12 @@ class TestFbmGenerators:
         b = generate_fbm_moving_average(grid, 0.6, RngSeed(7, 2))
         assert np.array_equal(a.values, b.values)
 
-    @pytest.mark.parametrize("n, table", [(8, True), (198, True), (199, False), (200, False)])
+    # the last table size and the first FFT sizes: n (3n + 15) <= _GEMV_MAX up to 362 steps
+    @pytest.mark.parametrize("n, table", [(8, True), (362, True), (363, False), (364, False)])
     def test_moving_average_rows_match_single_draws_around_the_crossover(self, n, table):
         grid = GridSpec(1.0, n)
-        count = 2 * 5 * n + 36
-        assert _moving_average_law(grid, 0.3, None, 5)[0] == count
+        count = 3 * n + 15
+        assert _moving_average_law(grid, 0.3)[0] == count
         assert (n * count <= _GEMV_MAX) is table
         rows = _BLOCK_NORMALS // count
         replicates = 2 * rows + 1
@@ -628,55 +596,39 @@ class TestFbmGenerators:
             single = generate_fbm_moving_average(grid, 0.3, RngSeed(2**64 - 1, r))
             assert np.array_equal(ens[r], single.values)
 
-    # tables up to 198 steps with the default mesh, FFTs beyond; a truncation of
-    # 9000.5 clips the last far cell, and one of t_max leaves no far cell
-    @pytest.mark.parametrize(
-        "n, truncation, mesh",
-        [(8, 1e4, 5), (16, 1e4, 5), (64, 1e4, 5), (200, 1e4, 5), (24, 9000.5, 5), (200, 1.0, 5),
-         (8, 1e4, 1), (64, 1e4, 16), (32, 50.0, 2)],
-    )
-    @pytest.mark.parametrize("H", [0.25, 0.75])
-    def test_moving_average_is_the_per_cell_primitive_difference(self, n, truncation, mesh, H):
-        # primitives of size up to (1 + truncation)^q differenced cell by cell:
-        # measured at most 3.2e-10 from the law
+    # tables up to 362 steps, FFTs beyond
+    @pytest.mark.parametrize("n", [8, 64, 362, 363, 1000])
+    @pytest.mark.parametrize("H", [0.05, 0.25, 0.5, 0.75, 0.95])
+    def test_moving_average_is_the_per_node_reference(self, n, H):
         grid = GridSpec(1.0, n)
-        count = _moving_average_law(grid, H, truncation, mesh)[0]
-        assert count == 2 * mesh * n + far_edges(truncation).size - 1
         for stream in (0, 1):
-            new = generate_fbm_moving_average(grid, H, RngSeed(5, stream), truncation, mesh).values
-            z = fresh_philox(5, stream).standard_normal(count)
-            old = old_moving_average_path(grid, H, z, truncation, mesh)
-            assert np.abs(new - old).max() <= 2e-9
+            new = generate_fbm_moving_average(grid, H, RngSeed(5, stream)).values
+            z = fresh_philox(5, stream).standard_normal(3 * n + 15)
+            old = moving_average_reference(grid, H, z)
+            assert np.abs(new - old).max() <= 1e-10
 
-    @pytest.mark.parametrize(
-        "n, H, bound",
-        [(8, 0.25, 0.7 * 1.6677e-2), (8, 0.5, 4.5e-16), (8, 0.75, 0.2 * 2.0189e-2),
-         (64, 0.25, 0.7 * 5.9311e-3), (64, 0.5, 4.5e-16), (64, 0.75, 0.2 * 2.0137e-2)],
-    )
-    def test_moving_average_covariance_error(self, n, H, bound):
-        # the node covariance of the law is W W^T for its weight matrix W, read off
-        # by shaping unit normals.  The bounds are fractions of the error of the
-        # former law (16 uniform cells a step, far cells graded by 1.05 back to
-        # -50 t_max); the graded cells measured 0.585 and 0.592 of it at H = 0.25,
-        # 0.099 and 0.087 at H = 0.75.  At H = 1/2 the kernel is the indicator of
-        # (0, t), whose ends are cell edges, so the law is exact to rounding
-        grid = GridSpec(1.0, n)
-        count, shape = _moving_average_law(grid, H, None, 5)
-        W = np.empty((count, n))
-        shape(np.eye(count), W)
-        exact = exact_cov_matrix(H, grid.times[1:])
-        err = np.abs(W.T @ W - exact).max()
-        assert err <= bound
+    @pytest.mark.parametrize("H", [0.05, 0.25, 0.75, 0.95])
+    def test_history_factor_is_the_law_beyond_the_far_cells(self, H):
+        # E F(s) F(t) = int_T^inf g(s, r) g(t, r) dr, g(t, r) = (t + r)^(q-1) - r^(q-1)
+        # = r^(q-1) expm1((q-1) log1p(t/r)), by quadrature over u = T/r in (0, 1],
+        # against the factored power series (units of t_max)
+        from scipy.integrate import quad
 
-    @pytest.mark.parametrize("truncation, cells", [(1e9, 79), (1e300, 2633)])
-    @pytest.mark.parametrize("H", [0.25, 0.75])
-    def test_long_truncations_cost_few_far_cells(self, truncation, cells, H):
-        # uniform cells back to 1e9 took 1.28e11 normals and failed with a MemoryError;
-        # at 1e300 the far weights are formed without the overflowing e^q
-        grid = GridSpec(1.0, 8)
-        assert _moving_average_law(grid, H, truncation, 5)[0] == 2 * 5 * 8 + cells
-        path = generate_fbm_moving_average(grid, H, RngSeed(5, 0), truncation)
-        assert np.isfinite(path.values).all()
+        q = H + 0.5
+        factor = _history_factor(H)
+        times = (0.125, 0.5, 1.0)
+        F = np.array([[t**k for k in range(1, len(factor) + 1)] for t in times]) @ factor
+
+        def g(t, r):
+            return r ** (q - 1) * math.expm1((q - 1) * math.log1p(t / r))
+
+        for i, s in enumerate(times):
+            for j, t in enumerate(times):
+                want = quad(
+                    lambda u: g(s, _HISTORY_START / u) * g(t, _HISTORY_START / u) * _HISTORY_START / u**2,
+                    0.0, 1.0, epsabs=0, epsrel=1e-13, limit=200,
+                )[0]
+                assert abs(F[i] @ F[j] - want) <= 1e-11 * abs(want)
 
     def test_fft_lengths_are_the_least_5_smooth_numbers(self):
         def smooth(k):
@@ -691,12 +643,12 @@ class TestFbmGenerators:
             assert not any(smooth(k) for k in range(n, size))
 
     def test_moving_average_ignores_the_blas_thread_count(self):
-        # tables up to 198 steps, FFTs from 199; at 213 steps a table would pass
-        # the 460,800 entries from which OpenBLAS threads a gemv, and from 11,112
-        # steps the far table of 36 cells is applied in two row chunks
+        # tables up to 362 steps, FFTs from 363; at 390 steps a table would pass
+        # the 460,800 entries from which OpenBLAS threads a gemv, and from 28,572
+        # steps the table of 8 far cells and 6 history normals takes two row chunks
         runs = hashes_under_blas_threads(
             """
-            for n in (8, 64, 198, 199, 213, 11112):
+            for n in (8, 64, 362, 363, 390, 28572):
                 grid = GridSpec(1.0, n)
                 single = generate_fbm_moving_average(grid, 0.7, RngSeed(3, 1)).values
                 ens = fbm_moving_average_ensemble(grid, 0.3, 3, 3)
@@ -719,6 +671,35 @@ class TestFbmGenerators:
         )
         assert runs[0] == runs[1]
         assert all(row_is_single for _, _, row_is_single in runs[0].values())
+
+
+class TestLawConformance:
+    """The covariance A A^T of a table law against the exact one, over the whole H range."""
+
+    @pytest.mark.parametrize("H", [0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99])
+    @pytest.mark.parametrize("n", [8, 64, 512])
+    def test_cholesky_is_exact_to_rounding(self, n, H):
+        # measured at most 4.5e-14
+        grid = GridSpec(1.0, n)
+        assert law_covariance_error(gaussianpaths._cholesky_law(grid, H, n), grid, H) <= 1e-13
+
+    # the bounds sit above the measured errors (8 steps: 6.7e-3, 8.6e-3, 4.3e-3, 7.3e-4,
+    # 6.7e-4, 4.0e-4; 64 steps: 5.4e-3, 5.7e-3, 1.5e-3, 2.0e-4, 2.3e-4, 1.5e-4).  The law of
+    # 5 graded cells a step and far cells back to 1e4 t_max measured 0.395 at H = 0.05 and
+    # 0.295 at H = 0.95 on 8 steps.  At H = 1/2 the kernel is the indicator of (0, t), whose
+    # ends are step edges, so the law is exact to rounding
+    @pytest.mark.parametrize(
+        "n, H, bound",
+        [(8, 0.05, 8e-3), (8, 0.1, 1e-2), (8, 0.25, 5e-3), (8, 0.5, 4.5e-16), (8, 0.75, 1e-3),
+         (8, 0.9, 1e-3), (8, 0.95, 6e-4),
+         (64, 0.05, 6.5e-3), (64, 0.1, 7e-3), (64, 0.25, 2e-3), (64, 0.5, 4.5e-16),
+         (64, 0.75, 3e-4), (64, 0.9, 3e-4), (64, 0.95, 2e-4)],
+    )
+    def test_moving_average_covariance_error(self, n, H, bound):
+        grid = GridSpec(1.0, n)
+        law = _moving_average_law(grid, H)
+        assert law[0] == 3 * n + 15
+        assert law_covariance_error(law, grid, H) <= bound
 
 
 def hashes_under_blas_threads(body):
@@ -922,14 +903,6 @@ class TestPathContainer:
         ens[7, 3] = ens[4, 8] = bad
         with pytest.raises(ValueError, match="ensemble values must be finite, row 4 is not"):
             empirical_covariance(ens)
-
-    def test_manifest_is_json_ready(self):
-        import json
-
-        m = ensemble_manifest(GridSpec(1.0, 16), 0.7, PathGenerator.FBM_CHOLESKY, 5, 100)
-        parsed = json.loads(json.dumps(m))
-        assert parsed["hurst"] == 0.7
-        assert parsed["replicates"] == 100
 
 
 class TestCsvRoundTrip:

@@ -50,12 +50,10 @@ from fracbm.fraccalc import (
 )
 from fracbm.gaussianpaths import (
     GridSpec,
-    PathGenerator,
     RngSeed,
     SamplePath,
     bm_covariance,
     bm_ensemble,
-    ensemble_manifest,
     fbm_cholesky_ensemble,
     fbm_circulant_ensemble,
     fbm_covariance,
@@ -66,7 +64,6 @@ from fracbm.gaussianpaths import (
     generate_fbm_moving_average,
     empirical_covariance,
     increment_cross_covariance,
-    moving_average_truncation_bias,
     normalizing_constant,
     scale_path,
     time_invert_bm,
@@ -130,12 +127,8 @@ INTEGER = FINITE + ("float", "negative integer")
 ENUM = INTEGER  # an enum member is looked up by value, so a number is no member either
 OBJECT = ("none", "str", "float", "fracbm object")
 OPTIONAL_UNIT = UNIT[1:]
-OPTIONAL_NONNEGATIVE = NONNEGATIVE[1:]
 OPTIONAL_OBJECT = OBJECT[1:]
-ENUMS = {
-    "Side": Side, "OperatorKind": OperatorKind, "WholeLineSide": WholeLineSide,
-    "PathGenerator": PathGenerator,
-}
+ENUMS = {"Side": Side, "OperatorKind": OperatorKind, "WholeLineSide": WholeLineSide}
 GRID = {"grid": (OBJECT, "grid")}
 
 # (callable, accepted keyword arguments, {parameter: (contract, name in the message)})
@@ -155,10 +148,6 @@ TABLE = {
             "H": (UNIT, "H"), "s": (NONNEGATIVE, "times"), "t": (NONNEGATIVE, "times"),
             "u": (NONNEGATIVE, "times"), "v": (NONNEGATIVE, "times")}),
     "normalizing_constant": (normalizing_constant, dict(H=0.7), {"H": (UNIT, "H")}),
-    "moving_average_truncation_bias": (
-        moving_average_truncation_bias, dict(H=0.7, truncation=10.0, t=1.0), {
-            "H": (UNIT, "H"), "truncation": (NONNEGATIVE, "truncation"),
-            "t": (NONNEGATIVE, "times")}),
     "generate_bm": (generate_bm, dict(grid=G, seed=SEED), {
         **GRID, "seed": (OBJECT, "seed")}),
     "generate_fbm_cholesky": (
@@ -167,12 +156,8 @@ TABLE = {
             "max_nodes": (INTEGER, "max_nodes")}),
     "generate_fbm_circulant": (generate_fbm_circulant, dict(grid=G, H=0.7, seed=SEED), {
         **GRID, "H": (UNIT, "H"), "seed": (OBJECT, "seed")}),
-    "generate_fbm_moving_average": (
-        generate_fbm_moving_average,
-        dict(grid=G, H=0.7, seed=SEED, truncation=10.0, kernel_mesh=2), {
-            **GRID, "H": (UNIT, "H"), "seed": (OBJECT, "seed"),
-            "truncation": (OPTIONAL_NONNEGATIVE, "truncation"),
-            "kernel_mesh": (INTEGER, "kernel_mesh")}),
+    "generate_fbm_moving_average": (generate_fbm_moving_average, dict(grid=G, H=0.7, seed=SEED), {
+        **GRID, "H": (UNIT, "H"), "seed": (OBJECT, "seed")}),
     "bm_ensemble": (bm_ensemble, dict(grid=G, root=1, replicates=2), {
         **GRID, "root": (INTEGER, "root"), "replicates": (INTEGER, "replicates")}),
     "fbm_cholesky_ensemble": (
@@ -184,17 +169,9 @@ TABLE = {
             **GRID, "H": (UNIT, "H"), "root": (INTEGER, "root"),
             "replicates": (INTEGER, "replicates")}),
     "fbm_moving_average_ensemble": (
-        fbm_moving_average_ensemble,
-        dict(grid=G, H=0.7, root=1, replicates=2, truncation=10.0, kernel_mesh=2), {
+        fbm_moving_average_ensemble, dict(grid=G, H=0.7, root=1, replicates=2), {
             **GRID, "H": (UNIT, "H"), "root": (INTEGER, "root"),
-            "replicates": (INTEGER, "replicates"),
-            "truncation": (OPTIONAL_NONNEGATIVE, "truncation"),
-            "kernel_mesh": (INTEGER, "kernel_mesh")}),
-    "ensemble_manifest": (
-        ensemble_manifest,
-        dict(grid=G, hurst=0.7, generator=PathGenerator.FBM_CIRCULANT, root=1, replicates=2), {
-            **GRID, "hurst": (OPTIONAL_UNIT, "hurst"), "generator": (ENUM, "PathGenerator"),
-            "root": (INTEGER, "root"), "replicates": (INTEGER, "replicates")}),
+            "replicates": (INTEGER, "replicates")}),
     "scale_path": (scale_path, dict(path=PATH, a=2.0), {
         "path": (OBJECT, "path"), "a": (NONNEGATIVE, "a")}),
     "time_invert_bm": (time_invert_bm, dict(path=BM), {"path": (OBJECT, "path")}),
