@@ -124,6 +124,34 @@ class TestGenerate:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "flags", [["--tmax", "1e-300"], ["--tmax", "1e300"], ["--hurst", "0.05"], ["--hurst", "0.95"]]
+    )
+    def test_moving_average_at_the_extremes_is_silent(self, tmp_path, flags):
+        # a fresh interpreter, so that a RuntimeWarning would reach stderr as it does from the
+        # console; the far and history weights are formed in units of t_max
+        flags = ["--hurst", "0.7", *flags] if flags[0] == "--tmax" else flags
+        src = str(Path(fracbm.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        script = "import sys; from fracbm.cli import main; main(sys.argv[1:])"
+        args = ["generate", "--generator", "moving-average", *flags, "--out", "m"]
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *args], cwd=tmp_path, env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        values = read_path_csv(tmp_path / "m" / "path.csv").values
+        assert np.isfinite(values).all() and values[1:].any()
+
+    def test_the_moving_average_has_no_truncation_flag(self, runner, tmp_path):
+        # the law keeps an exact history beyond 8 t_max, so there is nothing to truncate
+        out = tmp_path / "m"
+        args = ["generate", "--generator", "moving-average", "--truncation", "1e4", "--out", str(out)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert "--truncation" in result.output
+        assert not out.exists()
+
     def test_config_preseeds_and_flags_win(self, runner, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("hurst = 0.25\nsteps = 256  # grid size\n")

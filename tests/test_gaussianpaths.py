@@ -487,6 +487,17 @@ class TestFbmGenerators:
         assert np.isfinite(path.values).all() and np.array_equal(ens[0], path.values)
         assert path.values[1:].any()
 
+    # one table up to 362 steps, the convolution at 512
+    @pytest.mark.parametrize("n", [8, 512])
+    @pytest.mark.parametrize("t_max", [1e-300, 1e300])
+    @pytest.mark.parametrize("H", [0.05, 0.95])
+    def test_moving_average_is_self_similar(self, n, t_max, H):
+        # every column, the far cells and history included, scales by t_max^H: a stream on
+        # [0, t_max] is t_max^H times the same stream on [0, 1] (measured within 1.1e-15)
+        unit = generate_fbm_moving_average(GridSpec(1.0, n), H, RngSeed(2, 0)).values
+        scaled = generate_fbm_moving_average(GridSpec(t_max, n), H, RngSeed(2, 0)).values
+        assert np.abs(scaled / t_max**H - unit).max() <= 1e-14 * np.abs(unit).max()
+
     def test_circulant_determinism(self):
         grid = GridSpec(1.0, 64)
         a = generate_fbm_circulant(grid, 0.3, RngSeed(7, 1))
@@ -607,11 +618,12 @@ class TestFbmGenerators:
             old = moving_average_reference(grid, H, z)
             assert np.abs(new - old).max() <= 1e-10
 
-    @pytest.mark.parametrize("H", [0.05, 0.25, 0.75, 0.95])
+    @pytest.mark.parametrize("H", [0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95])
     def test_history_factor_is_the_law_beyond_the_far_cells(self, H):
         # E F(s) F(t) = int_T^inf g(s, r) g(t, r) dr, g(t, r) = (t + r)^(q-1) - r^(q-1)
         # = r^(q-1) expm1((q-1) log1p(t/r)), by quadrature over u = T/r in (0, 1],
-        # against the factored power series (units of t_max)
+        # against the factored power series (units of t_max); at H = 1/2, g = 0 and the
+        # history vanishes
         from scipy.integrate import quad
 
         q = H + 0.5
@@ -683,23 +695,56 @@ class TestLawConformance:
         grid = GridSpec(1.0, n)
         assert law_covariance_error(gaussianpaths._cholesky_law(grid, H, n), grid, H) <= 1e-13
 
-    # the bounds sit above the measured errors (8 steps: 6.7e-3, 8.6e-3, 4.3e-3, 7.3e-4,
-    # 6.7e-4, 4.0e-4; 64 steps: 5.4e-3, 5.7e-3, 1.5e-3, 2.0e-4, 2.3e-4, 1.5e-4).  The law of
+    # the bounds sit above the measured errors (H = 0.01, 0.05, 0.1, 0.25, 0.75, 0.9, 0.95,
+    # 0.99 on 8 steps: 1.9e-3, 6.7e-3, 8.6e-3, 4.3e-3, 7.3e-4, 6.7e-4, 4.0e-4, 9.2e-5; on 64
+    # steps: 1.8e-3, 5.4e-3, 5.7e-3, 1.5e-3, 2.0e-4, 2.3e-4, 1.5e-4, 3.7e-5).  The law of
     # 5 graded cells a step and far cells back to 1e4 t_max measured 0.395 at H = 0.05 and
     # 0.295 at H = 0.95 on 8 steps.  At H = 1/2 the kernel is the indicator of (0, t), whose
     # ends are step edges, so the law is exact to rounding
     @pytest.mark.parametrize(
         "n, H, bound",
         [(8, 0.05, 8e-3), (8, 0.1, 1e-2), (8, 0.25, 5e-3), (8, 0.5, 4.5e-16), (8, 0.75, 1e-3),
-         (8, 0.9, 1e-3), (8, 0.95, 6e-4),
+         (8, 0.9, 1e-3), (8, 0.95, 6e-4), (8, 0.01, 2e-3), (8, 0.99, 1e-4),
          (64, 0.05, 6.5e-3), (64, 0.1, 7e-3), (64, 0.25, 2e-3), (64, 0.5, 4.5e-16),
-         (64, 0.75, 3e-4), (64, 0.9, 3e-4), (64, 0.95, 2e-4)],
+         (64, 0.75, 3e-4), (64, 0.9, 3e-4), (64, 0.95, 2e-4), (64, 0.01, 2e-3), (64, 0.99, 5e-5)],
     )
     def test_moving_average_covariance_error(self, n, H, bound):
         grid = GridSpec(1.0, n)
         law = _moving_average_law(grid, H)
         assert law[0] == 3 * n + 15
         assert law_covariance_error(law, grid, H) <= bound
+
+    # 512 steps take the convolution route, 512 (3 512 + 15) > _GEMV_MAX; measured 1.7e-3,
+    # 4.4e-3, 3.7e-3, 5.4e-4, 1.1e-16, 1.6e-4, 2.1e-4, 1.4e-4 and 3.4e-5.  At H = 1/2 the
+    # bound leaves room for the FFT's rounding, which measured 6.8e-15 on 400 steps
+    @pytest.mark.parametrize(
+        "H, bound",
+        [(0.01, 2e-3), (0.05, 5e-3), (0.1, 4e-3), (0.25, 6e-4), (0.5, 1e-13), (0.75, 2e-4),
+         (0.9, 2.5e-4), (0.95, 2e-4), (0.99, 5e-5)],
+    )
+    def test_moving_average_convolution_covariance_error(self, H, bound):
+        grid = GridSpec(1.0, 512)
+        law = _moving_average_law(grid, H)
+        assert law[0] == 3 * 512 + 15 and 512 * law[0] > gaussianpaths._GEMV_MAX
+        assert law_covariance_error(law, grid, H) <= bound
+
+    # table and convolution; the FFT rounds the a-weights within 2.8e-14 and the step's
+    # variance within 4.9e-14 at H = 0.99 on 512 steps, the table within 4.5e-16
+    @pytest.mark.parametrize("n, rtol", [(8, 1e-15), (512, 2e-13)])
+    @pytest.mark.parametrize("H", [0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99])
+    def test_hybrid_step_holds_the_exact_step_integral(self, n, rtol, H):
+        # node k weights the a-normal of the step that ends at it by dt^H / (q C(H)) and that
+        # step's b-normal by c dt^H / C(H), c^2 = 1/(2H) - 1/q^2, so that the step carries
+        # int (t_k - s)^(q-1) dW / C(H) with its exact variance dt^2H / (2H C(H)^2); every
+        # node subtracts the same multiple of b_0, the step that ends at t_0 = 0
+        grid = GridSpec(1.0, n)
+        q, C = H + 0.5, normalizing_constant(H)
+        A = law_matrix(_moving_average_law(grid, H), n)
+        k = np.arange(1, n + 1)
+        a, b = A[k - 1, n + k - 1], A[k - 1, 2 * n + k]
+        np.testing.assert_allclose(a, grid.dt**H / (q * C), rtol=rtol, atol=0)
+        np.testing.assert_allclose((a**2 + b**2) * 2 * H * C**2, grid.dt ** (2 * H), rtol=rtol, atol=0)
+        np.testing.assert_allclose(A[:, 2 * n], -abs(b), rtol=rtol, atol=1e-300)
 
 
 def hashes_under_blas_threads(body):
