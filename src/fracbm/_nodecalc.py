@@ -15,6 +15,7 @@ the processes of both calculi.
 from __future__ import annotations
 
 import functools
+import math
 from collections.abc import Callable
 
 import numpy as np
@@ -47,6 +48,12 @@ def convolve(x: np.ndarray, spectrum: np.ndarray, length: int) -> np.ndarray:
     out = np.fft.rfft(x, fft_size(length), axis=-1)
     out *= spectrum
     return np.fft.irfft(out, fft_size(length), axis=-1)
+
+
+def binary_exponent(*arrays) -> int:
+    """e with 2^(e-1) <= max|x| < 2^e over the arrays (0 if all are 0): np.ldexp(x, -e) is
+    exact and below 1, so a statistic of it is bitwise the same at any scale of x."""
+    return math.frexp(max(float(np.max(np.abs(a))) for a in arrays))[1]
 
 
 def eval2(fn, t: np.ndarray, x: np.ndarray, name: str = "fn") -> np.ndarray:

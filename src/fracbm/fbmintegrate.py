@@ -1,10 +1,13 @@
 """Pathwise integrals against fractional Brownian paths.
 
 Difference-quotient integrals (symmetric, forward, backward) are evaluated
-on a ladder of grid-aligned epsilon values; convergence means the last two
-levels agree within a Cauchy tolerance, the desk-scale stand-in for the
-limit in probability.  Path values outside [0, T] are held at the endpoint
-values (Russo & Vallois 1993) by one helper, `_clamped_shifts`, an O(epsilon)
+on a ladder of grid-aligned epsilon values.  Every ladder converges, the
+desk-scale stand-in for the limit in probability, by one rule with no `tol`:
+its last two levels differ by at most 5% of max|f| osc g (osc x osc y for the
+covariation).  f and g are read in units of a power of two, so the verdict
+does not depend on their units, and a level past the float range raises a
+ValueError.  Path values outside [0, T] are held at the endpoint values
+(Russo & Vallois 1993) by one helper, `_clamped_shifts`, an O(epsilon)
 boundary effect covered by the telescoping tolerance helper.
 
 Sign conventions follow the defining difference quotients literally; the
@@ -21,7 +24,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from ._nodecalc import accumulate, change_of_variables
+from ._nodecalc import accumulate, binary_exponent, change_of_variables
 from ._validate import dyadic_levels, finite, grid_steps, hurst, instance, integer, node_values, real
 from .gaussianpaths import GridSpec, SamplePath
 from .pathstats import variation_index
@@ -43,7 +46,8 @@ __all__ = [
     "integral_record",
 ]
 
-CAUCHY_TOL = 0.05
+#: a ladder converges when its last two levels differ by at most this share of max|f| osc g
+_GAP_SHARE = 0.05
 
 
 @dataclass(frozen=True)
@@ -115,7 +119,7 @@ Samples = Union[float, np.ndarray, SamplePath, ForwardProcess]
 
 def _grid_values(f: Samples, grid: GridSpec, name: str) -> np.ndarray:
     if isinstance(f, (SamplePath, ForwardProcess)):
-        if abs(f.grid.t_max - grid.t_max) > 1e-12 * max(grid.t_max, 1.0) or (
+        if abs(f.grid.t_max - grid.t_max) > 1e-12 * grid.t_max or (
             f.grid.n_steps != grid.n_steps
         ):
             raise ValueError(f"{name} lives on a different grid")
@@ -142,11 +146,23 @@ def _rungs(eps: Optional[EpsilonSchedule], grid: GridSpec) -> list:
     return list(zip(eps.values, eps.strides(grid)))
 
 
-def _ladder_result(levels, tol: float, label: str, notes=()) -> IntegralResult:
-    tol = real(tol, "tol", 0.0, closed=True, rule="be a finite non-negative real number")
+def _binary_units(f: Samples, g: Union[SamplePath, ForwardProcess], name: str):
+    """f on g's grid and g's values in units of 2^ef and 2^eg (binary_exponent), and ef + eg."""
+    fv = _grid_values(f, g.grid, name)
+    ef, eg = binary_exponent(fv), binary_exponent(g.values)
+    return np.ldexp(fv, -ef), np.ldexp(g.values, -eg), ef + eg
+
+
+def _ladder_result(levels: list, scale: float, e: int, label: str, notes=()) -> IntegralResult:
+    """The levels times 2^e, and converged by the one rule; scale is max|f| osc g in their units."""
     gap = abs(levels[-1][1] - levels[-2][1])
-    diag = "; ".join([f"{label}: last-level gap {gap:.3e} vs tolerance {tol:.3e}", *notes])
-    return IntegralResult(levels[-1][1], tuple(levels), bool(gap <= tol), diag)
+    for i, (eps, v) in enumerate(levels):
+        try:
+            levels[i] = (eps, math.ldexp(v, e))
+        except OverflowError:
+            raise ValueError(f"the {label} level at {eps:.3g} overflows a float") from None
+    diag = [f"{label}: last-level gap {gap / (scale or 1.0):.3e} of max|f| osc g, at most {_GAP_SHARE}", *notes]
+    return IntegralResult(levels[-1][1], tuple(levels), bool(gap <= _GAP_SHARE * scale), "; ".join(diag))
 
 
 def telescoping_tolerance(g: SamplePath, eps: EpsilonSchedule) -> float:
@@ -160,69 +176,60 @@ def telescoping_tolerance(g: SamplePath, eps: EpsilonSchedule) -> float:
     return 3.0 * instance(eps, EpsilonSchedule, "eps").values[-1] * steepest / g.dt
 
 
-def _quotient_ladder(f: Samples, g: SamplePath, eps, tol, lead, lag, span, label) -> IntegralResult:
+def _quotient_ladder(f: Samples, g: SamplePath, eps, lead, lag, span, label) -> IntegralResult:
     """int f(s) [g(s + lead eps) - g(s + lag eps)] / (span eps) ds over the ladder."""
-    fv = _grid_values(f, instance(g, SamplePath, "g").grid, "f")
+    fv, gv, unit = _binary_units(f, instance(g, SamplePath, "g"), "f")
     h = g.dt
     rungs = _rungs(eps, g.grid)
     reach = max(k for _, k in rungs)
-    g_at = _clamped_shifts(g.values, reach * min(lead, lag), reach * max(lead, lag))
+    g_at = _clamped_shifts(gv, reach * min(lead, lag), reach * max(lead, lag))
     levels = []
     for e, k in rungs:
         kernel = (g_at(lead * k) - g_at(lag * k)) / (span * (k * h))
         levels.append((e, float(np.trapezoid(fv * kernel, dx=h))))
-    return _ladder_result(levels, tol, label)
+    return _ladder_result(levels, np.max(np.abs(fv)) * np.ptp(gv), unit, label)
 
 
-def symmetric_integral(
-    f: Samples, g: SamplePath, eps: Optional[EpsilonSchedule] = None, tol: float = CAUCHY_TOL
-) -> IntegralResult:
+def symmetric_integral(f: Samples, g: SamplePath, eps: Optional[EpsilonSchedule] = None) -> IntegralResult:
     """(1/2 eps) int f(s) [g(s+eps) - g(s-eps)] ds over the epsilon ladder."""
-    return _quotient_ladder(f, g, eps, tol, 1, -1, 2.0, "symmetric")
+    return _quotient_ladder(f, g, eps, 1, -1, 2.0, "symmetric")
 
 
-def forward_integral(
-    f: Samples, g: SamplePath, eps: Optional[EpsilonSchedule] = None, tol: float = CAUCHY_TOL
-) -> IntegralResult:
+def forward_integral(f: Samples, g: SamplePath, eps: Optional[EpsilonSchedule] = None) -> IntegralResult:
     """(1/eps) int f(s) [g(s+eps) - g(s)] ds over the epsilon ladder.
 
     A single difference quotient; diverging ladders (small Hurst index)
     surface as converged=False rather than an error.
     """
-    return _quotient_ladder(f, g, eps, tol, 1, 0, 1.0, "forward")
+    return _quotient_ladder(f, g, eps, 1, 0, 1.0, "forward")
 
 
-def backward_integral(
-    f: Samples, g: SamplePath, eps: Optional[EpsilonSchedule] = None, tol: float = CAUCHY_TOL
-) -> IntegralResult:
+def backward_integral(f: Samples, g: SamplePath, eps: Optional[EpsilonSchedule] = None) -> IntegralResult:
     """(1/eps) int f(s) [g(s-eps) - g(s)] ds, kernel sign taken literally.
 
     With this orientation f = 1 telescopes to -(g(T) - g(0)); negate the
     result for the right-endpoint-sum reading.
     """
-    return _quotient_ladder(f, g, eps, tol, -1, 0, 1.0, "backward")
+    return _quotient_ladder(f, g, eps, -1, 0, 1.0, "backward")
 
 
 def covariation(
-    x: Union[SamplePath, ForwardProcess], y: Samples, eps: Optional[EpsilonSchedule] = None,
-    tol: float = CAUCHY_TOL,
+    x: Union[SamplePath, ForwardProcess], y: Samples, eps: Optional[EpsilonSchedule] = None
 ) -> IntegralResult:
     """(1/eps) int [x(u+eps) - x(u)][y(u+eps) - y(u)] du over the ladder."""
-    yv = _grid_values(y, instance(x, (SamplePath, ForwardProcess), "x").grid, "y")
+    yv, xv, unit = _binary_units(y, instance(x, (SamplePath, ForwardProcess), "x"), "y")
     h = x.dt
     rungs = _rungs(eps, x.grid)
-    x_at, y_at = (_clamped_shifts(v, 0, max(k for _, k in rungs)) for v in (x.values, yv))
+    x_at, y_at = (_clamped_shifts(v, 0, max(k for _, k in rungs)) for v in (xv, yv))
     levels = []
     for e, k in rungs:
-        dx = x_at(k) - x.values
+        dx = x_at(k) - xv
         dy = y_at(k) - yv
         levels.append((e, float(np.trapezoid(dx * dy, dx=h)) / e))
-    return _ladder_result(levels, tol, "covariation")
+    return _ladder_result(levels, np.ptp(xv) * np.ptp(yv), unit, "covariation")
 
 
-def riemann_stieltjes_integral(
-    u: Samples, g: SamplePath, levels: int = 5, tol: float = 0.01
-) -> IntegralResult:
+def riemann_stieltjes_integral(u: Samples, g: SamplePath, levels: int = 5) -> IntegralResult:
     """Left-point Stieltjes sums of u against g at dyadic mesh coarsenings.
 
     The variation condition (index of u below 1/(1-H)) is probed with the
@@ -231,7 +238,7 @@ def riemann_stieltjes_integral(
     sufficient rather than necessary.  A constant u has bounded variation
     (p = 1 < 1/(1-H)) and is not probed.
     """
-    uv = _grid_values(u, instance(g, SamplePath, "g").grid, "u")
+    uv, gv, unit = _binary_units(u, instance(g, SamplePath, "g"), "u")
     levels = dyadic_levels(levels, g.grid.n_steps)
     notes = []
     if g.hurst is None:
@@ -242,22 +249,15 @@ def riemann_stieltjes_integral(
             p_u = 1.0 / variation_index(u_path).h_hat
             bound = 1.0 / (1.0 - g.hurst)
             if p_u >= bound:
-                notes.append(
-                    f"variation heuristic failed: p ~ {p_u:.2f} >= 1/(1-H) = {bound:.2f}"
-                )
+                notes.append(f"variation heuristic failed: p ~ {p_u:.2f} >= 1/(1-H) = {bound:.2f}")
         except ValueError as exc:
             notes.append(f"variation heuristic unavailable: {exc}")
-    lev = []
-    for j in range(levels - 1, -1, -1):
-        s = 2**j
-        gv = g.values[::s]
-        lev.append((s * g.dt, float(np.dot(uv[::s][:-1], np.diff(gv)))))
-    return _ladder_result(lev, tol, "riemann-stieltjes", notes)
+    steps = [2**j for j in range(levels - 1, -1, -1)]
+    lev = [(s * g.dt, float(np.dot(uv[::s][:-1], np.diff(gv[::s])))) for s in steps]
+    return _ladder_result(lev, np.max(np.abs(uv)) * np.ptp(gv), unit, "riemann-stieltjes", notes)
 
 
-def symmetric_forward_relation_check(
-    f: Samples, g: SamplePath, eps: Optional[EpsilonSchedule] = None, tol: float = CAUCHY_TOL
-):
+def symmetric_forward_relation_check(f: Samples, g: SamplePath, eps: Optional[EpsilonSchedule] = None):
     """Returns (symmetric, forward, cov, residual) on shared inputs.
 
     residual = symmetric - forward - 1/2 cov: the half factor is fixed by
@@ -268,12 +268,10 @@ def symmetric_forward_relation_check(
     Brownian input and is deliberately not used.
     """
     fv = _grid_values(f, instance(g, SamplePath, "g").grid, "f")
-    sym = symmetric_integral(fv, g, eps, tol)
-    fwd = forward_integral(fv, g, eps, tol)
-    x_path = f if isinstance(f, (SamplePath, ForwardProcess)) else SamplePath(
-        g.grid, fv - fv[0], None
-    )
-    cov = covariation(x_path, g, eps, tol)
+    sym = symmetric_integral(fv, g, eps)
+    fwd = forward_integral(fv, g, eps)
+    x_path = f if isinstance(f, (SamplePath, ForwardProcess)) else SamplePath(g.grid, fv - fv[0], None)
+    cov = covariation(x_path, g, eps)
     for name, res in (("symmetric", sym), ("forward", fwd), ("covariation", cov)):
         if not res.converged:
             raise ValueError(f"{name} ladder did not converge: {res.diagnostic}")
@@ -282,7 +280,7 @@ def symmetric_forward_relation_check(
 
 
 def extended_forward_integral(
-    f: Samples, g: SamplePath, eps_levels: int = 4, u_points: int = 48, tol: float = 0.02
+    f: Samples, g: SamplePath, eps_levels: int = 4, u_points: int = 48
 ) -> IntegralResult:
     """Gamma-weighted average of difference quotients over all shift scales.
 
@@ -297,12 +295,11 @@ def extended_forward_integral(
     # an epsilon ladder below 1e-12 underflows the weight differences
     eps_levels = integer(eps_levels, "eps_levels", 3, 12)
     u_points = integer(u_points, "u_points", 1)
-    fv = _grid_values(f, instance(g, SamplePath, "g").grid, "f")
+    fv, gv, unit = _binary_units(f, instance(g, SamplePath, "g"), "f")
     h, T = g.dt, g.grid.t_max
-    gv = g.values
     # trapezoid weights times f, and u, in units of a power of two c <= h: the scaling is
     # exact, and keeps a and the u midpoints clear of under- and overflow in any time unit
-    c = math.ldexp(1.0, math.frexp(h)[1] - 1)
+    c = math.ldexp(1.0, binary_exponent(h) - 1)
     a = h / c * fv
     a[[0, -1]] *= 0.5
     g_at = _clamped_shifts(gv, 0, gv.size)
@@ -324,9 +321,8 @@ def extended_forward_integral(
     for j in range(1, eps_levels + 1):
         e = 10.0**-j
         cell = edges[:-1] ** e * math.expm1(e * log_ratio) / math.gamma(1.0 + e)
-        est = float(np.dot(cell, i_mid)) + i_floor * h**e / math.gamma(1.0 + e)
-        levels.append((e, est))
-    return _ladder_result(levels, tol, "extended-forward")
+        levels.append((e, float(np.dot(cell, i_mid)) + i_floor * h**e / math.gamma(1.0 + e)))
+    return _ladder_result(levels, np.max(np.abs(fv)) * np.ptp(gv), unit, "extended-forward")
 
 
 def fractional_forward_process(

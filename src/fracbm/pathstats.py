@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._nodecalc import binary_exponent
 from ._validate import dyadic_levels, finite, hurst, instance, integer, real
 from .gaussianpaths import SamplePath, _fgn_autocovariance
 
@@ -88,15 +89,11 @@ def quadratic_variation(path: SamplePath) -> float:
 
 
 def _dyadic_increments(values: np.ndarray, dt: float, levels: int):
-    """(mesh, |increments| / 2^e) on each dyadic coarsening, coarsest first, and e.
-
-    2^e is the power of two at the largest increment.  Dividing by it is exact and
-    leaves every increment below 1, so no power sum overflows or underflows to 0,
-    whatever the scale of the path.
-    """
+    """(mesh, |increments| / 2^e) on each dyadic coarsening, coarsest first, and e, the
+    binary_exponent of them all: no power sum over- or underflows at any scale of the path."""
     levels = dyadic_levels(levels, values.size - 1)
     pairs = [(2**j * dt, np.abs(np.diff(values[:: 2**j]))) for j in range(levels - 1, -1, -1)]
-    e = math.frexp(max(float(a.max()) for _, a in pairs))[1]
+    e = binary_exponent(*(a for _, a in pairs))
     return [(mesh, np.ldexp(a, -e)) for mesh, a in pairs], e
 
 
@@ -200,13 +197,12 @@ def rescaled_range_hurst(series) -> HurstEstimate:
     partial sums and S its standard deviation (1/n normalization, as in the
     original statistic).  The estimate is the least-squares slope of
     log mean(R/S) against log n.  R/S has no units: the series is read in
-    units of the power of two at its largest |x|, an exact scaling, so the
-    statistic is bitwise the same at any scale and no square overflows.
+    units of a power of two, so it is bitwise the same at any scale.
     """
     x = finite(series, "series")
     if x.ndim != 1 or x.size < 256:
         raise ValueError("rescaled range needs a 1-d series of at least 256 samples")
-    x = np.ldexp(x, -math.frexp(float(np.max(np.abs(x))))[1])
+    x = np.ldexp(x, -binary_exponent(x))
     block_data = []
     size = 16
     while size <= x.size // 8:
@@ -251,8 +247,7 @@ def empirical_acf(path: SamplePath, max_lag: int) -> np.ndarray:
     if max_lag >= x.size / 4:
         raise ValueError("max_lag must be below a quarter of the increment count")
     xc = x - x.mean()
-    # in units of the power of two at max|xc|, an exact scaling: no lag sum over- or underflows
-    xc = np.ldexp(xc, -math.frexp(float(np.max(np.abs(xc))))[1])
+    xc = np.ldexp(xc, -binary_exponent(xc))  # no lag sum over- or underflows
     denom = float(np.dot(xc, xc))
     if denom == 0.0:
         raise ValueError("degenerate series: zero variance")

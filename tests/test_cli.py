@@ -269,6 +269,33 @@ class TestFbmIntegrate:
         assert rec["converged"] is True
         assert rec["type"] == "symmetric"
 
+    TYPES = ["symmetric", "forward", "backward", "stieltjes", "extended"]
+
+    @pytest.fixture(scope="class")
+    def extreme(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("extreme")
+        for name, tmax in (("tiny", "1e-300"), ("huge", "1e300")):
+            args = ["generate", "--generator", "moving-average", "--hurst", "0.7", "--tmax", tmax]
+            run_ok(CliRunner(), [*args, "--out", str(root / name)])
+        return root
+
+    @pytest.mark.parametrize("int_type", TYPES)
+    def test_a_self_integral_past_the_float_range_is_a_usage_error(self, runner, extreme, int_type):
+        # x dx on [0, 1e300] is about 1e420: once numpy overflow warnings and a nan value
+        args = ["fbm-integrate", "--input", str(extreme / "huge" / "path.csv"), "--type", int_type]
+        result = runner.invoke(main, args, prog_name="fracbm")
+        assert result.exit_code == 2, result.output
+        assert "Usage: fracbm fbm-integrate [OPTIONS]" in result.output
+        assert "overflows a float" in result.output and "Traceback" not in result.output
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("f", ["self", "one"])
+    @pytest.mark.parametrize("int_type", TYPES)
+    def test_a_tiny_path_gives_a_finite_value_silently(self, runner, extreme, int_type, f):
+        args = ["fbm-integrate", "--input", str(extreme / "tiny" / "path.csv"), "--type", int_type]
+        result = run_ok(runner, [*args, "--f", f])
+        assert np.isfinite(json.loads(result.output)["value"])
+
 
 class TestStats:
     def test_rescaled_range_record(self, runner, tmp_path):

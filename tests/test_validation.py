@@ -221,30 +221,25 @@ TABLE = {
     "EpsilonSchedule.strides": (EPS.strides, dict(grid=G), GRID),
     "telescoping_tolerance": (telescoping_tolerance, dict(g=PATH, eps=EPS), {
         "g": (OBJECT, "g"), "eps": (OBJECT, "eps")}),
-    "symmetric_integral": (symmetric_integral, dict(f=1.0, g=PATH, eps=EPS, tol=0.05), {
-        "f": (FINITE, "f"), "g": (OBJECT, "g"), "eps": (OPTIONAL_OBJECT, "eps"),
-        "tol": (NONNEGATIVE, "tol")}),
-    "forward_integral": (forward_integral, dict(f=1.0, g=PATH, eps=EPS, tol=0.05), {
-        "f": (FINITE, "f"), "g": (OBJECT, "g"), "eps": (OPTIONAL_OBJECT, "eps"),
-        "tol": (NONNEGATIVE, "tol")}),
-    "backward_integral": (backward_integral, dict(f=1.0, g=PATH, eps=EPS, tol=0.05), {
-        "f": (FINITE, "f"), "g": (OBJECT, "g"), "eps": (OPTIONAL_OBJECT, "eps"),
-        "tol": (NONNEGATIVE, "tol")}),
-    "covariation": (covariation, dict(x=PATH, y=PATH, eps=EPS, tol=0.05), {
-        "x": (OBJECT, "x"), "y": (FINITE, "y"), "eps": (OPTIONAL_OBJECT, "eps"),
-        "tol": (NONNEGATIVE, "tol")}),
+    "symmetric_integral": (symmetric_integral, dict(f=1.0, g=PATH, eps=EPS), {
+        "f": (FINITE, "f"), "g": (OBJECT, "g"), "eps": (OPTIONAL_OBJECT, "eps")}),
+    "forward_integral": (forward_integral, dict(f=1.0, g=PATH, eps=EPS), {
+        "f": (FINITE, "f"), "g": (OBJECT, "g"), "eps": (OPTIONAL_OBJECT, "eps")}),
+    "backward_integral": (backward_integral, dict(f=1.0, g=PATH, eps=EPS), {
+        "f": (FINITE, "f"), "g": (OBJECT, "g"), "eps": (OPTIONAL_OBJECT, "eps")}),
+    "covariation": (covariation, dict(x=PATH, y=PATH, eps=EPS), {
+        "x": (OBJECT, "x"), "y": (FINITE, "y"), "eps": (OPTIONAL_OBJECT, "eps")}),
     "riemann_stieltjes_integral": (
-        riemann_stieltjes_integral, dict(u=1.0, g=PATH, levels=3, tol=0.01), {
-            "u": (FINITE, "u"), "g": (OBJECT, "g"), "levels": (INTEGER, "levels"),
-            "tol": (NONNEGATIVE, "tol")}),
-    # a tolerance no ladder misses, so the accepted arguments converge
+        riemann_stieltjes_integral, dict(u=1.0, g=PATH, levels=3), {
+            "u": (FINITE, "u"), "g": (OBJECT, "g"), "levels": (INTEGER, "levels")}),
+    # f = 1 telescopes and has no covariation, so the accepted arguments converge
     "symmetric_forward_relation_check": (
-        symmetric_forward_relation_check, dict(f=1.0, g=PATH, eps=EPS, tol=1e9), {
+        symmetric_forward_relation_check, dict(f=1.0, g=PATH, eps=EPS), {
             "g": (OBJECT, "g"), "eps": (OPTIONAL_OBJECT, "eps")}),
     "extended_forward_integral": (
-        extended_forward_integral, dict(f=1.0, g=PATH, eps_levels=3, u_points=4, tol=0.02), {
+        extended_forward_integral, dict(f=1.0, g=PATH, eps_levels=3, u_points=4), {
             "f": (FINITE, "f"), "g": (OBJECT, "g"), "eps_levels": (INTEGER, "eps_levels"),
-            "u_points": (INTEGER, "u_points"), "tol": (NONNEGATIVE, "tol")}),
+            "u_points": (INTEGER, "u_points")}),
     "fractional_forward_process": (
         fractional_forward_process, dict(x0=0.5, alpha=0.0, f=1.0, g=PATH), {
             "x0": (FINITE, "x0"), "alpha": (FINITE, "alpha"), "f": (FINITE, "f"),
