@@ -284,8 +284,9 @@ def extended_forward_integral(
 ) -> IntegralResult:
     """Gamma-weighted average of difference quotients over all shift scales.
 
-    Evaluates (1/Gamma(eps)) int_0^T u^(eps-1) I(u) du for a ladder
-    eps = 10^-1 .. 10^-eps_levels, where I(u) = int f(s)[g(s+u) - g(s)]/u ds.
+    Evaluates (1/Gamma(eps)) int_0^T (u/T)^(eps-1) I(u) du/T for a ladder
+    eps = 10^-1 .. 10^-eps_levels, where I(u) = int f(s)[g(s+u) - g(s)]/u ds;
+    u is measured in units of T, so the levels do not depend on the unit of time.
     I is sampled on a geometric u-grid with exact cell weights
     d(u^eps)/Gamma(1+eps); below the grid spacing the linear interpolant
     makes I constant, so that mass is added in closed form.  As eps shrinks
@@ -320,8 +321,8 @@ def extended_forward_integral(
     levels = []
     for j in range(1, eps_levels + 1):
         e = 10.0**-j
-        cell = edges[:-1] ** e * math.expm1(e * log_ratio) / math.gamma(1.0 + e)
-        levels.append((e, float(np.dot(cell, i_mid)) + i_floor * h**e / math.gamma(1.0 + e)))
+        cell = (edges[:-1] / T) ** e * math.expm1(e * log_ratio) / math.gamma(1.0 + e)
+        levels.append((e, float(np.dot(cell, i_mid)) + i_floor * (h / T) ** e / math.gamma(1.0 + e)))
     return _ladder_result(levels, np.max(np.abs(fv)) * np.ptp(gv), unit, "extended-forward")
 
 

@@ -506,8 +506,11 @@ def test_each_command_loads_only_its_own_layers(tmp_path):
             return sorted(name for name in LAYERS if f"fracbm.{name}" in sys.modules)
 
         seen = {"import": loaded(), "deps": sorted(m for m in ("numpy", "click") if m in sys.modules)}
+        # the CSV formatter's tables are built on the first write, not on import
+        seen["lazy"] = [fracbm._csvio._tables.cache_info().currsize, "fractions" in sys.modules]
         fracbm.cli.main(sys.argv[1:], standalone_mode=False)
         seen["command"] = loaded()
+        seen["tables"] = fracbm._csvio._tables.cache_info().currsize
         from fracbm import GridSpec
         seen["names"] = [GridSpec.__name__, fracbm.gaussianpaths.__name__]
         seen["dir"] = [n in dir(fracbm) for n in ("GridSpec", "fractional_integral", "gaussianpaths")]
@@ -530,13 +533,14 @@ def test_each_command_loads_only_its_own_layers(tmp_path):
         seen = json.loads(proc.stdout.strip().splitlines()[-1])
         assert seen["import"] == []
         assert seen["deps"] == ["click", "numpy"]
+        assert seen["lazy"] == [0, False]
         assert seen["names"] == ["GridSpec", "fracbm.gaussianpaths"]
         assert seen["dir"] == [True, True, True]
         assert "no_such_name" in seen["unknown"]
-        return seen["command"]
+        return seen["command"], seen["tables"]
 
-    generate = run("generate", "--steps", "64", "--out", "g")
-    assert "gaussianpaths" in generate
+    generate, tables = run("generate", "--steps", "64", "--out", "g")
+    assert "gaussianpaths" in generate and tables == 1
     assert "fraccalc" not in generate and "experiments" not in generate
-    assert run("fracint", "--input", "g/path.csv", "--alpha", "0.5", "--out", "i.csv") == ["fraccalc"]
-    assert "experiments" in run("verify", "--suite", "E2", "--out", "v")
+    assert run("fracint", "--input", "g/path.csv", "--alpha", "0.5", "--out", "i.csv") == (["fraccalc"], 1)
+    assert "experiments" in run("verify", "--suite", "E2", "--out", "v")[0]

@@ -52,6 +52,56 @@ class TestWrite:
             assert dest.read_bytes() == reference_bytes(np.linspace(a, b, rows), v, header)
 
 
+def formatted(x):
+    """The values of x as the block formatter writes them."""
+    text = b"".join(_csvio._words(x[i : i + _BLOCK]).tobytes() for i in range(0, len(x), _BLOCK))
+    return [row[1:] for row in text.translate(None, b"\0").decode().splitlines()]
+
+
+def near_powers_of_ten(powers, ulps):
+    """The floats within `ulps` steps of each power of ten 10^k, k in powers."""
+    x = np.array([float(f"1e{k}") for k in powers])
+    return np.concatenate([x] + [np.nextafter(x, side * np.inf) for side in (-1, 1) for _ in range(ulps)])
+
+
+class TestFormatter:
+    """Each value is written as f"{x:.17g}", with no dtoa call for most values."""
+
+    def test_random_bit_patterns(self):
+        x = np.random.default_rng(29).integers(0, 2**64, 200_000, dtype=np.uint64, endpoint=False).view(float)
+        assert formatted(x) == [f"{v:.17g}" for v in x.tolist()]
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        x = near_powers_of_ten(range(-323, 309), 1)
+        x = np.concatenate([x, -x])
+        assert formatted(x) == [f"{v:.17g}" for v in x.tolist()]
+
+    def test_the_switch_points_of_g(self):
+        # fixed notation for exponents -4 to 16, exponential outside
+        x = near_powers_of_ten([-5, -4, 16, 17], 3)
+        x = np.concatenate([x, -x, [9.99999999999999995e-5, 9.9999999999999995e16]])
+        got = formatted(x)
+        assert got == [f"{v:.17g}" for v in x.tolist()]
+        assert {"1.0000000000000001e-05", "0.0001", "10000000000000000", "1e+17"} <= set(got)
+
+    def test_subnormals_zeros_and_non_finite_values(self):
+        tiny = np.random.default_rng(30).integers(1, 2**52, 2000, dtype=np.uint64).view(float)
+        x = np.concatenate([tiny, -tiny, [5e-324, 2.2250738585072009e-308, 0.0, -0.0, np.inf, -np.inf, np.nan]])
+        assert formatted(x) == [f"{v:.17g}" for v in x.tolist()]
+
+    def test_exact_ties_round_to_even_by_the_fallback(self):
+        x = np.array([1000000000000000.25, 1000000000000000.75])
+        assert formatted(x) == ["1000000000000000.2", "1000000000000000.8"]
+        # odd multiples of 2^-(k+1) in [10^(16-k), 10^(17-k)) end in a 5 at digit 18
+        rng = np.random.default_rng(31)
+        for k in range(1, 12):
+            odd = 2 * rng.integers(10 ** (16 - k) << k, min(10 ** (17 - k) << k, 2**52), 200) + 1
+            x = odd / 2.0 ** (k + 1)
+            f, e = np.frexp(x)
+            assert _csvio._scaled(f, e, np.full(x.size, 16 - k))[1].all()  # so the fallback formats them
+            assert formatted(x) == [f"{v:.17g}" for v in x.tolist()]
+
+
 class Unformattable:
     def __format__(self, spec):
         raise RuntimeError("no text for this value")
@@ -83,17 +133,26 @@ class TestRewrite:
         assert dest.read_bytes() == want
 
     @pytest.mark.parametrize(
-        "header, templates",
-        [({"hurst": 0.7, "seed": Unformattable()}, None), ({}, ("%.17g\n" * _BLOCK, "%.17g\n" * (_BLOCK + 1)))],
+        "header, second_block_raises",
+        [({"hurst": 0.7, "seed": Unformattable()}, False), ({}, True)],
         ids=["header-value-that-will-not-format", "rows-past-the-first-block"],
     )
-    def test_a_write_that_raises_leaves_the_file_empty(self, tmp_path, monkeypatch, header, templates):
+    def test_a_write_that_raises_leaves_the_file_empty(self, tmp_path, monkeypatch, header, second_block_raises):
         dest = tmp_path / "f.csv"
         write_csv(dest, 0.0, 1.0, np.ones(3 * _BLOCK))
-        if templates:  # a second block of rows that asks for one value too many raises
-            monkeypatch.setattr(_csvio, "_row_templates", lambda a, b, rows: templates)
-        with pytest.raises((RuntimeError, TypeError)):
+        text, blocks = _csvio._text, []
+
+        def first_block_only(t, v):  # the first block's rows are written, the second raises
+            blocks.append(len(v))
+            if len(blocks) > 1:
+                raise RuntimeError("no text for this block")
+            return text(t, v)
+
+        if second_block_raises:
+            monkeypatch.setattr(_csvio, "_text", first_block_only)
+        with pytest.raises(RuntimeError):
             write_csv(dest, 0.0, 1.0, np.ones(2 * _BLOCK), header)
+        assert blocks == ([_BLOCK, _BLOCK] if second_block_raises else [])
         assert dest.read_bytes() == b""
 
     def test_an_existing_file_keeps_its_inode_and_mode(self, tmp_path):

@@ -302,6 +302,21 @@ class TestExtendedForward:
         assert np.isfinite([est for _, est in res.levels]).all()
         assert abs(res.value - span) <= 0.1 * abs(span)
 
+    def test_the_levels_do_not_read_the_unit_of_time(self):
+        # the paths of `fracbm generate --generator moving-average --hurst 0.7 --tmax T`:
+        # with u in absolute units each level was about T^eps times its value at T = 1,
+        # 0.986 and 1.132 of the span at eps = 1e-4 and diverging at T = 1e-300 and 1e300
+        ladders = []
+        for t_max in (1e-300, 1.0, 1e300):
+            g = generate_fbm_moving_average(GridSpec(t_max, 1024), 0.7, RngSeed(42, 0))
+            res = extended_forward_integral(1.0, g)
+            span = g.values[-1] - g.values[0]
+            ladders.append(([est / span for _, est in res.levels], res.converged))
+        for shares, converged in ladders:
+            assert converged
+            assert shares == pytest.approx(ladders[1][0], rel=1e-13)
+        assert ladders[1][0][-1] == pytest.approx(1.0564, abs=1e-4)
+
 
 def scaled(path, j):
     return SamplePath(path.grid, np.ldexp(path.values, j), path.hurst)
@@ -364,6 +379,18 @@ def test_ladders_do_not_depend_on_the_units_of_f_and_g(ladder, j, k):
     assert res.value == math.ldexp(base.value, j + k)
     assert res.levels == tuple((e, math.ldexp(v, j + k)) for e, v in base.levels)
     assert (res.converged, res.diagnostic) == (base.converged, base.diagnostic)
+
+
+@settings(max_examples=25, deadline=None)
+@given(j=st.integers(-900, 900))
+@example(j=900)
+@example(j=-900)
+def test_extended_levels_do_not_depend_on_the_unit_of_time(j):
+    base = LADDERS["extended"](PROPERTY_F, PROPERTY_PATH)
+    path = SamplePath(GridSpec(math.ldexp(1.0, j), 256), PROPERTY_PATH.values, PROPERTY_PATH.hurst)
+    res = LADDERS["extended"](PROPERTY_F, path)
+    assert (res.value, res.levels, res.converged, res.diagnostic) == (
+        base.value, base.levels, base.converged, base.diagnostic)
 
 
 class TestFloatRange:
