@@ -123,11 +123,25 @@ def partition(times, name: str) -> np.ndarray:
     return part
 
 
+#: a time lies at a node within this share of the larger time or of the grid step: rounding, never a unit
+_ROUNDING = 1e-9
+
+
+def nodes_through(times, t) -> int:
+    """How many of the sorted times lie at or before t, up to rounding; a product keeps -inf at -inf."""
+    return int(np.searchsorted(times, t * (1.0 + math.copysign(_ROUNDING, t)), side="right"))
+
+
+def coincide(t, s) -> bool:
+    """Whether the times t and s, two scalars or two arrays, agree up to rounding."""
+    return bool((np.abs(np.subtract(t, s)) <= _ROUNDING * np.max(np.abs([t, s]))).all())
+
+
 def grid_steps(t, h: float, name: str, least: int = 0, most=math.inf) -> np.ndarray:
-    """t / h as integers in [least, most] if every t lies within 1e-9 relative of a grid node."""
+    """t / h as integers in [least, most] if every t lies at a grid node up to rounding."""
     t = np.asarray(t, dtype=float)
     k = np.rint(t / h)
-    off = (k < least) | (k > most) | (np.abs(t - k * h) > 1e-9 * np.maximum(np.abs(t), h))
+    off = (k < least) | (k > most) | (np.abs(t - k * h) > _ROUNDING * np.maximum(np.abs(t), h))
     if off.any():
         raise ValueError(f"{name} must be {least} to {most} grid steps of {h!r}, got {t[off][0]}")
     return k.astype(int)

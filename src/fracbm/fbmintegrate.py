@@ -25,8 +25,8 @@ from typing import Optional, Union
 import numpy as np
 
 from ._nodecalc import accumulate, binary_exponent, change_of_variables
-from ._validate import dyadic_levels, finite, grid_steps, hurst, instance, integer, node_values, real
-from .gaussianpaths import GridSpec, SamplePath
+from ._validate import coincide, dyadic_levels, finite, grid_steps, hurst, instance, integer, node_values, real
+from .gaussianpaths import GridSpec, SamplePath, _OnGrid
 from .pathstats import variation_index
 
 __all__ = [
@@ -85,7 +85,7 @@ class IntegralResult:
 
 
 @dataclass(frozen=True)
-class ForwardProcess:
+class ForwardProcess(_OnGrid):
     """Grid samples of a process built by forward accumulation.
 
     Unlike SamplePath this carries an arbitrary starting value, so drifted
@@ -104,14 +104,6 @@ class ForwardProcess:
         if self.hurst is not None:
             hurst(self.hurst, "hurst")
 
-    @property
-    def times(self) -> np.ndarray:
-        return self.grid.times
-
-    @property
-    def dt(self) -> float:
-        return self.grid.dt
-
 
 #: an integrand or a second process on a path's grid: a constant, node values or a process
 Samples = Union[float, np.ndarray, SamplePath, ForwardProcess]
@@ -119,9 +111,7 @@ Samples = Union[float, np.ndarray, SamplePath, ForwardProcess]
 
 def _grid_values(f: Samples, grid: GridSpec, name: str) -> np.ndarray:
     if isinstance(f, (SamplePath, ForwardProcess)):
-        if abs(f.grid.t_max - grid.t_max) > 1e-12 * grid.t_max or (
-            f.grid.n_steps != grid.n_steps
-        ):
+        if f.grid.n_steps != grid.n_steps or not coincide(f.grid.t_max, grid.t_max):
             raise ValueError(f"{name} lives on a different grid")
         return f.values
     if np.isscalar(f):
@@ -326,9 +316,7 @@ def extended_forward_integral(
     return _ladder_result(levels, np.max(np.abs(fv)) * np.ptp(gv), unit, "extended-forward")
 
 
-def fractional_forward_process(
-    x0: float, alpha: Samples, f: Samples, g: SamplePath
-) -> ForwardProcess:
+def fractional_forward_process(x0: float, alpha: Samples, f: Samples, g: SamplePath) -> ForwardProcess:
     """X = x0 + int alpha dt + forward sums of f against g on the grid."""
     av = _grid_values(alpha, instance(g, SamplePath, "g").grid, "alpha")
     fv = _grid_values(f, g.grid, "f")

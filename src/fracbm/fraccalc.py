@@ -31,7 +31,7 @@ import numpy as np
 
 from ._csvio import read_csv, write_csv
 from ._nodecalc import convolve, diffpow, kernel_spectrum
-from ._validate import finite, instance, integer, real, reals
+from ._validate import coincide, finite, instance, integer, real, reals
 
 __all__ = [
     "Side",
@@ -300,9 +300,7 @@ def cauchy_repeated_integral(f: GridFunction, m: int) -> GridFunction:
     return fractional_integral(f, DifferintegralSpec(float(m), Side.LEFT, OperatorKind.INTEGRAL))
 
 
-def whole_line_fractional_integral(
-    f: GridFunction, alpha: float, side: WholeLineSide
-) -> GridFunction:
+def whole_line_fractional_integral(f: GridFunction, alpha: float, side: WholeLineSide) -> GridFunction:
     """Whole-line fractional integral of a compactly supported sample set.
 
     The input is treated as zero outside [a, b], under which the whole-line
@@ -335,7 +333,7 @@ def fractal_integral(f: GridFunction, g: GridFunction, alpha: float) -> float:
     alpha = real(alpha, "alpha", 0.0, 1.0, closed=True)
     fv = finite(instance(f, GridFunction, "f").values, "f samples")
     gv = finite(instance(g, GridFunction, "g").values, "g samples")
-    if fv.size != gv.size or abs(f.a - g.a) > 1e-12 or abs(f.b - g.b) > 1e-12:
+    if fv.size != gv.size or not coincide((f.a, f.b), (g.a, g.b)):
         raise ValueError("f and g must share one grid")
     h = f.h
     f_low = fv - fv[0]

@@ -199,8 +199,20 @@ class PathGenerator(enum.Enum):
     EXTERNAL = "external"
 
 
+class _OnGrid:
+    """The node times and step of a process sampled on the nodes of its `grid`."""
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.grid.times
+
+    @property
+    def dt(self) -> float:
+        return self.grid.dt
+
+
 @dataclass(frozen=True)
-class SamplePath:
+class SamplePath(_OnGrid):
     """A path sampled on a uniform grid, starting at exactly zero.
 
     hurst is the nominal self-similarity index (0.5 for Brownian motion,
@@ -224,14 +236,6 @@ class SamplePath:
             _validate.hurst(self.hurst, "hurst")
         if self.seed is not None:
             _validate.instance(self.seed, RngSeed, "seed")
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.grid.times
-
-    @property
-    def dt(self) -> float:
-        return self.grid.dt
 
     def increments(self) -> np.ndarray:
         return np.diff(self.values)
@@ -609,10 +613,10 @@ def scale_path(path: SamplePath, a: float) -> SamplePath:
     a = _validate.real(a, "scale factor a", 0.0)
     if _validate.instance(path, SamplePath, "path").hurst is None:
         raise ValueError("scaling needs a path with a known Hurst index")
+    if path.grid.t_max / a == math.inf:
+        raise ValueError(f"scale factor a={a!r}: the rescaled horizon t_max / a overflows a float")
     grid = GridSpec(path.grid.t_max / a, path.grid.n_steps)
-    return SamplePath(
-        grid, a ** (-path.hurst) * path.values, path.hurst, path.seed, path.generator
-    )
+    return SamplePath(grid, a ** (-path.hurst) * path.values, path.hurst, path.seed, path.generator)
 
 
 def time_invert_bm(path: SamplePath) -> SamplePath:
@@ -628,6 +632,8 @@ def time_invert_bm(path: SamplePath) -> SamplePath:
     if _validate.instance(path, SamplePath, "path").hurst != 0.5:
         raise ValueError("time inversion applies to Brownian paths (hurst 0.5)")
     n = path.grid.n_steps
+    if n / path.grid.t_max == math.inf:
+        raise ValueError(f"horizon t_max={path.grid.t_max!r}: the inverted horizon n / t_max overflows a float")
     grid = GridSpec(n / path.grid.t_max, n)
     u = grid.times
     values = np.empty(n + 1)

@@ -5,6 +5,11 @@ holding only the samples up to the evaluation time, and any request beyond
 it raises AdaptednessError.  Integrands may also supply a vectorized
 whole-grid evaluation for ensemble work; it must be causal (node k computed
 from samples 0..k), which the stock constructors guarantee.
+
+Where a time lies on a grid is one rule (`_validate.nodes_through`, `coincide`): at a node
+within 1e-9 of the larger time or of the grid step, never a unit of time, so prefixes, step
+lookups and grid checks answer alike at every scale.  The one dimensioned comparison is
+pathstats.empirical_acf's unit-spacing check, as the ACF is defined on unit-spaced increments.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from ._nodecalc import accumulate, change_of_variables, eval2
-from ._validate import ensemble, finite, finite_rows, grid_steps, instance, partition, real
+from ._validate import ensemble, finite, finite_rows, grid_steps, instance, nodes_through, partition, real
 from .gaussianpaths import GridSpec, SamplePath, Z_CONFIDENCE
 
 __all__ = [
@@ -65,15 +70,13 @@ class PathPrefix:
         return float(np.interp(self._reachable(t), self.times, self.values))
 
     def up_to(self, t: float) -> "PathPrefix":
-        k = int(np.searchsorted(self.times, self._reachable(t) + 1e-12 * max(t, 1.0), side="right"))
+        k = nodes_through(self.times, self._reachable(t))
         return PathPrefix(self.times[:k], self.values[:k])
 
     def _reachable(self, t: float) -> float:
-        """t, if it lies within the prefix; a later time raises AdaptednessError."""
-        if t > self.t + 1e-12 * max(self.t, 1.0):
-            raise AdaptednessError(
-                f"integrand requested the path at t={t}, beyond its prefix end {self.t}"
-            )
+        """t, if it lies at or before the prefix end; a later time raises AdaptednessError."""
+        if not nodes_through((t,), self.t):
+            raise AdaptednessError(f"integrand requested the path at t={t}, beyond its prefix end {self.t}")
         return t
 
 
@@ -172,10 +175,9 @@ class SimpleProcess:
         part = self.partition
 
         def step_rule(t: float, prefix: PathPrefix) -> float:
-            i = int(np.searchsorted(part, t + 1e-12 * max(abs(t), 1.0), side="right")) - 1
+            i = min(nodes_through(part, t), part.size - 1) - 1
             if i < 0:
                 return 0.0  # the step process is zero before its first time
-            i = min(i, part.size - 2)
             return float(self.rule(i, float(part[i]), prefix.up_to(float(part[i]))))
 
         return AdaptedIntegrand(step_rule)
@@ -186,9 +188,7 @@ def _require_bm(path: SamplePath, name: str = "path") -> None:
         raise ValueError("Ito sums integrate against Brownian paths (hurst 0.5)")
 
 
-def ito_integral(
-    f: AdaptedIntegrand, path: SamplePath, sub_partition=None
-) -> float:
+def ito_integral(f: AdaptedIntegrand, path: SamplePath, sub_partition=None) -> float:
     """Left-endpoint sum of f against the path's increments.
 
     Evaluates sum f(t_i, prefix_i) [B(t_{i+1}) - B(t_i)] over the
@@ -197,15 +197,11 @@ def ito_integral(
     transform.
     """
     _require_bm(path)
-    times, values = path.times, path.values
-    if sub_partition is None:
-        idx = np.arange(times.size)
-    else:
-        part = partition(sub_partition, "sub_partition")
-        idx = grid_steps(part, path.dt, "partition time", 0, path.grid.n_steps)
+    part = path.times if sub_partition is None else partition(sub_partition, "sub_partition")
+    idx = grid_steps(part, path.dt, "partition time", 0, path.grid.n_steps)
     left = idx[:-1]
-    steps = values[idx[1:]] - values[left]
-    e = instance(f, AdaptedIntegrand, "f").on_nodes(times, values, left)
+    steps = path.values[idx[1:]] - path.values[left]
+    e = instance(f, AdaptedIntegrand, "f").on_nodes(path.times, path.values, left)
     return float(np.dot(e, steps))
 
 
@@ -262,7 +258,7 @@ def isometry_check(f: AdaptedIntegrand, values: np.ndarray, grid: GridSpec):
     """
     n, blocks = _check_ensemble(values, grid, "isometry_check", 2)
     on_rows = instance(f, AdaptedIntegrand, "f")._on_rows
-    times = np.linspace(0.0, grid.t_max, grid.n_steps + 1)
+    times = grid.times
     lhs_samples = np.empty(n)
     rhs_samples = np.empty(n)
     for lo, block in blocks:
@@ -273,9 +269,7 @@ def isometry_check(f: AdaptedIntegrand, values: np.ndarray, grid: GridSpec):
         rhs_samples[lo : lo + len(block)] = np.trapezoid(e**2, dx=grid.dt, axis=1)
     lhs = float(np.mean(lhs_samples))
     rhs = float(np.mean(rhs_samples))
-    ci = Z_CONFIDENCE * math.sqrt(
-        (np.var(lhs_samples, ddof=1) + np.var(rhs_samples, ddof=1)) / n
-    )
+    ci = Z_CONFIDENCE * math.sqrt((np.var(lhs_samples, ddof=1) + np.var(rhs_samples, ddof=1)) / n)
     return lhs, rhs, ci
 
 

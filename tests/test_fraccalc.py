@@ -479,6 +479,20 @@ class TestFractalIntegral:
         with pytest.raises(ValueError):
             fractal_integral(f, g, 0.5)
 
+    def test_rejects_grids_that_differ_on_a_small_horizon(self):
+        # an absolute 1e-12 once read [0, 1e-300] and [0, 3e-300] as one grid
+        f = GridFunction(0.0, 1e-300, np.linspace(0.0, 1.0, 65))
+        g = GridFunction(0.0, 3e-300, np.linspace(0.0, 1.0, 65))
+        with pytest.raises(ValueError, match="f and g must share one grid"):
+            fractal_integral(f, g, 0.5)
+
+    def test_accepts_grids_that_differ_by_rounding_on_a_large_horizon(self):
+        # and rejected two grids on [0, 1e6] whose right ends differ by 1e-15 relative
+        f = GridFunction(0.0, 1e6, np.linspace(0.0, 1.0, 65))
+        g = GridFunction(0.0, 1e6 * (1 + 1e-15), f.values)
+        assert g.b != f.b
+        assert fractal_integral(f, g, 0.5) == fractal_integral(f, f, 0.5)
+
 
 def test_grid_csv_round_trip(tmp_path):
     f = GridFunction.from_callable(lambda x: np.sin(3.0 * x), 0.25, 1.5, 257)

@@ -903,6 +903,12 @@ class TestTransforms:
         with pytest.raises(ValueError, match="scale factor a"):
             scale_path(p, bad)
 
+    def test_scaling_names_an_overflowing_horizon(self):
+        # t_max / a overflowed inside GridSpec, which named a horizon never passed
+        p = generate_fbm_circulant(GridSpec(1e300, 16), 0.7, RngSeed(1, 0))
+        with pytest.raises(ValueError, match=r"scale factor a=1e-10: the rescaled horizon t_max / a overflows a float"):
+            scale_path(p, 1e-10)
+
     def test_scale_requires_known_index(self):
         p = SamplePath(GridSpec(1.0, 8), np.linspace(0, 1, 9), None)
         with pytest.raises(ValueError):
@@ -926,6 +932,11 @@ class TestTransforms:
             q = time_invert_bm(generate_bm(GridSpec(1.0, 1024), RngSeed(107, s)))
             ys.append(q.values[1])
         assert abs(np.var(ys) - 1.0) <= 0.12
+
+    def test_inversion_names_an_overflowing_horizon(self):
+        p = generate_bm(GridSpec(1e-310, 16), RngSeed(1, 0))
+        with pytest.raises(ValueError, match=r"t_max=1e-310: the inverted horizon n / t_max overflows a float"):
+            time_invert_bm(p)
 
     def test_inversion_rejects_non_brownian(self):
         p = generate_fbm_circulant(GridSpec(1.0, 64), 0.75, RngSeed(3, 0))

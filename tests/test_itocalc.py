@@ -4,7 +4,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from fracbm.fraccalc import GridFunction, fractal_integral
 from fracbm.gaussianpaths import (
     GridSpec,
     RngSeed,
@@ -47,6 +49,11 @@ class TestAdaptedIntegrand:
             prefix.value_at(1.5)
         with pytest.raises(AdaptednessError):
             prefix.up_to(2.0)
+
+    @pytest.mark.parametrize("t", [-1.0, -math.inf])
+    def test_prefix_before_its_start_is_empty(self, t):
+        prefix = PathPrefix(np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.2, -0.1]))
+        assert prefix.up_to(t).times.size == 0
 
     def test_peeking_integrand_raises(self):
         p = generate_bm(GridSpec(1.0, 64), RngSeed(20, 1))
@@ -343,6 +350,21 @@ class TestSimpleProcess:
         with pytest.raises(ValueError):
             SimpleProcess(np.array([0.0, 0.5, 0.25]), lambda i, ti, prefix: 1.0)
 
+    @pytest.mark.parametrize("t_max", [1.0, 1e-13, 1e-300])
+    def test_step_indices_do_not_depend_on_the_unit_of_time(self, t_max):
+        # an absolute 1e-12 once put every node of a horizon below it in the last step
+        p = generate_bm(GridSpec(t_max, 8), RngSeed(1, 0))
+        sp = SimpleProcess(p.times[::2], lambda i, ti, prefix: i)
+        assert sp.as_integrand().on_nodes(p.times, p.values).tolist() == [0, 0, 1, 1, 2, 2, 3, 3, 3]
+
+    @pytest.mark.parametrize("t_max", [1.0, 1e-300])
+    def test_reading_the_horizon_early_raises_at_every_scale(self, t_max):
+        # an absolute 1e-12 once let a rule read the path at t_max = 1e-300 from t = 0
+        p = generate_bm(GridSpec(t_max, 8), RngSeed(1, 0))
+        peeker = AdaptedIntegrand(lambda t, prefix: prefix.value_at(t_max))
+        with pytest.raises(AdaptednessError, match="beyond its prefix end 0.0"):
+            ito_integral(peeker, p)
+
     def test_refinement_cauchy_contraction(self):
         # left sums along nested meshes: successive differences shrink by a
         # solid factor once the mesh halves
@@ -416,3 +438,30 @@ class TestItoFormula:
         g = generate_fbm_circulant(GridSpec(1.0, 128), 0.75, RngSeed(14, 4))
         with pytest.raises(ValueError):
             ItoProcess(0.0, AdaptedIntegrand.constant(0.0), AdaptedIntegrand.constant(1.0), g)
+
+
+UNIT_PATH = generate_bm(GridSpec(1.0, 8), RngSeed(1, 0))
+
+
+def on_nodes_and_integral(path):
+    """Node values and Ito integral of a step process that reads its prefix and its index."""
+    sp = SimpleProcess(path.times[::2], lambda i, ti, prefix: prefix.values.size * prefix.latest + i)
+    f = sp.as_integrand()
+    return f.on_nodes(path.times, path.values).tolist(), ito_integral(f, path, path.times[::2])
+
+
+@settings(max_examples=40, deadline=None)
+@given(j=st.integers(-900, 900))
+@example(j=900)
+@example(j=-900)
+def test_where_a_time_lies_does_not_depend_on_the_unit_of_time(j):
+    t_max = math.ldexp(1.0, j)
+    path = SamplePath(GridSpec(t_max, 8), UNIT_PATH.values, 0.5)
+    assert on_nodes_and_integral(path) == on_nodes_and_integral(UNIT_PATH)
+    peeker = AdaptedIntegrand(lambda t, prefix: prefix.value_at(t + path.dt))
+    with pytest.raises(AdaptednessError):
+        ito_integral(peeker, path)
+    f = GridFunction(0.0, t_max, UNIT_PATH.values)
+    assert math.isfinite(fractal_integral(f, GridFunction(0.0, t_max, path.values), 0.5))
+    with pytest.raises(ValueError, match="share one grid"):
+        fractal_integral(f, GridFunction(0.0, 3.0 * t_max, path.values), 0.5)
