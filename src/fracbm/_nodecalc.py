@@ -5,6 +5,12 @@ derivative's product quadrature and of the moving-average path generator.
 Both layers, and the fractional integral, apply a kernel by `convolve`: one
 real FFT pair at the least 5-smooth length at which no output read wraps around.
 
+A public sum over path or grid samples is formed in units of 2^e near their
+largest (`binary_units`) and multiplied back by `from_binary_units`, which
+names a result past the float range.  The scaling is exact away from
+subnormals, so the sum scales bitwise with its samples and never overflows on
+the way; p_variation's mesh_levels, documented to overflow to inf, are the exception.
+
 Both change-of-variables formulas compare g(t, X) - g(0, X(0)) with running
 left-point sums of g_t dt + g_x dX on the path grid; the Ito version adds
 1/2 g_xx nu^2 dt, the version for persistent fBm paths drops it.  For a
@@ -54,6 +60,20 @@ def binary_exponent(*arrays) -> int:
     """e with 2^(e-1) <= max|x| < 2^e over the arrays (0 if all are 0): np.ldexp(x, -e) is
     exact and below 1, so a statistic of it is bitwise the same at any scale of x."""
     return math.frexp(max(float(np.max(np.abs(a))) for a in arrays))[1]
+
+
+def binary_units(*arrays) -> tuple:
+    """The arrays in units of 2^e, e = binary_exponent(*arrays), followed by e."""
+    e = binary_exponent(*arrays)
+    return (*(np.ldexp(a, -e) for a in arrays), e)
+
+
+def from_binary_units(v: float, e: int, name: str) -> float:
+    """v 2^e, or a ValueError naming the quantity where that overflows a float."""
+    try:
+        return math.ldexp(v, e)
+    except OverflowError:
+        raise ValueError(f"{name} overflows a float") from None
 
 
 def eval2(fn, t: np.ndarray, x: np.ndarray, name: str = "fn") -> np.ndarray:

@@ -497,8 +497,3 @@ def run_experiment(exp_id: str, cfg: Optional[VerifyConfig] = None) -> Experimen
     elapsed = time.perf_counter() - start
     messages = tuple(dict.fromkeys(str(w.message) for w in caught))
     return ExperimentResult(exp_id, title, tuple(checks), elapsed, messages)
-
-
-def run_suite(exp_ids=None, cfg: Optional[VerifyConfig] = None):
-    ids = list(EXPERIMENTS) if exp_ids is None else list(exp_ids)
-    return [run_experiment(e, cfg) for e in ids]

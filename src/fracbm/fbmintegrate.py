@@ -4,11 +4,10 @@ Difference-quotient integrals (symmetric, forward, backward) are evaluated
 on a ladder of grid-aligned epsilon values.  Every ladder converges, the
 desk-scale stand-in for the limit in probability, by one rule with no `tol`:
 its last two levels differ by at most 5% of max|f| osc g (osc x osc y for the
-covariation).  f and g are read in units of a power of two, so the verdict
-does not depend on their units, and a level past the float range raises a
-ValueError.  Path values outside [0, T] are held at the endpoint values
-(Russo & Vallois 1993) by one helper, `_clamped_shifts`, an O(epsilon)
-boundary effect covered by the telescoping tolerance helper.
+covariation), on f and g in units of a power of two (`_nodecalc.binary_units`).
+Path values outside [0, T] are held at the endpoint values (Russo & Vallois
+1993) by `_clamped_shifts`, an O(epsilon) boundary effect covered by the
+telescoping tolerance helper.
 
 Sign conventions follow the defining difference quotients literally; the
 backward kernel g(s-eps) - g(s) therefore telescopes to -(g(T) - g(0)) for
@@ -24,7 +23,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from ._nodecalc import accumulate, binary_exponent, change_of_variables
+from ._nodecalc import accumulate, binary_exponent, binary_units, change_of_variables, from_binary_units
 from ._validate import coincide, dyadic_levels, finite, grid_steps, hurst, instance, integer, node_values, real
 from .gaussianpaths import GridSpec, SamplePath, _OnGrid
 from .pathstats import variation_index
@@ -136,21 +135,10 @@ def _rungs(eps: Optional[EpsilonSchedule], grid: GridSpec) -> list:
     return list(zip(eps.values, eps.strides(grid)))
 
 
-def _binary_units(f: Samples, g: Union[SamplePath, ForwardProcess], name: str):
-    """f on g's grid and g's values in units of 2^ef and 2^eg (binary_exponent), and ef + eg."""
-    fv = _grid_values(f, g.grid, name)
-    ef, eg = binary_exponent(fv), binary_exponent(g.values)
-    return np.ldexp(fv, -ef), np.ldexp(g.values, -eg), ef + eg
-
-
 def _ladder_result(levels: list, scale: float, e: int, label: str, notes=()) -> IntegralResult:
     """The levels times 2^e, and converged by the one rule; scale is max|f| osc g in their units."""
     gap = abs(levels[-1][1] - levels[-2][1])
-    for i, (eps, v) in enumerate(levels):
-        try:
-            levels[i] = (eps, math.ldexp(v, e))
-        except OverflowError:
-            raise ValueError(f"the {label} level at {eps:.3g} overflows a float") from None
+    levels = [(eps, from_binary_units(v, e, f"the {label} level at {eps:.3g}")) for eps, v in levels]
     diag = [f"{label}: last-level gap {gap / (scale or 1.0):.3e} of max|f| osc g, at most {_GAP_SHARE}", *notes]
     return IntegralResult(levels[-1][1], tuple(levels), bool(gap <= _GAP_SHARE * scale), "; ".join(diag))
 
@@ -162,13 +150,15 @@ def telescoping_tolerance(g: SamplePath, eps: EpsilonSchedule) -> float:
     telescoping identity holds up to an average of |g - g(endpoint)| there;
     the steepest grid slope times 3 eps_last dominates it comfortably.
     """
-    steepest = float(np.max(np.abs(np.diff(instance(g, SamplePath, "g").values))))
-    return 3.0 * instance(eps, EpsilonSchedule, "eps").values[-1] * steepest / g.dt
+    steepest, e = binary_units(np.max(np.abs(np.diff(instance(g, SamplePath, "g").values))))
+    tol = 3.0 * instance(eps, EpsilonSchedule, "eps").values[-1] * float(steepest) / g.dt
+    return from_binary_units(tol, e, "the telescoping tolerance")
 
 
 def _quotient_ladder(f: Samples, g: SamplePath, eps, lead, lag, span, label) -> IntegralResult:
     """int f(s) [g(s + lead eps) - g(s + lag eps)] / (span eps) ds over the ladder."""
-    fv, gv, unit = _binary_units(f, instance(g, SamplePath, "g"), "f")
+    fv, ef = binary_units(_grid_values(f, instance(g, SamplePath, "g").grid, "f"))
+    gv, eg = binary_units(g.values)
     h = g.dt
     rungs = _rungs(eps, g.grid)
     reach = max(k for _, k in rungs)
@@ -177,7 +167,7 @@ def _quotient_ladder(f: Samples, g: SamplePath, eps, lead, lag, span, label) -> 
     for e, k in rungs:
         kernel = (g_at(lead * k) - g_at(lag * k)) / (span * (k * h))
         levels.append((e, float(np.trapezoid(fv * kernel, dx=h))))
-    return _ladder_result(levels, np.max(np.abs(fv)) * np.ptp(gv), unit, label)
+    return _ladder_result(levels, np.max(np.abs(fv)) * np.ptp(gv), ef + eg, label)
 
 
 def symmetric_integral(f: Samples, g: SamplePath, eps: Optional[EpsilonSchedule] = None) -> IntegralResult:
@@ -207,7 +197,8 @@ def covariation(
     x: Union[SamplePath, ForwardProcess], y: Samples, eps: Optional[EpsilonSchedule] = None
 ) -> IntegralResult:
     """(1/eps) int [x(u+eps) - x(u)][y(u+eps) - y(u)] du over the ladder."""
-    yv, xv, unit = _binary_units(y, instance(x, (SamplePath, ForwardProcess), "x"), "y")
+    yv, ey = binary_units(_grid_values(y, instance(x, (SamplePath, ForwardProcess), "x").grid, "y"))
+    xv, ex = binary_units(x.values)
     h = x.dt
     rungs = _rungs(eps, x.grid)
     x_at, y_at = (_clamped_shifts(v, 0, max(k for _, k in rungs)) for v in (xv, yv))
@@ -216,7 +207,7 @@ def covariation(
         dx = x_at(k) - xv
         dy = y_at(k) - yv
         levels.append((e, float(np.trapezoid(dx * dy, dx=h)) / e))
-    return _ladder_result(levels, np.ptp(xv) * np.ptp(yv), unit, "covariation")
+    return _ladder_result(levels, np.ptp(xv) * np.ptp(yv), ex + ey, "covariation")
 
 
 def riemann_stieltjes_integral(u: Samples, g: SamplePath, levels: int = 5) -> IntegralResult:
@@ -228,7 +219,8 @@ def riemann_stieltjes_integral(u: Samples, g: SamplePath, levels: int = 5) -> In
     sufficient rather than necessary.  A constant u has bounded variation
     (p = 1 < 1/(1-H)) and is not probed.
     """
-    uv, gv, unit = _binary_units(u, instance(g, SamplePath, "g"), "u")
+    uv, eu = binary_units(_grid_values(u, instance(g, SamplePath, "g").grid, "u"))
+    gv, eg = binary_units(g.values)
     levels = dyadic_levels(levels, g.grid.n_steps)
     notes = []
     if g.hurst is None:
@@ -244,7 +236,7 @@ def riemann_stieltjes_integral(u: Samples, g: SamplePath, levels: int = 5) -> In
             notes.append(f"variation heuristic unavailable: {exc}")
     steps = [2**j for j in range(levels - 1, -1, -1)]
     lev = [(s * g.dt, float(np.dot(uv[::s][:-1], np.diff(gv[::s])))) for s in steps]
-    return _ladder_result(lev, np.max(np.abs(uv)) * np.ptp(gv), unit, "riemann-stieltjes", notes)
+    return _ladder_result(lev, np.max(np.abs(uv)) * np.ptp(gv), eu + eg, "riemann-stieltjes", notes)
 
 
 def symmetric_forward_relation_check(f: Samples, g: SamplePath, eps: Optional[EpsilonSchedule] = None):
@@ -286,7 +278,8 @@ def extended_forward_integral(
     # an epsilon ladder below 1e-12 underflows the weight differences
     eps_levels = integer(eps_levels, "eps_levels", 3, 12)
     u_points = integer(u_points, "u_points", 1)
-    fv, gv, unit = _binary_units(f, instance(g, SamplePath, "g"), "f")
+    fv, ef = binary_units(_grid_values(f, instance(g, SamplePath, "g").grid, "f"))
+    gv, eg = binary_units(g.values)
     h, T = g.dt, g.grid.t_max
     # trapezoid weights times f, and u, in units of a power of two c <= h: the scaling is
     # exact, and keeps a and the u midpoints clear of under- and overflow in any time unit
@@ -313,7 +306,7 @@ def extended_forward_integral(
         e = 10.0**-j
         cell = (edges[:-1] / T) ** e * math.expm1(e * log_ratio) / math.gamma(1.0 + e)
         levels.append((e, float(np.dot(cell, i_mid)) + i_floor * (h / T) ** e / math.gamma(1.0 + e)))
-    return _ladder_result(levels, np.max(np.abs(fv)) * np.ptp(gv), unit, "extended-forward")
+    return _ladder_result(levels, np.max(np.abs(fv)) * np.ptp(gv), ef + eg, "extended-forward")
 
 
 def fractional_forward_process(x0: float, alpha: Samples, f: Samples, g: SamplePath) -> ForwardProcess:

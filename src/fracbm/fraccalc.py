@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._csvio import read_csv, write_csv
-from ._nodecalc import convolve, diffpow, kernel_spectrum
+from ._nodecalc import binary_units, convolve, diffpow, from_binary_units, kernel_spectrum
 from ._validate import coincide, finite, instance, integer, real, reals
 
 __all__ = [
@@ -336,8 +336,8 @@ def fractal_integral(f: GridFunction, g: GridFunction, alpha: float) -> float:
     if fv.size != gv.size or not coincide((f.a, f.b), (g.a, g.b)):
         raise ValueError("f and g must share one grid")
     h = f.h
-    f_low = fv - fv[0]
-    g_up = gv - gv[-1]
+    f_low, ef = binary_units(fv - fv[0])
+    g_up, eg = binary_units(gv - gv[-1])
     if alpha == 0.0:
         df = f_low
         dg = -np.gradient(g_up, h)
@@ -348,7 +348,7 @@ def fractal_integral(f: GridFunction, g: GridFunction, alpha: float) -> float:
         df = _left_derivative(f_low, alpha, h)
         dg = _left_derivative(g_up[::-1], 1.0 - alpha, h)[::-1]
     inner = -float(np.trapezoid(df[1:-1] * dg[1:-1], dx=h))
-    return inner + fv[0] * (gv[-1] - gv[0])
+    return from_binary_units(inner - math.ldexp(fv[0], -ef) * g_up[0], ef + eg, "the fractal integral")
 
 
 def write_grid_csv(f: GridFunction, path) -> None:

@@ -613,9 +613,10 @@ def scale_path(path: SamplePath, a: float) -> SamplePath:
     a = _validate.real(a, "scale factor a", 0.0)
     if _validate.instance(path, SamplePath, "path").hurst is None:
         raise ValueError("scaling needs a path with a known Hurst index")
-    if path.grid.t_max / a == math.inf:
-        raise ValueError(f"scale factor a={a!r}: the rescaled horizon t_max / a overflows a float")
-    grid = GridSpec(path.grid.t_max / a, path.grid.n_steps)
+    if (t_max := path.grid.t_max / a) in (0.0, math.inf):
+        flow = "overflows a float" if t_max else "underflows to 0"
+        raise ValueError(f"scale factor a={a!r}: the rescaled horizon t_max / a {flow}")
+    grid = GridSpec(t_max, path.grid.n_steps)
     return SamplePath(grid, a ** (-path.hurst) * path.values, path.hurst, path.seed, path.generator)
 
 

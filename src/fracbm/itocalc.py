@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._nodecalc import accumulate, change_of_variables, eval2
+from ._nodecalc import accumulate, binary_units, change_of_variables, eval2, from_binary_units
 from ._validate import ensemble, finite, finite_rows, grid_steps, instance, nodes_through, partition, real
 from .gaussianpaths import GridSpec, SamplePath, Z_CONFIDENCE
 
@@ -269,8 +269,9 @@ def isometry_check(f: AdaptedIntegrand, values: np.ndarray, grid: GridSpec):
         rhs_samples[lo : lo + len(block)] = np.trapezoid(e**2, dx=grid.dt, axis=1)
     lhs = float(np.mean(lhs_samples))
     rhs = float(np.mean(rhs_samples))
+    lhs_samples, rhs_samples, e = binary_units(lhs_samples, rhs_samples)
     ci = Z_CONFIDENCE * math.sqrt((np.var(lhs_samples, ddof=1) + np.var(rhs_samples, ddof=1)) / n)
-    return lhs, rhs, ci
+    return lhs, rhs, from_binary_units(ci, e, "the confidence half-width")
 
 
 def ito_integral_qv(f: AdaptedIntegrand, path: SamplePath):
@@ -280,10 +281,10 @@ def ito_integral_qv(f: AdaptedIntegrand, path: SamplePath):
     the same grid.
     """
     _require_bm(path)
-    e = instance(f, AdaptedIntegrand, "f").on_nodes(path.times, path.values)
-    steps = np.diff(path.values)
-    qv = float(np.sum((e[:-1] * steps) ** 2))
-    target = float(np.trapezoid(e**2, dx=path.dt))
+    e, ee = binary_units(instance(f, AdaptedIntegrand, "f").on_nodes(path.times, path.values))
+    steps, es = binary_units(np.diff(path.values))
+    qv = from_binary_units(float(np.sum((e[:-1] * steps) ** 2)), 2 * (ee + es), "the quadratic variation")
+    target = from_binary_units(float(np.trapezoid(e**2, dx=path.dt)), 2 * ee, "the integral of f squared")
     return qv, target
 
 

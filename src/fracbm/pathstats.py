@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._nodecalc import binary_exponent
+from ._nodecalc import binary_units, from_binary_units
 from ._validate import dyadic_levels, finite, hurst, instance, integer, real
 from .gaussianpaths import SamplePath, _fgn_autocovariance
 
@@ -85,16 +85,16 @@ class HurstEstimate:
 
 def quadratic_variation(path: SamplePath) -> float:
     """Sum of squared increments over the path's own grid."""
-    return float(np.sum(np.diff(instance(path, SamplePath, "path").values) ** 2))
+    steps, e = binary_units(np.diff(instance(path, SamplePath, "path").values))
+    return from_binary_units(float(np.sum(steps**2)), 2 * e, "the quadratic variation")
 
 
 def _dyadic_increments(values: np.ndarray, dt: float, levels: int):
-    """(mesh, |increments| / 2^e) on each dyadic coarsening, coarsest first, and e, the
-    binary_exponent of them all: no power sum over- or underflows at any scale of the path."""
+    """(mesh, |increments| in binary_units) on each dyadic coarsening, coarsest first, and e."""
     levels = dyadic_levels(levels, values.size - 1)
-    pairs = [(2**j * dt, np.abs(np.diff(values[:: 2**j]))) for j in range(levels - 1, -1, -1)]
-    e = binary_exponent(*(a for _, a in pairs))
-    return [(mesh, np.ldexp(a, -e)) for mesh, a in pairs], e
+    strides = [2**j for j in range(levels - 1, -1, -1)]
+    *increments, e = binary_units(*(np.abs(np.diff(values[::s])) for s in strides))
+    return [(s * dt, a) for s, a in zip(strides, increments)], e
 
 
 def _power_sums(increments, p: float):
@@ -202,7 +202,7 @@ def rescaled_range_hurst(series) -> HurstEstimate:
     x = finite(series, "series")
     if x.ndim != 1 or x.size < 256:
         raise ValueError("rescaled range needs a 1-d series of at least 256 samples")
-    x = np.ldexp(x, -binary_exponent(x))
+    x, _ = binary_units(x)
     block_data = []
     size = 16
     while size <= x.size // 8:
@@ -247,7 +247,7 @@ def empirical_acf(path: SamplePath, max_lag: int) -> np.ndarray:
     if max_lag >= x.size / 4:
         raise ValueError("max_lag must be below a quarter of the increment count")
     xc = x - x.mean()
-    xc = np.ldexp(xc, -binary_exponent(xc))  # no lag sum over- or underflows
+    xc, _ = binary_units(xc)  # no lag sum over- or underflows
     denom = float(np.dot(xc, xc))
     if denom == 0.0:
         raise ValueError("degenerate series: zero variance")

@@ -288,6 +288,13 @@ class TestFbmIntegrate:
         assert "Usage: fracbm fbm-integrate [OPTIONS]" in result.output
         assert "overflows a float" in result.output and "Traceback" not in result.output
 
+    def test_a_quadratic_variation_past_the_float_range_is_a_usage_error(self, runner, extreme):
+        # once a RuntimeWarning and "value": Infinity, which strict JSON parsers reject
+        args = ["stats", "--input", str(extreme / "huge" / "path.csv"), "--estimator", "quadratic-variation"]
+        result = runner.invoke(main, args, prog_name="fracbm")
+        assert result.exit_code == 2, result.output
+        assert "the quadratic variation overflows a float" in result.output and "Infinity" not in result.output
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("f", ["self", "one"])
     @pytest.mark.parametrize("int_type", TYPES)

@@ -6,7 +6,6 @@ from fracbm.experiments import (
     ExperimentResult,
     VerifyConfig,
     run_experiment,
-    run_suite,
 )
 
 
@@ -54,12 +53,6 @@ def test_replicate_cap_scales_down_only():
     assert VerifyConfig().scaled(10_000) == 10_000
     # floor of 2 keeps variance estimates defined
     assert VerifyConfig(replicates=1).scaled(10_000) == 2
-
-
-def test_run_suite_subset_order():
-    results = run_suite(["E3", "E1"])
-    assert [r.experiment for r in results] == ["E3", "E1"]
-    assert all(r.passed for r in results)
 
 
 def test_reduced_replicates_still_run():

@@ -909,6 +909,12 @@ class TestTransforms:
         with pytest.raises(ValueError, match=r"scale factor a=1e-10: the rescaled horizon t_max / a overflows a float"):
             scale_path(p, 1e-10)
 
+    def test_scaling_names_an_underflowing_horizon(self):
+        # t_max / a underflowed to 0 inside GridSpec, which named a horizon never passed
+        p = generate_fbm_circulant(GridSpec(1e-300, 16), 0.7, RngSeed(1, 0))
+        with pytest.raises(ValueError, match=r"scale factor a=1e\+300: the rescaled horizon t_max / a underflows to 0"):
+            scale_path(p, 1e300)
+
     def test_scale_requires_known_index(self):
         p = SamplePath(GridSpec(1.0, 8), np.linspace(0, 1, 9), None)
         with pytest.raises(ValueError):

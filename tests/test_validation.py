@@ -9,15 +9,22 @@ integer, an index in (0, 1), an enum member or an object belongs, and a
 fracbm object of another class where a grid, seed, path, function,
 integrand or callable belongs.  It expects a ValueError whose message names
 the parameter.
+
+A second table rebuilds the paths, grids and samples of each entry that
+takes them on [0, 1e-300] and on [0, 1e300].  There an entry returns finite
+values or raises a ValueError naming what overflows, and a sum of samples
+times a power of two is the sum times that power, bitwise.
 """
 
+import dataclasses
 import math
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fracbm.experiments import VerifyConfig, run_experiment
 from fracbm.fbmintegrate import (
@@ -343,3 +350,185 @@ def test_an_enum_parameter_takes_the_member_values():
     assert np.array_equal(fractional_integral(f, by_value).values, want.values)
     got = whole_line_fractional_integral(f, 0.5, "minus")
     assert np.array_equal(got.values, want.values)
+
+
+# ---------------------------------------------------------------------------
+# scale extremes: the table's paths, grids and samples rebuilt on [0, t_max]
+
+
+class OnScale:
+    """The table's grid, paths, samples and ladder on [0, t_max] at Hurst index H."""
+
+    def __init__(self, t_max: float, H: float):
+        self.t_max, self.H = t_max, H
+        self.grid = GridSpec(t_max, 16)
+        self.path = generate_fbm_circulant(self.grid, H, SEED)
+        self.bm = generate_bm(self.grid, SEED)
+        self.long = generate_fbm_circulant(GridSpec(t_max, 2**10), H, SEED)
+        self.unit_spaced = generate_fbm_circulant(GridSpec(t_max, 64), H, SEED)
+        self.f = GridFunction(0.0, t_max, self.path.values)
+        self.eps = EpsilonSchedule.default_for(self.grid)
+        self.ensemble = bm_ensemble(self.grid, 1, 1000)
+
+
+#: g(t, x) = x: a formula whose terms stay in the float range wherever the path does
+LINEAR = dict(g_t=lambda t, x: 0.0, g_x=lambda t, x: 1.0)
+
+# the TABLE entries that take a path, grid or grid samples, with those arguments on scale s
+AT_SCALE = {
+    "GridSpec": lambda s: dict(t_max=s.t_max, n_steps=4),
+    "SamplePath": lambda s: dict(grid=s.grid, values=s.path.values, hurst=s.H, seed=SEED),
+    "generate_bm": lambda s: dict(grid=s.grid, seed=SEED),
+    "generate_fbm_cholesky": lambda s: dict(grid=s.grid, H=s.H, seed=SEED, max_nodes=64),
+    "generate_fbm_circulant": lambda s: dict(grid=s.grid, H=s.H, seed=SEED),
+    "generate_fbm_moving_average": lambda s: dict(grid=s.grid, H=s.H, seed=SEED),
+    "bm_ensemble": lambda s: dict(grid=s.grid, root=1, replicates=2),
+    "fbm_cholesky_ensemble": lambda s: dict(grid=s.grid, H=s.H, root=1, replicates=2, max_nodes=64),
+    "fbm_circulant_ensemble": lambda s: dict(grid=s.grid, H=s.H, root=1, replicates=2),
+    "fbm_moving_average_ensemble": lambda s: dict(grid=s.grid, H=s.H, root=1, replicates=2),
+    "scale_path": lambda s: dict(path=s.path, a=2.0),
+    "time_invert_bm": lambda s: dict(path=s.bm),
+    "write_path_csv": lambda s: dict(path=s.path, dest=os.devnull),
+    "GridFunction": lambda s: dict(a=0.0, b=s.t_max, values=s.path.values),
+    "GridFunction.from_callable": lambda s: dict(fn=np.sin, a=0.0, b=s.t_max, n=16),
+    "fractional_integral": lambda s: dict(f=s.f, spec=DifferintegralSpec(0.5)),
+    "fractional_derivative": lambda s: dict(f=s.f, spec=DifferintegralSpec(0.5, kind="derivative")),
+    "cauchy_repeated_integral": lambda s: dict(f=s.f, m=2),
+    "whole_line_fractional_integral": lambda s: dict(f=s.f, alpha=0.5, side=WholeLineSide.MINUS),
+    "fractal_integral": lambda s: dict(f=s.f, g=s.f, alpha=0.3),
+    "write_grid_csv": lambda s: dict(f=s.f, path=os.devnull),
+    "quadratic_variation": lambda s: dict(path=s.path),
+    "p_variation": lambda s: dict(path=s.path, p=2.0, levels=3),
+    "variation_index": lambda s: dict(path=s.long),
+    "holder_exponent": lambda s: dict(path=s.long),
+    "hurst_record": lambda s: dict(estimate=holder_exponent(s.long), series=s.long.values),
+    "empirical_acf": lambda s: dict(path=s.unit_spaced, max_lag=2),
+    "EpsilonSchedule.default_for": lambda s: dict(grid=s.grid),
+    "EpsilonSchedule.strides": lambda s: dict(grid=s.grid),
+    "telescoping_tolerance": lambda s: dict(g=s.path, eps=s.eps),
+    "symmetric_integral": lambda s: dict(f=1.0, g=s.path, eps=s.eps),
+    "forward_integral": lambda s: dict(f=1.0, g=s.path, eps=s.eps),
+    "backward_integral": lambda s: dict(f=1.0, g=s.path, eps=s.eps),
+    "covariation": lambda s: dict(x=s.path, y=s.path, eps=s.eps),
+    "riemann_stieltjes_integral": lambda s: dict(u=1.0, g=s.path, levels=3),
+    "symmetric_forward_relation_check": lambda s: dict(f=1.0, g=s.path, eps=s.eps),
+    "extended_forward_integral": lambda s: dict(f=1.0, g=s.path, eps_levels=3, u_points=4),
+    "fractional_forward_process": lambda s: dict(x0=0.5, alpha=0.0, f=1.0, g=s.path),
+    "ForwardProcess": lambda s: dict(grid=s.grid, values=s.path.values, hurst=s.H),
+    "fbm_ito_formula_check": lambda s: dict(g_fn=lambda t, x: x, **LINEAR, X=s.path),
+    "integral_record": lambda s: dict(result=forward_integral(1.0, s.path)),
+    "ito_integral": lambda s: dict(f=ONE, path=s.bm),
+    "ito_integral_qv": lambda s: dict(f=AdaptedIntegrand.path_value(), path=s.bm),
+    "empirical_covariance": lambda s: dict(values=s.ensemble),
+    "endpoint_comparison": lambda s: dict(values=s.ensemble, grid=s.grid, T=0.5 * s.t_max),
+    "isometry_check": lambda s: dict(f=ONE, values=s.ensemble, grid=s.grid),
+    "ItoProcess": lambda s: dict(x0=0.5, drift=ONE, diffusion=ONE, driving_path=s.bm),
+    "ito_formula_apply": lambda s: dict(
+        g=lambda t, x: x, **LINEAR, g_xx=lambda t, x: 0.0, process=ItoProcess(0.0, ONE, ONE, s.bm)),
+}
+
+
+def _floats(out):
+    """Every float an entry returns, through its arrays, tuples, records and dataclasses."""
+    if dataclasses.is_dataclass(out):
+        out = [getattr(out, f.name) for f in dataclasses.fields(out)]
+    if isinstance(out, dict):
+        out = list(out.values())
+    if isinstance(out, (list, tuple)):
+        return [x for item in out for x in _floats(item)]
+    if isinstance(out, (float, np.floating, np.ndarray)):
+        return np.ravel(out).tolist()
+    return []
+
+
+def test_each_entry_on_a_path_or_grid_has_a_scale_case():
+    on_grid = (GridSpec, SamplePath, GridFunction, ItoProcess, np.ndarray, EpsilonSchedule)
+    takes = {e for e, (_, kwargs, _) in TABLE.items() if any(isinstance(v, on_grid) for v in kwargs.values())}
+    assert takes <= set(AT_SCALE) <= set(TABLE)
+
+
+def _refusal(entry: str, H: float) -> str:
+    """The message of the ValueError the entry raises on the unit scale [0, 1], or ''."""
+    try:
+        TABLE[entry][0](**AT_SCALE[entry](OnScale(1.0, H)))
+    except ValueError as exc:
+        return str(exc)
+    return ""
+
+
+@pytest.mark.parametrize("H", [0.05, 0.95])
+@pytest.mark.parametrize("t_max", [1e-300, 1e300])
+@pytest.mark.parametrize("entry", sorted(AT_SCALE))
+def test_an_extreme_scale_gives_finite_values_or_names_the_overflow(entry, t_max, H):
+    # overflow and invalid values are errors; underflow stays allowed, as at 1e-300 many
+    # sums underflow harmlessly.  p_variation's mesh_levels, in the path's units, are
+    # documented to overflow to inf; the unit-spacing rule of the ACF has a unit of time
+    s = OnScale(t_max, H)
+    fn = s.eps.strides if entry == "EpsilonSchedule.strides" else TABLE[entry][0]
+    with warnings.catch_warnings():
+        warnings.filterwarnings("error", "overflow|invalid value", RuntimeWarning)
+        try:
+            out = fn(**AT_SCALE[entry](s))
+        except ValueError as exc:
+            assert re.search("overflows|at unit spacing", str(exc)) or str(exc) == _refusal(entry, H), str(exc)
+            return
+    if entry == "p_variation":
+        out = out.verdict
+    values = _floats(out)
+    assert np.isfinite(values).all(), values
+
+
+# ---------------------------------------------------------------------------
+# sums of samples times a power of two
+
+SUM_PATH = generate_fbm_circulant(GridSpec(1.0, 256), 0.7, RngSeed(31, 0))
+SUM_BM = generate_bm(GridSpec(1.0, 256), RngSeed(31, 1))
+SUM_G = 1.0 + np.cos(3.0 * SUM_PATH.times)  # g(b) != g(a), so the boundary term counts
+
+
+def _exact(*arrays) -> bool:
+    """Whether every nonzero entry is a normal float, so that scaling it by a power of two was exact."""
+    return all(((a == 0.0) | (np.abs(a) >= np.finfo(float).tiny)).all() for a in arrays)
+
+
+def assert_scaled(call, base, shifts, names, samples):
+    """call() is base times 2^shift entry by entry where the scaled samples are exact floats,
+    or raises a ValueError naming the first entry past the float range."""
+    for b, shift, name in zip(base, shifts, names):
+        try:
+            math.ldexp(b, shift)
+        except OverflowError:
+            with pytest.raises(ValueError, match=f"^{name} overflows a float$"):
+                call()
+            return
+    got = call()
+    if _exact(*samples):
+        assert got == tuple(math.ldexp(b, shift) for b, shift in zip(base, shifts))
+    else:
+        assert np.isfinite(got).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(j=st.integers(-1000, 1000), k=st.integers(-1000, 1000), alpha=st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+@example(j=1000, k=1000, alpha=0.3)
+@example(j=-1000, k=-1000, alpha=0.3)
+@example(j=300, k=-200, alpha=0.5)
+@example(j=-200, k=300, alpha=0.0)
+def test_a_sum_of_samples_times_a_power_of_two_is_the_sum_times_its_power(j, k, alpha):
+    # each sum is formed in units of a power of two at its samples' largest; once
+    # quadratic_variation and ito_integral_qv returned inf and fractal_integral nan
+    x, b = np.ldexp(SUM_PATH.values, j), np.ldexp(SUM_BM.values, j)
+    f, g = GridFunction(0.0, 1.0, x), GridFunction(0.0, 1.0, np.ldexp(SUM_G, k))
+    bm = SamplePath(SUM_BM.grid, b, 0.5)
+    integrand = AdaptedIntegrand.path_value()
+    with warnings.catch_warnings():
+        warnings.filterwarnings("error", "overflow|invalid value", RuntimeWarning)
+        assert_scaled(lambda: (quadratic_variation(SamplePath(SUM_PATH.grid, x, 0.7)),),
+                      (quadratic_variation(SUM_PATH),), (2 * j,), ("the quadratic variation",),
+                      (np.diff(x),))
+        assert_scaled(lambda: ito_integral_qv(integrand, bm), ito_integral_qv(integrand, SUM_BM),
+                      (4 * j, 2 * j), ("the quadratic variation", "the integral of f squared"),
+                      (b, np.diff(b)))
+        base = fractal_integral(GridFunction(0.0, 1.0, SUM_PATH.values), GridFunction(0.0, 1.0, SUM_G), alpha)
+        assert_scaled(lambda: (fractal_integral(f, g, alpha),), (base,), (j + k,), ("the fractal integral",),
+                      (f.values - f.values[0], g.values - g.values[-1]))
