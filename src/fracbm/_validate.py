@@ -147,8 +147,12 @@ def grid_steps(t, h: float, name: str, least: int = 0, most=math.inf) -> np.ndar
     return k.astype(int)
 
 
-def dyadic_levels(levels, n_steps: int) -> int:
-    """levels, at least 3, if the coarsest dyadic mesh of 2^(levels-1) steps fits n_steps twice."""
-    if n_steps < 8:
-        raise ValueError(f"levels need a path of at least 8 steps, got {n_steps} steps")
-    return integer(levels, "levels", 3, (n_steps // 2).bit_length())
+#: the dyadic meshes of variation sums and Stieltjes ladders in grid steps, coarsest first
+DYADIC_STRIDES = (16, 8, 4, 2, 1)
+
+
+def dyadic_strides(n_steps: int) -> tuple:
+    """DYADIC_STRIDES if the coarsest of the 5 meshes fits n_steps twice."""
+    if n_steps < 32:
+        raise ValueError(f"5 dyadic levels need a path of at least 32 steps, got {n_steps} steps")
+    return DYADIC_STRIDES

@@ -28,7 +28,6 @@ from .fraccalc import (
     fractional_integral,
 )
 from .fbmintegrate import (
-    EpsilonSchedule,
     backward_integral,
     extended_forward_integral,
     fbm_ito_formula_check,
@@ -424,7 +423,7 @@ def _e12(cfg: VerifyConfig):
     grid = GridSpec(1.0, 2**14)
     g = generate_fbm_circulant(grid, 0.75, RngSeed(20, 0))
     span = float(g.values[-1] - g.values[0])
-    tol = telescoping_tolerance(g, EpsilonSchedule.default_for(grid))
+    tol = telescoping_tolerance(g)
     checks = [
         _close("telescope-symmetric", span, symmetric_integral(1.0, g).value, tol),
         _close("telescope-forward", span, forward_integral(1.0, g).value, tol),

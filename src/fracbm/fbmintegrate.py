@@ -1,10 +1,11 @@
 """Pathwise integrals against fractional Brownian paths.
 
 Difference-quotient integrals (symmetric, forward, backward) are evaluated
-on a ladder of grid-aligned epsilon values.  Every ladder converges, the
-desk-scale stand-in for the limit in probability, by one rule with no `tol`:
-its last two levels differ by at most 5% of max|f| osc g (osc x osc y for the
-covariation), on f and g in units of a power of two (`_nodecalc.binary_units`).
+on one ladder of grid-aligned epsilon values, 32, 16, 8, 4 and 2 grid steps.
+Every ladder converges, the desk-scale stand-in for the limit in probability,
+by one rule with no `tol`: its last two levels differ by at most 5% of
+max|f| osc g (osc x osc y for the covariation), on f and g in units of a
+power of two (`_nodecalc.binary_units`).
 Path values outside [0, T] are held at the endpoint values (Russo & Vallois
 1993) by `_clamped_shifts`, an O(epsilon) boundary effect covered by the
 telescoping tolerance helper.
@@ -24,12 +25,11 @@ from typing import Optional, Union
 import numpy as np
 
 from ._nodecalc import accumulate, binary_exponent, binary_units, change_of_variables, from_binary_units
-from ._validate import coincide, dyadic_levels, finite, grid_steps, hurst, instance, integer, node_values, real
+from ._validate import coincide, dyadic_strides, hurst, instance, node_values, real
 from .gaussianpaths import GridSpec, SamplePath, _OnGrid
 from .pathstats import variation_index
 
 __all__ = [
-    "EpsilonSchedule",
     "IntegralResult",
     "ForwardProcess",
     "telescoping_tolerance",
@@ -48,29 +48,12 @@ __all__ = [
 #: a ladder converges when its last two levels differ by at most this share of max|f| osc g
 _GAP_SHARE = 0.05
 
+#: the epsilon ladder of the difference quotients in grid steps, epsilon = k dt
+_EPS_STRIDES = (32, 16, 8, 4, 2)
 
-@dataclass(frozen=True)
-class EpsilonSchedule:
-    """Strictly decreasing epsilon ladder; the last entry stays on-grid."""
-
-    values: tuple
-
-    def __post_init__(self) -> None:
-        vals = finite(self.values, "epsilon values")
-        if vals.ndim != 1 or vals.size < 3:
-            raise ValueError("need at least 3 epsilon levels")
-        if vals[-1] <= 0 or (np.diff(vals) >= 0).any():
-            raise ValueError("epsilon values must be positive and strictly decreasing")
-        object.__setattr__(self, "values", tuple(vals.tolist()))
-
-    @classmethod
-    def default_for(cls, grid: GridSpec) -> "EpsilonSchedule":
-        h = instance(grid, GridSpec, "grid").dt
-        return cls(tuple(k * h for k in (32, 16, 8, 4, 2)))
-
-    def strides(self, grid: GridSpec) -> list:
-        """Epsilon values as whole numbers of grid steps."""
-        return grid_steps(self.values, instance(grid, GridSpec, "grid").dt, "epsilon", 1).tolist()
+#: the extended forward integral's ladder epsilon = 10^-1 .. 10^-4, on this many u-points
+_EXTENDED_LEVELS = 4
+_U_POINTS = 48
 
 
 @dataclass(frozen=True)
@@ -129,10 +112,11 @@ def _clamped_shifts(values: np.ndarray, lo: int, hi: int):
     return lambda k: padded[back + min(max(k, -back), ahead) :][: values.size]
 
 
-def _rungs(eps: Optional[EpsilonSchedule], grid: GridSpec) -> list:
-    """(epsilon, stride) pairs of eps, EpsilonSchedule.default_for(grid) when eps is None."""
-    eps = EpsilonSchedule.default_for(grid) if eps is None else instance(eps, EpsilonSchedule, "eps")
-    return list(zip(eps.values, eps.strides(grid)))
+def _rungs(h: float) -> list:
+    """(epsilon, stride) pairs of the ladder on a grid of step h, whose widest span 2 eps is a float."""
+    if not math.isfinite(2.0 * _EPS_STRIDES[0] * h):
+        raise ValueError(f"the epsilon ladder overflows a float on grid steps of {h!r}")
+    return [(k * h, k) for k in _EPS_STRIDES]
 
 
 def _ladder_result(levels: list, scale: float, e: int, label: str, notes=()) -> IntegralResult:
@@ -143,7 +127,7 @@ def _ladder_result(levels: list, scale: float, e: int, label: str, notes=()) -> 
     return IntegralResult(levels[-1][1], tuple(levels), bool(gap <= _GAP_SHARE * scale), "; ".join(diag))
 
 
-def telescoping_tolerance(g: SamplePath, eps: EpsilonSchedule) -> float:
+def telescoping_tolerance(g: SamplePath) -> float:
     """Boundary-error allowance for f = 1: 3 eps_last max|dg|/h.
 
     The clamped endpoint zones span one epsilon at each end, so the
@@ -151,67 +135,62 @@ def telescoping_tolerance(g: SamplePath, eps: EpsilonSchedule) -> float:
     the steepest grid slope times 3 eps_last dominates it comfortably.
     """
     steepest, e = binary_units(np.max(np.abs(np.diff(instance(g, SamplePath, "g").values))))
-    tol = 3.0 * instance(eps, EpsilonSchedule, "eps").values[-1] * float(steepest) / g.dt
+    tol = 3.0 * _rungs(g.dt)[-1][0] * float(steepest) / g.dt
     return from_binary_units(tol, e, "the telescoping tolerance")
 
 
-def _quotient_ladder(f: Samples, g: SamplePath, eps, lead, lag, span, label) -> IntegralResult:
+def _quotient_ladder(f: Samples, g: SamplePath, lead, lag, span, label) -> IntegralResult:
     """int f(s) [g(s + lead eps) - g(s + lag eps)] / (span eps) ds over the ladder."""
     fv, ef = binary_units(_grid_values(f, instance(g, SamplePath, "g").grid, "f"))
     gv, eg = binary_units(g.values)
     h = g.dt
-    rungs = _rungs(eps, g.grid)
-    reach = max(k for _, k in rungs)
-    g_at = _clamped_shifts(gv, reach * min(lead, lag), reach * max(lead, lag))
+    g_at = _clamped_shifts(gv, _EPS_STRIDES[0] * min(lead, lag), _EPS_STRIDES[0] * max(lead, lag))
     levels = []
-    for e, k in rungs:
+    for e, k in _rungs(h):
         kernel = (g_at(lead * k) - g_at(lag * k)) / (span * (k * h))
         levels.append((e, float(np.trapezoid(fv * kernel, dx=h))))
     return _ladder_result(levels, np.max(np.abs(fv)) * np.ptp(gv), ef + eg, label)
 
 
-def symmetric_integral(f: Samples, g: SamplePath, eps: Optional[EpsilonSchedule] = None) -> IntegralResult:
+def symmetric_integral(f: Samples, g: SamplePath) -> IntegralResult:
     """(1/2 eps) int f(s) [g(s+eps) - g(s-eps)] ds over the epsilon ladder."""
-    return _quotient_ladder(f, g, eps, 1, -1, 2.0, "symmetric")
+    return _quotient_ladder(f, g, 1, -1, 2.0, "symmetric")
 
 
-def forward_integral(f: Samples, g: SamplePath, eps: Optional[EpsilonSchedule] = None) -> IntegralResult:
+def forward_integral(f: Samples, g: SamplePath) -> IntegralResult:
     """(1/eps) int f(s) [g(s+eps) - g(s)] ds over the epsilon ladder.
 
     A single difference quotient; diverging ladders (small Hurst index)
     surface as converged=False rather than an error.
     """
-    return _quotient_ladder(f, g, eps, 1, 0, 1.0, "forward")
+    return _quotient_ladder(f, g, 1, 0, 1.0, "forward")
 
 
-def backward_integral(f: Samples, g: SamplePath, eps: Optional[EpsilonSchedule] = None) -> IntegralResult:
+def backward_integral(f: Samples, g: SamplePath) -> IntegralResult:
     """(1/eps) int f(s) [g(s-eps) - g(s)] ds, kernel sign taken literally.
 
     With this orientation f = 1 telescopes to -(g(T) - g(0)); negate the
     result for the right-endpoint-sum reading.
     """
-    return _quotient_ladder(f, g, eps, -1, 0, 1.0, "backward")
+    return _quotient_ladder(f, g, -1, 0, 1.0, "backward")
 
 
-def covariation(
-    x: Union[SamplePath, ForwardProcess], y: Samples, eps: Optional[EpsilonSchedule] = None
-) -> IntegralResult:
+def covariation(x: Union[SamplePath, ForwardProcess], y: Samples) -> IntegralResult:
     """(1/eps) int [x(u+eps) - x(u)][y(u+eps) - y(u)] du over the ladder."""
     yv, ey = binary_units(_grid_values(y, instance(x, (SamplePath, ForwardProcess), "x").grid, "y"))
     xv, ex = binary_units(x.values)
     h = x.dt
-    rungs = _rungs(eps, x.grid)
-    x_at, y_at = (_clamped_shifts(v, 0, max(k for _, k in rungs)) for v in (xv, yv))
+    x_at, y_at = (_clamped_shifts(v, 0, _EPS_STRIDES[0]) for v in (xv, yv))
     levels = []
-    for e, k in rungs:
+    for e, k in _rungs(h):
         dx = x_at(k) - xv
         dy = y_at(k) - yv
         levels.append((e, float(np.trapezoid(dx * dy, dx=h)) / e))
     return _ladder_result(levels, np.ptp(xv) * np.ptp(yv), ex + ey, "covariation")
 
 
-def riemann_stieltjes_integral(u: Samples, g: SamplePath, levels: int = 5) -> IntegralResult:
-    """Left-point Stieltjes sums of u against g at dyadic mesh coarsenings.
+def riemann_stieltjes_integral(u: Samples, g: SamplePath) -> IntegralResult:
+    """Left-point Stieltjes sums of u against g at 16, 8, 4, 2 and 1 grid steps.
 
     The variation condition (index of u below 1/(1-H)) is probed with the
     variation-index estimator; a failed or impossible check is reported in
@@ -221,7 +200,7 @@ def riemann_stieltjes_integral(u: Samples, g: SamplePath, levels: int = 5) -> In
     """
     uv, eu = binary_units(_grid_values(u, instance(g, SamplePath, "g").grid, "u"))
     gv, eg = binary_units(g.values)
-    levels = dyadic_levels(levels, g.grid.n_steps)
+    steps = dyadic_strides(g.grid.n_steps)
     notes = []
     if g.hurst is None:
         notes.append("variation condition unchecked: unknown Hurst index")
@@ -234,12 +213,11 @@ def riemann_stieltjes_integral(u: Samples, g: SamplePath, levels: int = 5) -> In
                 notes.append(f"variation heuristic failed: p ~ {p_u:.2f} >= 1/(1-H) = {bound:.2f}")
         except ValueError as exc:
             notes.append(f"variation heuristic unavailable: {exc}")
-    steps = [2**j for j in range(levels - 1, -1, -1)]
     lev = [(s * g.dt, float(np.dot(uv[::s][:-1], np.diff(gv[::s])))) for s in steps]
     return _ladder_result(lev, np.max(np.abs(uv)) * np.ptp(gv), eu + eg, "riemann-stieltjes", notes)
 
 
-def symmetric_forward_relation_check(f: Samples, g: SamplePath, eps: Optional[EpsilonSchedule] = None):
+def symmetric_forward_relation_check(f: Samples, g: SamplePath):
     """Returns (symmetric, forward, cov, residual) on shared inputs.
 
     residual = symmetric - forward - 1/2 cov: the half factor is fixed by
@@ -250,10 +228,10 @@ def symmetric_forward_relation_check(f: Samples, g: SamplePath, eps: Optional[Ep
     Brownian input and is deliberately not used.
     """
     fv = _grid_values(f, instance(g, SamplePath, "g").grid, "f")
-    sym = symmetric_integral(fv, g, eps)
-    fwd = forward_integral(fv, g, eps)
+    sym = symmetric_integral(fv, g)
+    fwd = forward_integral(fv, g)
     x_path = f if isinstance(f, (SamplePath, ForwardProcess)) else SamplePath(g.grid, fv - fv[0], None)
-    cov = covariation(x_path, g, eps)
+    cov = covariation(x_path, g)
     for name, res in (("symmetric", sym), ("forward", fwd), ("covariation", cov)):
         if not res.converged:
             raise ValueError(f"{name} ladder did not converge: {res.diagnostic}")
@@ -261,23 +239,18 @@ def symmetric_forward_relation_check(f: Samples, g: SamplePath, eps: Optional[Ep
     return sym.value, fwd.value, cov.value, residual
 
 
-def extended_forward_integral(
-    f: Samples, g: SamplePath, eps_levels: int = 4, u_points: int = 48
-) -> IntegralResult:
+def extended_forward_integral(f: Samples, g: SamplePath) -> IntegralResult:
     """Gamma-weighted average of difference quotients over all shift scales.
 
     Evaluates (1/Gamma(eps)) int_0^T (u/T)^(eps-1) I(u) du/T for a ladder
-    eps = 10^-1 .. 10^-eps_levels, where I(u) = int f(s)[g(s+u) - g(s)]/u ds;
+    eps = 10^-1 .. 10^-4, where I(u) = int f(s)[g(s+u) - g(s)]/u ds;
     u is measured in units of T, so the levels do not depend on the unit of time.
-    I is sampled on a geometric u-grid with exact cell weights
+    I is sampled on a geometric grid of 48 u-points with exact cell weights
     d(u^eps)/Gamma(1+eps); below the grid spacing the linear interpolant
     makes I constant, so that mass is added in closed form.  As eps shrinks
     the weight concentrates at u = 0 and the value approaches the grid-scale
     forward quotient.
     """
-    # an epsilon ladder below 1e-12 underflows the weight differences
-    eps_levels = integer(eps_levels, "eps_levels", 3, 12)
-    u_points = integer(u_points, "u_points", 1)
     fv, ef = binary_units(_grid_values(f, instance(g, SamplePath, "g").grid, "f"))
     gv, eg = binary_units(g.values)
     h, T = g.dt, g.grid.t_max
@@ -296,13 +269,13 @@ def extended_forward_integral(
         lo, hi = (np.add.reduce(a * (g_at(j) - gv)) for j in (k, k + 1))
         return float((1.0 - theta) * lo + theta * hi) / (u / c)
 
-    edges = h * (T / h) ** (np.arange(u_points + 1) / u_points)
+    edges = h * (T / h) ** (np.arange(_U_POINTS + 1) / _U_POINTS)
     mids = c * np.sqrt(edges[:-1] / c * (edges[1:] / c))
     i_mid = np.array([inner(u) for u in mids])
     i_floor = inner(h)
-    log_ratio = math.log(T / h) / u_points
+    log_ratio = math.log(T / h) / _U_POINTS
     levels = []
-    for j in range(1, eps_levels + 1):
+    for j in range(1, _EXTENDED_LEVELS + 1):
         e = 10.0**-j
         cell = (edges[:-1] / T) ** e * math.expm1(e * log_ratio) / math.gamma(1.0 + e)
         levels.append((e, float(np.dot(cell, i_mid)) + i_floor * (h / T) ** e / math.gamma(1.0 + e)))

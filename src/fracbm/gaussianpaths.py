@@ -106,6 +106,7 @@ __all__ = [
 #: confidence multiplier used for Monte Carlo half-widths throughout
 Z_CONFIDENCE = 5.0
 
+#: the most steps of a Cholesky grid, whose factor costs time and memory quadratic in them
 CHOLESKY_MAX_NODES = 4096
 
 #: normals per block of streams (2^17 float64, 1 MiB); a longer stream fills
@@ -410,29 +411,24 @@ def _cholesky_factor(t_max: float, n_steps: int, H: float) -> np.ndarray:
     return L
 
 
-def _cholesky_law(grid: GridSpec, H: float, max_nodes: int):
+def _cholesky_law(grid: GridSpec, H: float):
     H = _validate.hurst(H)
-    cap = _validate.integer(max_nodes, "max_nodes", 1)
-    _validate.integer(_validate.instance(grid, GridSpec, "grid").n_steps, "n_steps", 1, cap)
+    _validate.integer(_validate.instance(grid, GridSpec, "grid").n_steps, "n_steps", 1, CHOLESKY_MAX_NODES)
     return grid.n_steps, _rowwise_gemv(_cholesky_factor(grid.t_max, grid.n_steps, H))
 
 
-def generate_fbm_cholesky(
-    grid: GridSpec, H: float, seed: RngSeed, max_nodes: int = CHOLESKY_MAX_NODES
-) -> SamplePath:
+def generate_fbm_cholesky(grid: GridSpec, H: float, seed: RngSeed) -> SamplePath:
     """Fractional Brownian motion with exact covariance via Cholesky.
 
     The reference generator: factorizes the (n x n) node covariance, so time
-    and memory are quadratic in n_steps and grids are capped at max_nodes.
+    and memory are quadratic in n_steps and grids are capped at CHOLESKY_MAX_NODES.
     The factor is cached, so replicated draws pay it once.
     """
-    return _single(_cholesky_law(grid, H, max_nodes), grid, seed, H, PathGenerator.FBM_CHOLESKY)
+    return _single(_cholesky_law(grid, H), grid, seed, H, PathGenerator.FBM_CHOLESKY)
 
 
-def fbm_cholesky_ensemble(
-    grid: GridSpec, H: float, root: int, replicates: int, max_nodes: int = CHOLESKY_MAX_NODES
-) -> np.ndarray:
-    return _draw(_cholesky_law(grid, H, max_nodes), grid, root, _streams(root, replicates))
+def fbm_cholesky_ensemble(grid: GridSpec, H: float, root: int, replicates: int) -> np.ndarray:
+    return _draw(_cholesky_law(grid, H), grid, root, _streams(root, replicates))
 
 
 def _fgn_autocovariance(H: float, n: int, first: int = 0) -> np.ndarray:

@@ -142,17 +142,18 @@ class AdaptedIntegrand:
             )
         return finite(out, "integrand values")
 
-    def _on_rows(self, times: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """on_nodes of each row of a block of paths, as one C-contiguous array.
+    def _on_rows(self, times: np.ndarray, rows: np.ndarray) -> tuple:
+        """on_nodes of each row of a block of paths, as one C-contiguous array in binary units, and e.
 
         A stock integrand evaluates the whole block in one call; any other is
-        called one row at a time.  The copy is C-contiguous either way, since
+        called one row at a time.  The array is C-contiguous either way, since
         a dot product over a broadcast layout rounds differently.
         """
-        if not self._takes_rows:
-            return np.array([self.on_nodes(times, x) for x in rows])
-        out = np.array(np.broadcast_to(self.grid_eval(times, rows), rows.shape), float, order="C")
-        return finite(out, "integrand values")
+        if self._takes_rows:
+            out = np.array(np.broadcast_to(self.grid_eval(times, rows), rows.shape), float, order="C")
+        else:
+            out = np.array([self.on_nodes(times, x) for x in rows])
+        return _finite_units(out, lambda v: finite(v, "integrand values"), out)
 
 
 @dataclass(frozen=True)
@@ -205,22 +206,34 @@ def ito_integral(f: AdaptedIntegrand, path: SamplePath, sub_partition=None) -> f
     return float(np.dot(e, steps))
 
 
+def _finite_units(a: np.ndarray, refuse, out: np.ndarray) -> tuple:
+    """a times 2^-e, written to out, and e, the binary exponent of max|a| but at least -1022, so 2^-e is a float.
+    max|a| is finite only where every entry is, so where it is not, refuse(a) raises naming the fault."""
+    top = max(float(np.max(a)), -float(np.min(a)))
+    if not math.isfinite(top):
+        refuse(a)
+    e = max(math.frexp(top)[1], -1022)
+    return np.multiply(a, math.ldexp(1.0, -e), out=out), e
+
+
 def _check_ensemble(values: np.ndarray, grid: GridSpec, what: str, least: int):
-    """The replicate count and an iterator over (first row, block) of the ensemble.
+    """The replicate count and an iterator over (rows, block, block in units of 2^e, e).
 
     A shape that does not match the grid, or fewer than `least` rows, raises
     at once.  Each block is checked to be finite as it is reached, and the
     replicate-floor warning comes only once every block has been, so a call
-    that fails warns of nothing.
+    that fails warns of nothing.  The scaled blocks share one buffer, which
+    the next block overwrites.
     """
     v = ensemble(values, what, least, instance(grid, GridSpec, "grid").n_steps + 1)
     n = v.shape[0]
 
     def blocks():
+        buffer = np.empty((min(n, _ENSEMBLE_ROWS), v.shape[1]))
         for lo in range(0, n, _ENSEMBLE_ROWS):
             block = v[lo : lo + _ENSEMBLE_ROWS]
-            finite_rows(block, what, lo)
-            yield lo, block
+            x, e = _finite_units(block, lambda b: finite_rows(b, what, lo), buffer[: len(block)])
+            yield slice(lo, lo + len(block)), block, x, e
         if n < REPLICATE_FLOOR:
             warnings.warn(
                 f"{n} replicates give wide confidence intervals (floor {REPLICATE_FLOOR})",
@@ -234,19 +247,23 @@ def endpoint_comparison(values: np.ndarray, grid: GridSpec, T: float):
     """Ensemble means of left- and right-endpoint sums of B dB up to T.
 
     The endpoint choice is the whole difference: left sums average to 0,
-    right sums to T.
+    right sums to T.  Each block's sums are formed in units of a power of two
+    at its largest value, so a mean past the float range raises naming it.
     """
     n, blocks = _check_ensemble(values, grid, "endpoint_comparison", 1)
     k = int(grid_steps(real(T, "T", 0.0, closed=True), grid.dt, "T", 0, grid.n_steps))
     if k < 1:
         raise ValueError("T must cover at least one step")
-    left = np.empty(n)
-    right = np.empty(n)
-    for lo, block in blocks:
-        steps = np.diff(block[:, : k + 1], axis=1)
-        left[lo : lo + len(block)] = np.sum(block[:, :k] * steps, axis=1)
-        right[lo : lo + len(block)] = np.sum(block[:, 1 : k + 1] * steps, axis=1)
-    return float(np.mean(left)), float(np.mean(right))
+    sums = np.empty((2, n))  # left and right
+    units = np.empty(n, int)
+    for rows, _, x, e in blocks:
+        steps = np.diff(x[:, : k + 1], axis=1)
+        sums[:, rows] = np.sum(x[:, :k] * steps, axis=1), np.sum(x[:, 1 : k + 1] * steps, axis=1)
+        units[rows] = 2 * e
+    top = int(units.max())  # every sum in units of 2^top, the largest of the rows' units
+    left, right = (float(np.mean(s)) for s in np.ldexp(sums, units - top))
+    left = from_binary_units(left, top, "the mean left-endpoint sum")
+    return left, from_binary_units(right, top, "the mean right-endpoint sum")
 
 
 def isometry_check(f: AdaptedIntegrand, values: np.ndarray, grid: GridSpec):
@@ -254,24 +271,27 @@ def isometry_check(f: AdaptedIntegrand, values: np.ndarray, grid: GridSpec):
 
     Returns (lhs, rhs, ci) with ci a combined confidence half-width; the
     right side uses trapezoid quadrature, so its O(dt) discretization bias
-    is separate from the Monte Carlo spread that ci measures.
+    is separate from the Monte Carlo spread that ci measures.  Each block's
+    samples are formed in units of powers of two at the largest integrand and
+    path values, so a result past the float range raises naming it.
     """
     n, blocks = _check_ensemble(values, grid, "isometry_check", 2)
     on_rows = instance(f, AdaptedIntegrand, "f")._on_rows
     times = grid.times
-    lhs_samples = np.empty(n)
-    rhs_samples = np.empty(n)
-    for lo, block in blocks:
-        e = on_rows(times, block)
+    samples = np.empty((2, n))  # lhs and rhs
+    units = np.empty((2, n), int)
+    for rows, block, x, ex in blocks:
+        e, ef = on_rows(times, block)
         # one dot product per row, the ddot that np.dot makes for a single row
-        dots = np.matmul(e[:, None, :-1], np.diff(block, axis=1)[:, :, None])[:, 0, 0]
-        lhs_samples[lo : lo + len(block)] = dots**2
-        rhs_samples[lo : lo + len(block)] = np.trapezoid(e**2, dx=grid.dt, axis=1)
-    lhs = float(np.mean(lhs_samples))
-    rhs = float(np.mean(rhs_samples))
-    lhs_samples, rhs_samples, e = binary_units(lhs_samples, rhs_samples)
-    ci = Z_CONFIDENCE * math.sqrt((np.var(lhs_samples, ddof=1) + np.var(rhs_samples, ddof=1)) / n)
-    return lhs, rhs, from_binary_units(ci, e, "the confidence half-width")
+        dots = np.matmul(e[:, None, :-1], np.diff(x, axis=1)[:, :, None])[:, 0, 0]
+        samples[:, rows] = dots**2, np.trapezoid(e**2, dx=grid.dt, axis=1)
+        units[0, rows], units[1, rows] = 2 * (ef + ex), 2 * ef
+    top = int(units.max())  # every sample in units of 2^top, the largest of the rows' units
+    lhs, rhs = np.ldexp(samples, units - top)
+    ci = Z_CONFIDENCE * math.sqrt((np.var(lhs, ddof=1) + np.var(rhs, ddof=1)) / n)
+    values = (float(np.mean(lhs)), float(np.mean(rhs)), ci)
+    names = ("the mean squared integral", "the mean integral of f squared", "the confidence half-width")
+    return tuple(from_binary_units(v, top, name) for v, name in zip(values, names))
 
 
 def ito_integral_qv(f: AdaptedIntegrand, path: SamplePath):

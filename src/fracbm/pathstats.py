@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._nodecalc import binary_units, from_binary_units
-from ._validate import dyadic_levels, finite, hurst, instance, integer, real
+from ._validate import dyadic_strides, finite, hurst, instance, integer, real
 from .gaussianpaths import SamplePath, _fgn_autocovariance
 
 __all__ = [
@@ -35,6 +35,10 @@ __all__ = [
 
 #: |log-log slope| below this reads as mesh-independent (neither shrinking nor blowing up)
 SLOPE_BAND = 0.2
+
+#: the least order p the variation index brackets, and the width in 1/p its bisection ends at
+_P_LO = 0.8
+_H_TOL = 1e-3
 
 
 class VariationVerdict(enum.Enum):
@@ -89,10 +93,9 @@ def quadratic_variation(path: SamplePath) -> float:
     return from_binary_units(float(np.sum(steps**2)), 2 * e, "the quadratic variation")
 
 
-def _dyadic_increments(values: np.ndarray, dt: float, levels: int):
+def _dyadic_increments(values: np.ndarray, dt: float):
     """(mesh, |increments| in binary_units) on each dyadic coarsening, coarsest first, and e."""
-    levels = dyadic_levels(levels, values.size - 1)
-    strides = [2**j for j in range(levels - 1, -1, -1)]
+    strides = dyadic_strides(values.size - 1)
     *increments, e = binary_units(*(np.abs(np.diff(values[::s])) for s in strides))
     return [(s * dt, a) for s, a in zip(strides, increments)], e
 
@@ -114,7 +117,7 @@ def _loglog_fit(pairs):
     return slope, se
 
 
-def p_variation(path: SamplePath, p: float, levels: int = 5) -> VariationEstimate:
+def p_variation(path: SamplePath, p: float) -> VariationEstimate:
     """Variation sums sum |dX|^p over dyadic coarsenings of the grid.
 
     The verdict comes from the slope of log v_p against log mesh: a positive
@@ -126,7 +129,7 @@ def p_variation(path: SamplePath, p: float, levels: int = 5) -> VariationEstimat
     """
     p = real(p, "p", 0.0)
     path = instance(path, SamplePath, "path")
-    increments, e = _dyadic_increments(path.values, path.dt, levels)
+    increments, e = _dyadic_increments(path.values, path.dt)
     pairs = _power_sums(increments, p)
     with np.errstate(over="ignore", under="ignore"):
         sums = tuple((mesh, float(v * np.exp2(e * p))) for mesh, v in pairs)
@@ -143,24 +146,18 @@ def p_variation(path: SamplePath, p: float, levels: int = 5) -> VariationEstimat
     return VariationEstimate(p, sums, verdict)
 
 
-def variation_index(
-    path: SamplePath,
-    p_lo: float = 0.8,
-    p_hi: float = 8.0,
-    levels: int = 5,
-    h_tol: float = 1e-3,
-) -> HurstEstimate:
+def variation_index(path: SamplePath, p_hi: float = 8.0) -> HurstEstimate:
     """Hurst estimate 1/p* from the order p* where variation sums flip regime.
 
     Below p* the dyadic sums blow up under refinement, above it they vanish;
-    the crossover is located by bisecting the sign of the mesh-scaling slope.
-    The final bracket half-width (in 1/p units) is reported as the stderr.
+    the crossover is located by bisecting the sign of the mesh-scaling slope
+    on [0.8, p_hi] until the bracket is 1e-3 wide in 1/p units.  Its final
+    half-width is reported as the stderr.
     """
     integer(instance(path, SamplePath, "path").grid.n_steps, "path n_steps", 2**10)
-    h_tol = real(h_tol, "h_tol", 0.0)
-    lo = real(p_lo, "p_lo", 0.0)
+    lo = _P_LO
     hi = real(p_hi, "p_hi", lo)
-    increments = _dyadic_increments(path.values, path.dt, levels)[0]  # formed once, for every p
+    increments = _dyadic_increments(path.values, path.dt)[0]  # formed once, for every p
 
     def slope(p):
         pairs = _power_sums(increments, p)
@@ -171,13 +168,12 @@ def variation_index(
     s_lo, s_hi = slope(lo), slope(hi)
     if not (s_lo < 0.0 < s_hi):
         raise ValueError(
-            f"no regime change in p bracket [{p_lo}, {p_hi}] "
+            f"no regime change in p bracket [{lo}, {p_hi}] "
             f"(slopes {s_lo:.3f}, {s_hi:.3f})"
         )
     trace = {lo: s_lo, hi: s_hi}
     p_star = 0.5 * (lo + hi)
-    # a tolerance below the float spacing ends the bisection at adjacent floats
-    while 1.0 / lo - 1.0 / hi > h_tol and lo < p_star < hi:
+    while 1.0 / lo - 1.0 / hi > _H_TOL:
         trace[p_star] = slope(p_star)
         if trace[p_star] < 0.0:
             lo = p_star

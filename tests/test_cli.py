@@ -431,7 +431,7 @@ class TestVerify:
             "derivative order",
         ),
         ("ito", ["--input", "{fbm}"], "hurst"),
-        ("fbm-integrate", ["--input", "{short}", "--type", "stieltjes"], "levels"),
+        ("fbm-integrate", ["--input", "{short}", "--type", "stieltjes"], "at least 32 steps, got 8 steps"),
         ("stats", ["--input", "{short}"], "256"),
     ],
 )

@@ -17,7 +17,6 @@ from fracbm.gaussianpaths import (
 )
 from fracbm.itocalc import AdaptedIntegrand, ItoProcess, ito_integral
 from fracbm.fbmintegrate import (
-    EpsilonSchedule,
     ForwardProcess,
     backward_integral,
     covariation,
@@ -50,48 +49,18 @@ def ramp(grid=G12):
     return SamplePath(grid, grid.times.copy(), None)
 
 
-class TestEpsilonSchedule:
-    def test_default_ladder_ends_two_steps_above_the_grid(self):
-        eps = EpsilonSchedule.default_for(G12)
-        assert eps.values[-1] == pytest.approx(2.0 / 4096)
-        assert eps.strides(G12) == [32, 16, 8, 4, 2]
-
-    def test_needs_three_levels(self):
-        with pytest.raises(ValueError):
-            EpsilonSchedule((0.1, 0.01))
-
-    def test_must_decrease(self):
-        with pytest.raises(ValueError):
-            EpsilonSchedule((0.1, 0.1, 0.01))
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-    def test_levels_must_be_finite(self, bad):
-        with pytest.raises(ValueError, match="finite"):
-            EpsilonSchedule((bad, 2.0, 1.0))
-
-    def test_sub_grid_epsilon_rejected(self):
-        eps = EpsilonSchedule((0.5, 0.25, 1e-9))
-        with pytest.raises(ValueError):
-            eps.strides(G12)
-
-    def test_off_grid_epsilon_rejected(self):
-        eps = EpsilonSchedule((0.5, 0.25, 0.013))
-        with pytest.raises(ValueError):
-            eps.strides(G12)
-
-
 class TestQuotientLadders:
     def test_symmetric_of_one_telescopes(self, g75):
         span = g75.values[-1] - g75.values[0]
         res = symmetric_integral(1.0, g75)
-        tol = telescoping_tolerance(g75, EpsilonSchedule.default_for(G12))
+        tol = telescoping_tolerance(g75)
         assert res.converged
         assert abs(res.value - span) <= tol
 
     def test_forward_of_one_telescopes(self, g75):
         span = g75.values[-1] - g75.values[0]
         res = forward_integral(1.0, g75)
-        tol = telescoping_tolerance(g75, EpsilonSchedule.default_for(G12))
+        tol = telescoping_tolerance(g75)
         assert res.converged
         assert abs(res.value - span) <= tol
 
@@ -99,7 +68,7 @@ class TestQuotientLadders:
         span = g75.values[-1] - g75.values[0]
         res = backward_integral(1.0, g75)
         assert res.converged
-        assert abs(res.value + span) <= telescoping_tolerance(g75, EpsilonSchedule.default_for(G12))
+        assert abs(res.value + span) <= telescoping_tolerance(g75)
 
     def test_symmetric_parts_identity_for_time_integrand(self, g75):
         res = symmetric_integral(g75.times, g75)
@@ -180,14 +149,13 @@ class TestRiemannStieltjes:
         res = riemann_stieltjes_integral(2.0, g75)
         assert res.value == pytest.approx(2.0 * span, abs=1e-12)
 
-    def test_too_few_levels_rejected(self, g75):
-        with pytest.raises(ValueError):
-            riemann_stieltjes_integral(1.0, g75, levels=2)
-
-    def test_a_path_below_eight_steps_is_named(self):
-        g = generate_fbm_circulant(GridSpec(1.0, 4), 0.75, RngSeed(1, 0))
-        with pytest.raises(ValueError, match="at least 8 steps, got 4 steps"):
-            riemann_stieltjes_integral(1.0, g, levels=3)
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_a_path_too_short_for_the_dyadic_levels_names_its_steps(self, n):
+        # the five dyadic meshes, 16 down to 1 step, need 32 steps; once the message named
+        # a levels argument that the CLI has no flag for
+        g = generate_fbm_circulant(GridSpec(1.0, n), 0.75, RngSeed(1, 0))
+        with pytest.raises(ValueError, match=f"at least 32 steps, got {n} steps"):
+            riemann_stieltjes_integral(1.0, g)
 
     def test_constant_integrand_meets_the_variation_condition(self, g75):
         # a constant has bounded variation, so no heuristic probe is needed
@@ -252,31 +220,15 @@ class TestExtendedForward:
     def test_weighted_average_on_the_ramp_matches_closed_form(self):
         # for g(t) = t the inner quotient is T - u/2 exactly, so the whole
         # weighted average has the closed form T^(1+e) (1/Gamma(1+e)
-        # - 1/(2 (1+e) Gamma(e)))
+        # - 1/(2 (1+e) Gamma(e))); the largest gap, at e = 1e-4, is 1.22e-4
         r = ramp()
-        res = extended_forward_integral(1.0, r, eps_levels=3)
+        res = extended_forward_integral(1.0, r)
+        assert len(res.levels) == 4
         for e, est in res.levels:
             closed = 1.0 / gamma(1.0 + e) - 1.0 / (2.0 * (1.0 + e) * gamma(e))
             assert abs(est - closed) <= 5e-4
 
-    def test_level_bounds(self, g75):
-        with pytest.raises(ValueError):
-            extended_forward_integral(1.0, g75, eps_levels=2)
-        with pytest.raises(ValueError):
-            extended_forward_integral(1.0, g75, eps_levels=13)
-
-    @pytest.mark.parametrize("eps_levels", [3.5, True, None])
-    def test_level_count_must_be_an_integer(self, g75, eps_levels):
-        with pytest.raises(ValueError, match="eps_levels"):
-            extended_forward_integral(1.0, g75, eps_levels=eps_levels)
-
-    @pytest.mark.parametrize("u_points", [0, -3, 2.5, True])
-    def test_u_points_must_be_positive(self, g75, u_points):
-        with pytest.raises(ValueError, match="u_points"):
-            extended_forward_integral(1.0, g75, u_points=u_points)
-
-    @pytest.mark.parametrize("u_points", [1, 7, 48])
-    def test_agrees_with_interpolated_shifts(self, g75, u_points):
+    def test_agrees_with_interpolated_shifts(self, g75):
         # reference: each shifted path from np.interp, each I(u) by np.trapezoid
         f = np.cos(3.0 * g75.times)
         times, gv, h = g75.times, g75.values, g75.dt
@@ -284,12 +236,12 @@ class TestExtendedForward:
         def inner(u):
             return float(np.trapezoid(f * (np.interp(times + u, times, gv) - gv), dx=h)) / u
 
-        edges = h * (1.0 / h) ** (np.arange(u_points + 1) / u_points)
+        edges = h * (1.0 / h) ** (np.arange(49) / 48)
         i_mid = np.array([inner(u) for u in np.sqrt(edges[:-1] * edges[1:])])
-        res = extended_forward_integral(f, g75, eps_levels=5, u_points=u_points)
-        for (e, est), j in zip(res.levels, range(1, 6)):
-            assert e == 10.0**-j
-            cell = edges[:-1] ** e * np.expm1(e * np.log(1.0 / h) / u_points) / gamma(1.0 + e)
+        res = extended_forward_integral(f, g75)
+        assert [e for e, _ in res.levels] == [10.0**-j for j in range(1, 5)]
+        for e, est in res.levels:
+            cell = edges[:-1] ** e * np.expm1(e * np.log(1.0 / h) / 48) / gamma(1.0 + e)
             ref = float(np.dot(cell, i_mid)) + inner(h) * h**e / gamma(1.0 + e)
             assert abs(est - ref) <= 1e-12 * abs(ref)
 
@@ -364,7 +316,7 @@ LADDERS = {
     "backward": backward_integral,
     "covariation": lambda f, g: covariation(g, f),
     "stieltjes": riemann_stieltjes_integral,
-    "extended": lambda f, g: extended_forward_integral(f, g, u_points=8),
+    "extended": extended_forward_integral,
 }
 
 
@@ -407,6 +359,16 @@ class TestFloatRange:
             with pytest.raises(ValueError, match="level at .* overflows a float"):
                 LADDERS[ladder](g.values, g)
 
+    @pytest.mark.parametrize("t_max", [6.4e307, 1.5e308])
+    @pytest.mark.parametrize("ladder", ["symmetric", "forward", "backward", "covariation", "telescoping"])
+    def test_an_epsilon_ladder_past_the_float_range_is_named(self, ladder, t_max):
+        # on 16 steps the symmetric span 2 eps at 32 steps overflows; a kernel divided
+        # by it read 0 at 6.4e307, where the widest eps itself still fits a float
+        g = SamplePath(GridSpec(t_max, 16), np.sin(np.arange(17.0)), None)
+        call = telescoping_tolerance if ladder == "telescoping" else lambda g: LADDERS[ladder](1.0, g)
+        with pytest.raises(ValueError, match="the epsilon ladder overflows a float"):
+            call(g)
+
     @pytest.mark.parametrize("t_max", [1e-300, 1e300])
     def test_a_process_on_another_horizon_is_rejected(self, paths, t_max):
         # the grids were once compared within 1e-12 in absolute terms below t_max = 1
@@ -437,8 +399,8 @@ def trap(y, h):
 class TestEndValueRule:
     """Every regularized integral against np.clip-gather references, bitwise.
 
-    The second schedule's largest stride, 100, passes the end of the 64-step
-    grid, so whole shifts lie beyond it; f and x do not vanish at the ends.
+    The ladder's strides 32 and 16 pass the end of the 16-step grid, so whole
+    shifts lie beyond it; f and x do not vanish at the ends.
     """
 
     KERNELS = {
@@ -447,18 +409,12 @@ class TestEndValueRule:
         backward_integral: lambda gv, k, e: (clamped(gv, -k) - gv) / e,
     }
 
-    @pytest.fixture(
-        params=[(64, None), (64, (100, 40, 7, 3)), (4096, None)],
-        ids=["default-64", "past-the-end-64", "default-4096"],
-    )
+    @pytest.fixture(params=[64, 16, 4096], ids=["default-64", "past-the-end-16", "default-4096"])
     def case(self, request):
-        n, strides = request.param
-        grid = GridSpec(1.0, n)
-        eps = None if strides is None else EpsilonSchedule(tuple(k * grid.dt for k in strides))
-        ladder = EpsilonSchedule.default_for(grid) if eps is None else eps
-        g = generate_fbm_circulant(grid, 0.75, RngSeed(22, n))
+        grid = GridSpec(1.0, request.param)
+        g = generate_fbm_circulant(grid, 0.75, RngSeed(22, request.param))
         f = 2.0 + np.cos(3.0 * grid.times)
-        return g, f, eps, list(zip(ladder.values, strides or (32, 16, 8, 4, 2)))
+        return g, f, [(k * grid.dt, k) for k in (32, 16, 8, 4, 2)]
 
     def quotient_levels(self, integral, f, g, rungs):
         h = g.dt
@@ -470,31 +426,31 @@ class TestEndValueRule:
 
     @pytest.mark.parametrize("integral", list(KERNELS), ids=lambda fn: fn.__name__)
     def test_quotient_ladders(self, case, integral):
-        g, f, eps, rungs = case
-        assert list(integral(f, g, eps).levels) == self.quotient_levels(integral, f, g, rungs)
+        g, f, rungs = case
+        assert list(integral(f, g).levels) == self.quotient_levels(integral, f, g, rungs)
 
     def test_covariation(self, case):
-        g, f, eps, rungs = case
+        g, f, rungs = case
         x = ForwardProcess(g.grid, 1.5 + g.values + 0.2 * g.times, 0.75)
         ref = self.covariation_levels(x.values, f, g.dt, rungs)
-        assert list(covariation(x, f, eps).levels) == ref
+        assert list(covariation(x, f).levels) == ref
 
     def test_relation_check(self, case):
-        g, f, eps, rungs = case
-        if eps is not None:
-            # on strides 100, 40, 7, 3 the last two forward levels differ by 5.9% of max|f| osc g
-            with pytest.raises(ValueError, match="forward ladder did not converge"):
-                symmetric_forward_relation_check(f, g, eps)
+        g, f, rungs = case
+        if g.grid.n_steps == 16:
+            # on 16 steps the last two symmetric levels differ by 8.0% of max|f| osc g
+            with pytest.raises(ValueError, match="symmetric ladder did not converge"):
+                symmetric_forward_relation_check(f, g)
             return
         sym = self.quotient_levels(symmetric_integral, f, g, rungs)[-1][1]
         fwd = self.quotient_levels(forward_integral, f, g, rungs)[-1][1]
         cov = self.covariation_levels(f - f[0], g.values, g.dt, rungs)[-1][1]
         ref = (sym, fwd, cov, sym - fwd - 0.5 * cov)
-        assert symmetric_forward_relation_check(f, g, eps) == ref
+        assert symmetric_forward_relation_check(f, g) == ref
 
     def test_extended_forward(self, case):
         # the interpolated shift of every u-grid midpoint, from gathers up to n + 1 steps
-        g, f, _, _ = case
+        g, f, _ = case
         gv, h, n = g.values, g.dt, g.grid.n_steps
         a = h * f
         a[[0, -1]] *= 0.5

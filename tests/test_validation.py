@@ -28,7 +28,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from fracbm.experiments import VerifyConfig, run_experiment
 from fracbm.fbmintegrate import (
-    EpsilonSchedule,
     ForwardProcess,
     backward_integral,
     covariation,
@@ -110,7 +109,6 @@ UNIT_SPACED = generate_fbm_circulant(GridSpec(64.0, 64), 0.7, SEED)
 F = GridFunction.from_callable(np.sin, 0.0, 1.0, 16)
 SPEC = {"side": Side.LEFT, "kind": OperatorKind.INTEGRAL}
 ONE = AdaptedIntegrand.constant(1.0)
-EPS = EpsilonSchedule.default_for(G)
 
 REJECTED = {
     "none": st.none(),
@@ -123,7 +121,7 @@ REJECTED = {
     "outside (0, 1)": FINITE_FLOATS.filter(lambda x: not 0.0 <= x <= 1.0),
     "negative integer": st.integers(max_value=-1),
     # one of each class; the test skips a draw of the class the parameter takes
-    "fracbm object": st.sampled_from([G, SEED, PATH, F, ONE, EPS, DifferintegralSpec(0.5)]),
+    "fracbm object": st.sampled_from([G, SEED, PATH, F, ONE, DifferintegralSpec(0.5)]),
 }
 
 #: what each contract rejects
@@ -157,10 +155,8 @@ TABLE = {
     "normalizing_constant": (normalizing_constant, dict(H=0.7), {"H": (UNIT, "H")}),
     "generate_bm": (generate_bm, dict(grid=G, seed=SEED), {
         **GRID, "seed": (OBJECT, "seed")}),
-    "generate_fbm_cholesky": (
-        generate_fbm_cholesky, dict(grid=G, H=0.7, seed=SEED, max_nodes=64), {
-            **GRID, "H": (UNIT, "H"), "seed": (OBJECT, "seed"),
-            "max_nodes": (INTEGER, "max_nodes")}),
+    "generate_fbm_cholesky": (generate_fbm_cholesky, dict(grid=G, H=0.7, seed=SEED), {
+        **GRID, "H": (UNIT, "H"), "seed": (OBJECT, "seed")}),
     "generate_fbm_circulant": (generate_fbm_circulant, dict(grid=G, H=0.7, seed=SEED), {
         **GRID, "H": (UNIT, "H"), "seed": (OBJECT, "seed")}),
     "generate_fbm_moving_average": (generate_fbm_moving_average, dict(grid=G, H=0.7, seed=SEED), {
@@ -168,9 +164,9 @@ TABLE = {
     "bm_ensemble": (bm_ensemble, dict(grid=G, root=1, replicates=2), {
         **GRID, "root": (INTEGER, "root"), "replicates": (INTEGER, "replicates")}),
     "fbm_cholesky_ensemble": (
-        fbm_cholesky_ensemble, dict(grid=G, H=0.7, root=1, replicates=2, max_nodes=64), {
+        fbm_cholesky_ensemble, dict(grid=G, H=0.7, root=1, replicates=2), {
             **GRID, "H": (UNIT, "H"), "root": (INTEGER, "root"),
-            "replicates": (INTEGER, "replicates"), "max_nodes": (INTEGER, "max_nodes")}),
+            "replicates": (INTEGER, "replicates")}),
     "fbm_circulant_ensemble": (
         fbm_circulant_ensemble, dict(grid=G, H=0.7, root=1, replicates=2), {
             **GRID, "H": (UNIT, "H"), "root": (INTEGER, "root"),
@@ -208,13 +204,11 @@ TABLE = {
         "f": (OBJECT, "f"), "g": (OBJECT, "g"), "alpha": (UNIT, "alpha")}),
     "write_grid_csv": (write_grid_csv, dict(f=F, path=os.devnull), {"f": (OBJECT, "f")}),
     "quadratic_variation": (quadratic_variation, dict(path=PATH), {"path": (OBJECT, "path")}),
-    "p_variation": (p_variation, dict(path=PATH, p=2.0, levels=3), {
-        "path": (OBJECT, "path"), "p": (NONNEGATIVE, "p"), "levels": (INTEGER, "levels")}),
-    "variation_index": (
-        variation_index, dict(path=LONG, p_lo=0.8, p_hi=8.0, levels=5, h_tol=1e-3), {
-            "path": (OBJECT, "path"), "p_lo": (NONNEGATIVE, "p_lo"),
-            "p_hi": (NONNEGATIVE, "p_hi"), "levels": (INTEGER, "levels"),
-            "h_tol": (NONNEGATIVE, "h_tol")}),
+    # the five dyadic meshes need a path of at least 32 steps
+    "p_variation": (p_variation, dict(path=LONG, p=2.0), {
+        "path": (OBJECT, "path"), "p": (NONNEGATIVE, "p")}),
+    "variation_index": (variation_index, dict(path=LONG, p_hi=8.0), {
+        "path": (OBJECT, "path"), "p_hi": (NONNEGATIVE, "p_hi")}),
     "holder_exponent": (holder_exponent, dict(path=LONG), {"path": (OBJECT, "path")}),
     "hurst_record": (hurst_record, dict(estimate=holder_exponent(LONG), series=LONG.values), {
         "estimate": (OBJECT, "estimate")}),
@@ -224,29 +218,22 @@ TABLE = {
         "path": (OBJECT, "path"), "max_lag": (INTEGER, "max_lag")}),
     "lrd_diagnostic": (lrd_diagnostic, dict(H=0.7, N=10), {
         "H": (UNIT, "H"), "N": (INTEGER, "N")}),
-    "EpsilonSchedule.default_for": (EpsilonSchedule.default_for, dict(grid=G), GRID),
-    "EpsilonSchedule.strides": (EPS.strides, dict(grid=G), GRID),
-    "telescoping_tolerance": (telescoping_tolerance, dict(g=PATH, eps=EPS), {
-        "g": (OBJECT, "g"), "eps": (OBJECT, "eps")}),
-    "symmetric_integral": (symmetric_integral, dict(f=1.0, g=PATH, eps=EPS), {
-        "f": (FINITE, "f"), "g": (OBJECT, "g"), "eps": (OPTIONAL_OBJECT, "eps")}),
-    "forward_integral": (forward_integral, dict(f=1.0, g=PATH, eps=EPS), {
-        "f": (FINITE, "f"), "g": (OBJECT, "g"), "eps": (OPTIONAL_OBJECT, "eps")}),
-    "backward_integral": (backward_integral, dict(f=1.0, g=PATH, eps=EPS), {
-        "f": (FINITE, "f"), "g": (OBJECT, "g"), "eps": (OPTIONAL_OBJECT, "eps")}),
-    "covariation": (covariation, dict(x=PATH, y=PATH, eps=EPS), {
-        "x": (OBJECT, "x"), "y": (FINITE, "y"), "eps": (OPTIONAL_OBJECT, "eps")}),
-    "riemann_stieltjes_integral": (
-        riemann_stieltjes_integral, dict(u=1.0, g=PATH, levels=3), {
-            "u": (FINITE, "u"), "g": (OBJECT, "g"), "levels": (INTEGER, "levels")}),
+    "telescoping_tolerance": (telescoping_tolerance, dict(g=PATH), {"g": (OBJECT, "g")}),
+    "symmetric_integral": (symmetric_integral, dict(f=1.0, g=PATH), {
+        "f": (FINITE, "f"), "g": (OBJECT, "g")}),
+    "forward_integral": (forward_integral, dict(f=1.0, g=PATH), {
+        "f": (FINITE, "f"), "g": (OBJECT, "g")}),
+    "backward_integral": (backward_integral, dict(f=1.0, g=PATH), {
+        "f": (FINITE, "f"), "g": (OBJECT, "g")}),
+    "covariation": (covariation, dict(x=PATH, y=PATH), {
+        "x": (OBJECT, "x"), "y": (FINITE, "y")}),
+    "riemann_stieltjes_integral": (riemann_stieltjes_integral, dict(u=1.0, g=LONG), {
+        "u": (FINITE, "u"), "g": (OBJECT, "g")}),
     # f = 1 telescopes and has no covariation, so the accepted arguments converge
     "symmetric_forward_relation_check": (
-        symmetric_forward_relation_check, dict(f=1.0, g=PATH, eps=EPS), {
-            "g": (OBJECT, "g"), "eps": (OPTIONAL_OBJECT, "eps")}),
-    "extended_forward_integral": (
-        extended_forward_integral, dict(f=1.0, g=PATH, eps_levels=3, u_points=4), {
-            "f": (FINITE, "f"), "g": (OBJECT, "g"), "eps_levels": (INTEGER, "eps_levels"),
-            "u_points": (INTEGER, "u_points")}),
+        symmetric_forward_relation_check, dict(f=1.0, g=PATH), {"g": (OBJECT, "g")}),
+    "extended_forward_integral": (extended_forward_integral, dict(f=1.0, g=PATH), {
+        "f": (FINITE, "f"), "g": (OBJECT, "g")}),
     "fractional_forward_process": (
         fractional_forward_process, dict(x0=0.5, alpha=0.0, f=1.0, g=PATH), {
             "x0": (FINITE, "x0"), "alpha": (FINITE, "alpha"), "f": (FINITE, "f"),
@@ -326,21 +313,6 @@ def test_a_rejected_argument_raises_a_value_error_naming_it(entry, param, kind, 
     assert re.search(rf"\b{re.escape(name)}\b", str(info.value)), str(info.value)
 
 
-@pytest.mark.parametrize("position", [0, 1, 2])
-@pytest.mark.parametrize("bad", [None, "abc", 1j, math.nan, math.inf, -math.inf, -0.25, True, np.True_])
-def test_each_epsilon_level_is_checked(position, bad):
-    # a bool entry is refused although float conversion would read True as 1.0
-    values = [0.5, 0.25, 0.125]
-    values[position] = bad
-    with pytest.raises(ValueError, match="epsilon values"):
-        EpsilonSchedule(tuple(values))
-
-
-def test_a_bool_array_is_no_epsilon_ladder():
-    with pytest.raises(ValueError, match="epsilon values must be real numbers"):
-        EpsilonSchedule(np.array([True, False, False]))
-
-
 def test_an_enum_parameter_takes_the_member_values():
     # a side given by its value, such as "left", selects that side
     f = GridFunction.from_callable(lambda t: t, 0.0, 1.0, 64)
@@ -357,7 +329,7 @@ def test_an_enum_parameter_takes_the_member_values():
 
 
 class OnScale:
-    """The table's grid, paths, samples and ladder on [0, t_max] at Hurst index H."""
+    """The table's grid, paths and samples on [0, t_max] at Hurst index H."""
 
     def __init__(self, t_max: float, H: float):
         self.t_max, self.H = t_max, H
@@ -367,7 +339,6 @@ class OnScale:
         self.long = generate_fbm_circulant(GridSpec(t_max, 2**10), H, SEED)
         self.unit_spaced = generate_fbm_circulant(GridSpec(t_max, 64), H, SEED)
         self.f = GridFunction(0.0, t_max, self.path.values)
-        self.eps = EpsilonSchedule.default_for(self.grid)
         self.ensemble = bm_ensemble(self.grid, 1, 1000)
 
 
@@ -379,11 +350,11 @@ AT_SCALE = {
     "GridSpec": lambda s: dict(t_max=s.t_max, n_steps=4),
     "SamplePath": lambda s: dict(grid=s.grid, values=s.path.values, hurst=s.H, seed=SEED),
     "generate_bm": lambda s: dict(grid=s.grid, seed=SEED),
-    "generate_fbm_cholesky": lambda s: dict(grid=s.grid, H=s.H, seed=SEED, max_nodes=64),
+    "generate_fbm_cholesky": lambda s: dict(grid=s.grid, H=s.H, seed=SEED),
     "generate_fbm_circulant": lambda s: dict(grid=s.grid, H=s.H, seed=SEED),
     "generate_fbm_moving_average": lambda s: dict(grid=s.grid, H=s.H, seed=SEED),
     "bm_ensemble": lambda s: dict(grid=s.grid, root=1, replicates=2),
-    "fbm_cholesky_ensemble": lambda s: dict(grid=s.grid, H=s.H, root=1, replicates=2, max_nodes=64),
+    "fbm_cholesky_ensemble": lambda s: dict(grid=s.grid, H=s.H, root=1, replicates=2),
     "fbm_circulant_ensemble": lambda s: dict(grid=s.grid, H=s.H, root=1, replicates=2),
     "fbm_moving_average_ensemble": lambda s: dict(grid=s.grid, H=s.H, root=1, replicates=2),
     "scale_path": lambda s: dict(path=s.path, a=2.0),
@@ -398,21 +369,19 @@ AT_SCALE = {
     "fractal_integral": lambda s: dict(f=s.f, g=s.f, alpha=0.3),
     "write_grid_csv": lambda s: dict(f=s.f, path=os.devnull),
     "quadratic_variation": lambda s: dict(path=s.path),
-    "p_variation": lambda s: dict(path=s.path, p=2.0, levels=3),
+    "p_variation": lambda s: dict(path=s.long, p=2.0),
     "variation_index": lambda s: dict(path=s.long),
     "holder_exponent": lambda s: dict(path=s.long),
     "hurst_record": lambda s: dict(estimate=holder_exponent(s.long), series=s.long.values),
     "empirical_acf": lambda s: dict(path=s.unit_spaced, max_lag=2),
-    "EpsilonSchedule.default_for": lambda s: dict(grid=s.grid),
-    "EpsilonSchedule.strides": lambda s: dict(grid=s.grid),
-    "telescoping_tolerance": lambda s: dict(g=s.path, eps=s.eps),
-    "symmetric_integral": lambda s: dict(f=1.0, g=s.path, eps=s.eps),
-    "forward_integral": lambda s: dict(f=1.0, g=s.path, eps=s.eps),
-    "backward_integral": lambda s: dict(f=1.0, g=s.path, eps=s.eps),
-    "covariation": lambda s: dict(x=s.path, y=s.path, eps=s.eps),
-    "riemann_stieltjes_integral": lambda s: dict(u=1.0, g=s.path, levels=3),
-    "symmetric_forward_relation_check": lambda s: dict(f=1.0, g=s.path, eps=s.eps),
-    "extended_forward_integral": lambda s: dict(f=1.0, g=s.path, eps_levels=3, u_points=4),
+    "telescoping_tolerance": lambda s: dict(g=s.path),
+    "symmetric_integral": lambda s: dict(f=1.0, g=s.path),
+    "forward_integral": lambda s: dict(f=1.0, g=s.path),
+    "backward_integral": lambda s: dict(f=1.0, g=s.path),
+    "covariation": lambda s: dict(x=s.path, y=s.path),
+    "riemann_stieltjes_integral": lambda s: dict(u=1.0, g=s.long),
+    "symmetric_forward_relation_check": lambda s: dict(f=1.0, g=s.path),
+    "extended_forward_integral": lambda s: dict(f=1.0, g=s.path),
     "fractional_forward_process": lambda s: dict(x0=0.5, alpha=0.0, f=1.0, g=s.path),
     "ForwardProcess": lambda s: dict(grid=s.grid, values=s.path.values, hurst=s.H),
     "fbm_ito_formula_check": lambda s: dict(g_fn=lambda t, x: x, **LINEAR, X=s.path),
@@ -442,7 +411,7 @@ def _floats(out):
 
 
 def test_each_entry_on_a_path_or_grid_has_a_scale_case():
-    on_grid = (GridSpec, SamplePath, GridFunction, ItoProcess, np.ndarray, EpsilonSchedule)
+    on_grid = (GridSpec, SamplePath, GridFunction, ItoProcess, np.ndarray)
     takes = {e for e, (_, kwargs, _) in TABLE.items() if any(isinstance(v, on_grid) for v in kwargs.values())}
     assert takes <= set(AT_SCALE) <= set(TABLE)
 
@@ -464,11 +433,10 @@ def test_an_extreme_scale_gives_finite_values_or_names_the_overflow(entry, t_max
     # sums underflow harmlessly.  p_variation's mesh_levels, in the path's units, are
     # documented to overflow to inf; the unit-spacing rule of the ACF has a unit of time
     s = OnScale(t_max, H)
-    fn = s.eps.strides if entry == "EpsilonSchedule.strides" else TABLE[entry][0]
     with warnings.catch_warnings():
         warnings.filterwarnings("error", "overflow|invalid value", RuntimeWarning)
         try:
-            out = fn(**AT_SCALE[entry](s))
+            out = TABLE[entry][0](**AT_SCALE[entry](s))
         except ValueError as exc:
             assert re.search("overflows|at unit spacing", str(exc)) or str(exc) == _refusal(entry, H), str(exc)
             return
@@ -476,6 +444,30 @@ def test_an_extreme_scale_gives_finite_values_or_names_the_overflow(entry, t_max
         out = out.verdict
     values = _floats(out)
     assert np.isfinite(values).all(), values
+
+
+# ensemble checks whose per-row sums leave the float range where the ensemble does not:
+# the squared path-value integral on [0, 1e300] and the endpoint sums on [0, 1.5e308]
+ENSEMBLE_AT_SCALE = {
+    "isometry_check": (1e300, lambda v, grid: dict(f=AdaptedIntegrand.path_value(), values=v, grid=grid)),
+    "endpoint_comparison": (1.5e308, lambda v, grid: dict(values=v, grid=grid, T=grid.t_max)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENSEMBLE_AT_SCALE))
+def test_an_ensemble_sum_past_the_float_range_gives_finite_values_or_names_it(entry):
+    # once overflow warnings in dots**2 and in block * steps, and inf and nan results
+    t_max, kwargs = ENSEMBLE_AT_SCALE[entry]
+    grid = GridSpec(t_max, 16)
+    values = bm_ensemble(grid, 1, 1000)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("error", "overflow|invalid value", RuntimeWarning)
+        try:
+            out = TABLE[entry][0](**kwargs(values, grid))
+        except ValueError as exc:
+            assert "overflows a float" in str(exc), str(exc)
+            return
+    assert np.isfinite(_floats(out)).all(), out
 
 
 # ---------------------------------------------------------------------------
