@@ -278,20 +278,28 @@ def isometry_check(f: AdaptedIntegrand, values: np.ndarray, grid: GridSpec):
     n, blocks = _check_ensemble(values, grid, "isometry_check", 2)
     on_rows = instance(f, AdaptedIntegrand, "f")._on_rows
     times = grid.times
+    dx, edt = math.frexp(grid.dt)  # the step in units of 2^edt
     samples = np.empty((2, n))  # lhs and rhs
     units = np.empty((2, n), int)
     for rows, block, x, ex in blocks:
         e, ef = on_rows(times, block)
         # one dot product per row, the ddot that np.dot makes for a single row
         dots = np.matmul(e[:, None, :-1], np.diff(x, axis=1)[:, :, None])[:, 0, 0]
-        samples[:, rows] = dots**2, np.trapezoid(e**2, dx=grid.dt, axis=1)
-        units[0, rows], units[1, rows] = 2 * (ef + ex), 2 * ef
-    top = int(units.max())  # every sample in units of 2^top, the largest of the rows' units
-    lhs, rhs = np.ldexp(samples, units - top)
-    ci = Z_CONFIDENCE * math.sqrt((np.var(lhs, ddof=1) + np.var(rhs, ddof=1)) / n)
+        samples[:, rows] = dots**2, np.trapezoid(e**2, dx=dx, axis=1)
+        units[0, rows], units[1, rows] = 2 * (ef + ex), 2 * ef + edt
+    # each side in units of 2^top, the largest of its own rows' units, so a side far
+    # below the other keeps its digits
+    tops = units.max(axis=1)
+    lhs, rhs = np.ldexp(samples, units - tops[:, None])
+    # the variances sum in units of 2^T, T even and at the larger one, so a variance
+    # of 0 (f not depending on the path) does not take the other out of the float range
+    var = [(float(np.var(s, ddof=1)), 2 * top) for s, top in zip((lhs, rhs), tops.tolist())]
+    T = max((u + math.frexp(v)[1] for v, u in var if v > 0), default=0)
+    T += T % 2
+    ci = Z_CONFIDENCE * math.sqrt(sum(math.ldexp(v, u - T) for v, u in var) / n)
     values = (float(np.mean(lhs)), float(np.mean(rhs)), ci)
     names = ("the mean squared integral", "the mean integral of f squared", "the confidence half-width")
-    return tuple(from_binary_units(v, top, name) for v, name in zip(values, names))
+    return tuple(from_binary_units(v, e, name) for v, e, name in zip(values, (*tops.tolist(), T // 2), names))
 
 
 def ito_integral_qv(f: AdaptedIntegrand, path: SamplePath):

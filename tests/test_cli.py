@@ -269,6 +269,19 @@ class TestFbmIntegrate:
         assert rec["converged"] is True
         assert rec["type"] == "symmetric"
 
+    @pytest.mark.parametrize("n", [16, 31, 32])
+    def test_a_stieltjes_integral_needs_32_steps(self, runner, tmp_path, n):
+        # the five dyadic meshes, 16 down to 1 step; a shorter path names its own step count
+        src = tmp_path / "path.csv"
+        write_path_csv(generate_fbm_circulant(GridSpec(1.0, n), 0.75, RngSeed(1, 0)), src)
+        result = runner.invoke(main, ["fbm-integrate", "--input", str(src), "--type", "stieltjes"], prog_name="fracbm")
+        if n < 32:
+            assert result.exit_code == 2, result.output
+            assert f"5 dyadic levels need a path of at least 32 steps, got {n} steps" in result.output
+        else:
+            assert result.exit_code == 0, result.output
+            assert json.loads(result.output)["type"] == "stieltjes"
+
     TYPES = ["symmetric", "forward", "backward", "stieltjes", "extended"]
 
     @pytest.fixture(scope="class")

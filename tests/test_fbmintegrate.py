@@ -149,13 +149,19 @@ class TestRiemannStieltjes:
         res = riemann_stieltjes_integral(2.0, g75)
         assert res.value == pytest.approx(2.0 * span, abs=1e-12)
 
-    @pytest.mark.parametrize("n", [4, 8, 16])
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 31])
     def test_a_path_too_short_for_the_dyadic_levels_names_its_steps(self, n):
         # the five dyadic meshes, 16 down to 1 step, need 32 steps; once the message named
         # a levels argument that the CLI has no flag for
         g = generate_fbm_circulant(GridSpec(1.0, n), 0.75, RngSeed(1, 0))
         with pytest.raises(ValueError, match=f"at least 32 steps, got {n} steps"):
             riemann_stieltjes_integral(1.0, g)
+
+    @pytest.mark.parametrize("n", [32, 33, 64])
+    def test_a_path_of_32_steps_takes_all_five_levels(self, n):
+        g = generate_fbm_circulant(GridSpec(1.0, n), 0.75, RngSeed(1, 0))
+        res = riemann_stieltjes_integral(1.0, g)
+        assert len(res.levels) == 5 and np.isfinite([v for _, v in res.levels]).all()
 
     def test_constant_integrand_meets_the_variation_condition(self, g75):
         # a constant has bounded variation, so no heuristic probe is needed
@@ -359,15 +365,35 @@ class TestFloatRange:
             with pytest.raises(ValueError, match="level at .* overflows a float"):
                 LADDERS[ladder](g.values, g)
 
+    EPS_LADDERS = {
+        "symmetric": lambda g: symmetric_integral(1.0, g),
+        "forward": lambda g: forward_integral(1.0, g),
+        "backward": lambda g: backward_integral(1.0, g),
+        "covariation": lambda g: covariation(g, 1.0),
+        "telescoping": telescoping_tolerance,
+        "relation": lambda g: symmetric_forward_relation_check(1.0, g),
+    }
+
     @pytest.mark.parametrize("t_max", [6.4e307, 1.5e308])
-    @pytest.mark.parametrize("ladder", ["symmetric", "forward", "backward", "covariation", "telescoping"])
+    @pytest.mark.parametrize("ladder", list(EPS_LADDERS))
     def test_an_epsilon_ladder_past_the_float_range_is_named(self, ladder, t_max):
         # on 16 steps the symmetric span 2 eps at 32 steps overflows; a kernel divided
         # by it read 0 at 6.4e307, where the widest eps itself still fits a float
         g = SamplePath(GridSpec(t_max, 16), np.sin(np.arange(17.0)), None)
-        call = telescoping_tolerance if ladder == "telescoping" else lambda g: LADDERS[ladder](1.0, g)
         with pytest.raises(ValueError, match="the epsilon ladder overflows a float"):
-            call(g)
+            self.EPS_LADDERS[ladder](g)
+
+    # the relation check refuses this path at any scale: its forward ladder does not converge
+    @pytest.mark.parametrize("ladder", [name for name in EPS_LADDERS if name != "relation"])
+    def test_an_epsilon_ladder_just_inside_the_float_range_is_finite_and_silent(self, ladder):
+        # on [0, 4.4e307] in 16 steps the symmetric span 2 eps at 32 steps is 1.76e308, a float
+        g = SamplePath(GridSpec(4.4e307, 16), np.sin(np.arange(17.0)), None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = self.EPS_LADDERS[ladder](g)
+        if hasattr(out, "levels"):
+            out = [v for _, v in out.levels]
+        assert np.isfinite(out).all()
 
     @pytest.mark.parametrize("t_max", [1e-300, 1e300])
     def test_a_process_on_another_horizon_is_rejected(self, paths, t_max):
@@ -409,7 +435,10 @@ class TestEndValueRule:
         backward_integral: lambda gv, k, e: (clamped(gv, -k) - gv) / e,
     }
 
-    @pytest.fixture(params=[64, 16, 4096], ids=["default-64", "past-the-end-16", "default-4096"])
+    @pytest.fixture(
+        params=[64, 16, 4096, 48, 100, 1000],
+        ids=["default-64", "past-the-end-16", "default-4096", "default-48", "default-100", "default-1000"],
+    )
     def case(self, request):
         grid = GridSpec(1.0, request.param)
         g = generate_fbm_circulant(grid, 0.75, RngSeed(22, request.param))
@@ -428,6 +457,12 @@ class TestEndValueRule:
     def test_quotient_ladders(self, case, integral):
         g, f, rungs = case
         assert list(integral(f, g).levels) == self.quotient_levels(integral, f, g, rungs)
+
+    def test_telescoping_tolerance(self, case):
+        # 3 eps_last max|dg| / h, eps_last = 2 h
+        g, _, rungs = case
+        steepest = float(np.max(np.abs(np.diff(g.values))))
+        assert telescoping_tolerance(g) == 3.0 * rungs[-1][0] * steepest / g.dt
 
     def test_covariation(self, case):
         g, f, rungs = case

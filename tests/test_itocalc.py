@@ -225,7 +225,7 @@ class TestEnsembleChecks:
         assert peak <= 2 * 2**20
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("row", [0, _ENSEMBLE_ROWS + 3])
+    @pytest.mark.parametrize("row", [0, _ENSEMBLE_ROWS - 1, _ENSEMBLE_ROWS + 3, 2 * _ENSEMBLE_ROWS - 1])
     def test_non_finite_ensembles_rejected(self, bad, row):
         grid = GridSpec(1.0, 16)
         ens = bm_ensemble(grid, 12, 2 * _ENSEMBLE_ROWS)
@@ -282,6 +282,47 @@ class TestEnsembleChecks:
         with pytest.warns(UserWarning, match=str(REPLICATE_FLOOR)):
             got = isometry_check(f, ens, grid)
         assert got == (float(np.mean(lhs)), float(np.mean(rhs)), ci)
+
+    @pytest.mark.parametrize("f_exp, x_exp", [(350, -600), (-300, 300), (0, 0)])
+    @pytest.mark.parametrize("shape", ["constant", "time", "rule-only"])
+    def test_each_side_of_the_isometry_keeps_its_own_units(self, shape, f_exp, x_exp):
+        # an integrand of 2^350 on paths of 2^-600: (int f dB)^2 is about 2^-500 and int f^2 dt
+        # about 2^700, both floats; one power of two for both sides once read the first as 0
+        c = math.ldexp(1.0, f_exp)
+        f = {
+            "constant": AdaptedIntegrand.constant(c),
+            "time": AdaptedIntegrand.deterministic(lambda t: c * t),
+            "rule-only": AdaptedIntegrand(lambda t, prefix: c),
+        }[shape]
+        grid = GridSpec(2.0, 64)
+        ens = np.ldexp(bm_ensemble(grid, 24, 300), x_exp)
+        e = [f.on_nodes(grid.times, x) for x in ens]
+        lhs = np.array([np.dot(er[:-1], np.diff(x)) ** 2 for er, x in zip(e, ens)])
+        rhs = np.array([np.trapezoid(er**2, dx=grid.dt) for er in e])
+        ci = 5.0 * math.sqrt((np.var(lhs, ddof=1) + np.var(rhs, ddof=1)) / ens.shape[0])
+        with pytest.warns(UserWarning, match=str(REPLICATE_FLOOR)):
+            got = isometry_check(f, ens, grid)
+        assert got == (float(np.mean(lhs)), float(np.mean(rhs)), ci)
+        assert got[0] > 0.0 and got[2] > 0.0
+
+    @pytest.mark.parametrize("check", ["endpoint", "one", "time", "path", "rule-only"])
+    def test_the_ensemble_is_left_as_it_was(self, check):
+        # the blocks are scaled into a buffer of the check's own, never in place
+        grid = GridSpec(1.0, 16)
+        ens = bm_ensemble(grid, 25, 2 * _ENSEMBLE_ROWS + 5)
+        before = ens.copy()
+        integrands = {
+            "one": AdaptedIntegrand.constant(1.0),
+            "time": AdaptedIntegrand.deterministic(lambda t: t),
+            "path": AdaptedIntegrand.path_value(),
+            "rule-only": AdaptedIntegrand(lambda t, prefix: prefix.latest),
+        }
+        with pytest.warns(UserWarning, match=str(REPLICATE_FLOOR)):
+            if check == "endpoint":
+                endpoint_comparison(ens, grid, 1.0)
+            else:
+                isometry_check(integrands[check], ens, grid)
+        assert np.array_equal(ens, before)
 
     def test_a_grid_eval_of_one_path_is_called_row_by_row(self):
         # on a block, v - v[0] would subtract the first path from every row

@@ -71,12 +71,17 @@ class TestPvariation:
         meshes = [m for m, _ in est.mesh_levels]
         assert all(b < a for a, b in zip(meshes, meshes[1:]))
 
-    @pytest.mark.parametrize("n", [4, 8, 16])
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 31])
     def test_a_path_too_short_for_the_dyadic_levels_names_its_steps(self, n):
         # the five dyadic meshes, 16 down to 1 step, need 32 steps; once the message named
         # a levels argument that callers could not usefully set
         with pytest.raises(ValueError, match=f"at least 32 steps, got {n} steps"):
             p_variation(generate_bm(GridSpec(1.0, n), RngSeed(3, 1)), 2.0)
+
+    @pytest.mark.parametrize("n", [32, 33, 64])
+    def test_a_path_of_32_steps_takes_all_five_meshes(self, n):
+        est = p_variation(generate_bm(GridSpec(1.0, n), RngSeed(3, 1)), 2.0)
+        assert len(est.mesh_levels) == 5
 
 
 class TestVariationIndex:
@@ -85,6 +90,14 @@ class TestVariationIndex:
         path = generate_bm(GRID, RngSeed(4, 0)) if H == 0.5 else fbm(H, 4, 0)
         est = variation_index(path)
         assert lo <= est.h_hat <= hi
+
+    @pytest.mark.parametrize("H", [0.25, 0.5, 0.75])
+    def test_the_bracket_end_moves_the_index_by_at_most_the_tolerance(self, H):
+        # [0.8, p_hi] is bisected until 1/lo - 1/hi is at most 1e-3, so the two ends that
+        # callers pass, 8 and 12, bracket the same crossover to within that width
+        grid = GridSpec(1.0, 2**12)
+        path = generate_bm(grid, RngSeed(6, 2)) if H == 0.5 else fbm(H, 6, 2, grid)
+        assert abs(variation_index(path).h_hat - variation_index(path, 12.0).h_hat) <= 1e-3
 
     @pytest.mark.parametrize("H", [0.25, 0.75])
     def test_increments_formed_once_give_the_per_step_estimate(self, H):

@@ -17,6 +17,7 @@ times a power of two is the sum times that power, bitwise.
 """
 
 import dataclasses
+import inspect
 import math
 import os
 import re
@@ -92,6 +93,7 @@ from fracbm.pathstats import (
     lrd_diagnostic,
     p_variation,
     quadratic_variation,
+    rescaled_range_hurst,
     theoretical_acf,
     variation_index,
 )
@@ -143,7 +145,8 @@ TABLE = {
     "RngSeed": (RngSeed, dict(root=1, stream=0), {
         "root": (INTEGER, "root"), "stream": (INTEGER, "stream")}),
     "SamplePath": (SamplePath, dict(grid=G, values=PATH.values, hurst=0.7, seed=SEED), {
-        **GRID, "hurst": (OPTIONAL_UNIT, "hurst"), "seed": (OPTIONAL_OBJECT, "seed")}),
+        **GRID, "values": (FINITE, "values"), "hurst": (OPTIONAL_UNIT, "hurst"),
+        "seed": (OPTIONAL_OBJECT, "seed")}),
     "bm_covariance": (bm_covariance, dict(s=0.5, t=1.0), {
         "s": (NONNEGATIVE, "times"), "t": (NONNEGATIVE, "times")}),
     "fbm_covariance": (fbm_covariance, dict(H=0.7, s=0.5, t=1.0), {
@@ -210,6 +213,8 @@ TABLE = {
     "variation_index": (variation_index, dict(path=LONG, p_hi=8.0), {
         "path": (OBJECT, "path"), "p_hi": (NONNEGATIVE, "p_hi")}),
     "holder_exponent": (holder_exponent, dict(path=LONG), {"path": (OBJECT, "path")}),
+    "rescaled_range_hurst": (rescaled_range_hurst, dict(series=LONG.values), {
+        "series": (FINITE, "series")}),
     "hurst_record": (hurst_record, dict(estimate=holder_exponent(LONG), series=LONG.values), {
         "estimate": (OBJECT, "estimate")}),
     "theoretical_acf": (theoretical_acf, dict(H=0.7, n=3), {
@@ -231,7 +236,8 @@ TABLE = {
         "u": (FINITE, "u"), "g": (OBJECT, "g")}),
     # f = 1 telescopes and has no covariation, so the accepted arguments converge
     "symmetric_forward_relation_check": (
-        symmetric_forward_relation_check, dict(f=1.0, g=PATH), {"g": (OBJECT, "g")}),
+        symmetric_forward_relation_check, dict(f=1.0, g=PATH), {
+            "f": (FINITE, "f"), "g": (OBJECT, "g")}),
     "extended_forward_integral": (extended_forward_integral, dict(f=1.0, g=PATH), {
         "f": (FINITE, "f"), "g": (OBJECT, "g")}),
     "fractional_forward_process": (
@@ -239,7 +245,7 @@ TABLE = {
             "x0": (FINITE, "x0"), "alpha": (FINITE, "alpha"), "f": (FINITE, "f"),
             "g": (OBJECT, "g")}),
     "ForwardProcess": (ForwardProcess, dict(grid=G, values=PATH.values, hurst=0.7), {
-        **GRID, "hurst": (OPTIONAL_UNIT, "hurst")}),
+        **GRID, "values": (FINITE, "values"), "hurst": (OPTIONAL_UNIT, "hurst")}),
     "fbm_ito_formula_check": (
         fbm_ito_formula_check,
         dict(g_fn=lambda t, x: x * x, g_t=lambda t, x: 0.0, g_x=lambda t, x: 2 * x, X=PATH), {
@@ -256,9 +262,9 @@ TABLE = {
     "AdaptedIntegrand.deterministic": (AdaptedIntegrand.deterministic, dict(fn=np.sin), {
         "fn": (OBJECT, "fn")}),
     "SimpleProcess": (SimpleProcess, dict(partition=[0.0, 0.5, 1.0], rule=lambda i, t, p: t), {
-        "rule": (OBJECT, "rule")}),
-    "ito_integral": (ito_integral, dict(f=ONE, path=BM), {
-        "f": (OBJECT, "f"), "path": (OBJECT, "path")}),
+        "partition": (FINITE, "partition"), "rule": (OBJECT, "rule")}),
+    "ito_integral": (ito_integral, dict(f=ONE, path=BM, sub_partition=[0.0, 0.5, 1.0]), {
+        "f": (OBJECT, "f"), "path": (OBJECT, "path"), "sub_partition": (FINITE[1:], "sub_partition")}),
     "ito_integral_qv": (ito_integral_qv, dict(f=ONE, path=BM), {
         "f": (OBJECT, "f"), "path": (OBJECT, "path")}),
     # an array parameter: each rejected value is a scalar, so no (replicates, nodes) array
@@ -281,6 +287,22 @@ TABLE = {
             "g_xx": (OBJECT, "g_xx"), "process": (OBJECT, "process")}),
     "run_experiment": (run_experiment, dict(exp_id="E3", cfg=VerifyConfig()), {
         "cfg": (OPTIONAL_OBJECT, "cfg")}),
+}
+
+# settings that only tests ever changed: each is a module constant, with no argument in its place
+REMOVED = {
+    "symmetric_integral": ("eps",),
+    "forward_integral": ("eps",),
+    "backward_integral": ("eps",),
+    "covariation": ("eps",),
+    "symmetric_forward_relation_check": ("eps",),
+    "telescoping_tolerance": ("eps",),
+    "riemann_stieltjes_integral": ("levels",),
+    "p_variation": ("levels",),
+    "extended_forward_integral": ("eps_levels", "u_points"),
+    "variation_index": ("p_lo", "levels", "h_tol"),
+    "generate_fbm_cholesky": ("max_nodes",),
+    "fbm_cholesky_ensemble": ("max_nodes",),
 }
 
 CASES = [
@@ -311,6 +333,16 @@ def test_a_rejected_argument_raises_a_value_error_naming_it(entry, param, kind, 
     with pytest.raises(ValueError) as info:
         fn(**{**kwargs, param: bad})
     assert re.search(rf"\b{re.escape(name)}\b", str(info.value)), str(info.value)
+
+
+@pytest.mark.parametrize(
+    "entry, param", [pytest.param(e, p, id=f"{e}-{p}") for e, ps in REMOVED.items() for p in ps]
+)
+def test_a_fixed_setting_is_no_argument(entry, param):
+    fn, kwargs, _ = TABLE[entry]
+    assert param not in inspect.signature(fn).parameters
+    with pytest.raises(TypeError, match=rf"\b{param}\b"):
+        fn(**kwargs, **{param: None})
 
 
 def test_an_enum_parameter_takes_the_member_values():
@@ -372,6 +404,7 @@ AT_SCALE = {
     "p_variation": lambda s: dict(path=s.long, p=2.0),
     "variation_index": lambda s: dict(path=s.long),
     "holder_exponent": lambda s: dict(path=s.long),
+    "rescaled_range_hurst": lambda s: dict(series=s.long.values),
     "hurst_record": lambda s: dict(estimate=holder_exponent(s.long), series=s.long.values),
     "empirical_acf": lambda s: dict(path=s.unit_spaced, max_lag=2),
     "telescoping_tolerance": lambda s: dict(g=s.path),
@@ -386,7 +419,7 @@ AT_SCALE = {
     "ForwardProcess": lambda s: dict(grid=s.grid, values=s.path.values, hurst=s.H),
     "fbm_ito_formula_check": lambda s: dict(g_fn=lambda t, x: x, **LINEAR, X=s.path),
     "integral_record": lambda s: dict(result=forward_integral(1.0, s.path)),
-    "ito_integral": lambda s: dict(f=ONE, path=s.bm),
+    "ito_integral": lambda s: dict(f=ONE, path=s.bm, sub_partition=[0.0, 0.5 * s.t_max, s.t_max]),
     "ito_integral_qv": lambda s: dict(f=AdaptedIntegrand.path_value(), path=s.bm),
     "empirical_covariance": lambda s: dict(values=s.ensemble),
     "endpoint_comparison": lambda s: dict(values=s.ensemble, grid=s.grid, T=0.5 * s.t_max),
@@ -470,6 +503,38 @@ def test_an_ensemble_sum_past_the_float_range_gives_finite_values_or_names_it(en
     assert np.isfinite(_floats(out)).all(), out
 
 
+ENSEMBLE_INTEGRANDS = {
+    "one": ONE,
+    "time": AdaptedIntegrand.deterministic(lambda t: t),
+    "path": AdaptedIntegrand.path_value(),
+}
+
+
+def _ensemble_call(check: str, values: np.ndarray, grid: GridSpec):
+    """endpoint_comparison up to t_max, or isometry_check-<integrand> of ENSEMBLE_INTEGRANDS."""
+    entry, _, integrand = check.partition("-")
+    if entry == "endpoint_comparison":
+        return endpoint_comparison(values, grid, grid.t_max)
+    return isometry_check(ENSEMBLE_INTEGRANDS[integrand], values, grid)
+
+
+@pytest.mark.parametrize("t_max", [1e-300, 1e300, 1.5e308])
+@pytest.mark.parametrize(
+    "check", ["endpoint_comparison", "isometry_check-one", "isometry_check-time", "isometry_check-path"]
+)
+def test_an_ensemble_check_on_an_extreme_horizon_gives_finite_values_or_names_the_overflow(check, t_max):
+    grid = GridSpec(t_max, 16)
+    values = bm_ensemble(grid, 1, 1000)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("error", "overflow|invalid value", RuntimeWarning)
+        try:
+            out = _ensemble_call(check, values, grid)
+        except ValueError as exc:
+            assert "overflows a float" in str(exc), str(exc)
+            return
+    assert np.isfinite(_floats(out)).all(), out
+
+
 # ---------------------------------------------------------------------------
 # sums of samples times a power of two
 
@@ -524,3 +589,28 @@ def test_a_sum_of_samples_times_a_power_of_two_is_the_sum_times_its_power(j, k, 
         base = fractal_integral(GridFunction(0.0, 1.0, SUM_PATH.values), GridFunction(0.0, 1.0, SUM_G), alpha)
         assert_scaled(lambda: (fractal_integral(f, g, alpha),), (base,), (j + k,), ("the fractal integral",),
                       (f.values - f.values[0], g.values - g.values[-1]))
+
+
+ENSEMBLE = bm_ensemble(GridSpec(1.0, 64), 32, 1000)
+
+# each mean's power of two when the ensemble is multiplied by 2^j, and its name
+ENSEMBLE_POWERS = {
+    "endpoint_comparison": ((2, 2), ("the mean left-endpoint sum", "the mean right-endpoint sum")),
+    "isometry_check-one": ((2, 0), ("the mean squared integral", "the mean integral of f squared")),
+    "isometry_check-time": ((2, 0), ("the mean squared integral", "the mean integral of f squared")),
+    "isometry_check-path": ((4, 2), ("the mean squared integral", "the mean integral of f squared")),
+}
+
+
+@pytest.mark.parametrize("j", [-400, -100, 100, 400, 600])
+@pytest.mark.parametrize("check", sorted(ENSEMBLE_POWERS))
+def test_an_ensemble_times_a_power_of_two_gives_its_means_times_their_powers(check, j):
+    # the per-row sums are formed in units of each block's power of two; once the squared
+    # path-value integral overflowed with a warning and returned inf
+    grid = GridSpec(1.0, 64)
+    powers, names = ENSEMBLE_POWERS[check]
+    scaled = np.ldexp(ENSEMBLE, j)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("error", "overflow|invalid value", RuntimeWarning)
+        assert_scaled(lambda: _ensemble_call(check, scaled, grid)[:2], _ensemble_call(check, ENSEMBLE, grid)[:2],
+                      tuple(p * j for p in powers), names, (scaled,))
