@@ -136,11 +136,10 @@ def main(ctx, config_path):
 main.command_class = _Command
 
 
-def _load_path(source):
-    from .gaussianpaths import read_path_csv
-
+def _load(read, source):
+    """read(source), a file it cannot read a usage error that names the file."""
     try:
-        return read_path_csv(source)
+        return read(source)
     except (ValueError, OSError) as exc:
         raise click.UsageError(f"{source}: {exc}")
 
@@ -210,10 +209,7 @@ def fracint(source, alpha, side, kind, out):
         write_grid_csv,
     )
 
-    try:
-        f = read_grid_csv(source)
-    except OSError as exc:
-        raise click.UsageError(str(exc))
+    f = _load(read_grid_csv, source)
     op = fractional_integral if kind == "integral" else fractional_derivative
     result = op(f, DifferintegralSpec(alpha, side, kind))
     with _writing(out):
@@ -233,9 +229,10 @@ def fracint(source, alpha, side, kind, out):
 @click.option("--stride", type=int, default=1, show_default=True, help="Sub-partition stride.")
 def ito(source, integrand, stride):
     """Left-endpoint integral of an adapted integrand against an imported path."""
+    from .gaussianpaths import read_path_csv
     from .itocalc import AdaptedIntegrand, AdaptednessError, ito_integral
 
-    path = _load_path(source)
+    path = _load(read_path_csv, source)
     if stride < 1:
         raise click.BadParameter("stride must be >= 1", param_hint="--stride")
     f = {
@@ -284,8 +281,9 @@ def fbm_integrate(source, int_type, f_choice):
         riemann_stieltjes_integral,
         symmetric_integral,
     )
+    from .gaussianpaths import read_path_csv
 
-    g = _load_path(source)
+    g = _load(read_path_csv, source)
     f = {"self": g, "one": 1.0, "time": g.times}[f_choice]
     ops = {
         "symmetric": symmetric_integral,
@@ -308,6 +306,7 @@ def fbm_integrate(source, int_type, f_choice):
 )
 def stats(source, estimator):
     """Run an estimator on an imported path and print its JSON record."""
+    from .gaussianpaths import read_path_csv
     from .pathstats import (
         holder_exponent,
         hurst_record,
@@ -316,7 +315,7 @@ def stats(source, estimator):
         variation_index,
     )
 
-    path = _load_path(source)
+    path = _load(read_path_csv, source)
     if estimator == "quadratic-variation":
         rec = {
             "estimator": estimator,
@@ -364,8 +363,6 @@ def verify(ctx, suite, replicates, out):
     from . import experiments
 
     ids = _parse_suite(suite)
-    if replicates is not None and replicates < 2:
-        raise click.BadParameter("need at least 2 replicates", param_hint="--replicates")
     cfg = experiments.VerifyConfig(replicates=replicates)
     with _writing(out):
         os.makedirs(out, exist_ok=True)

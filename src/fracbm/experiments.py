@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._validate import instance
+from ._validate import instance, integer
 from .fraccalc import (
     DifferintegralSpec,
     GridFunction,
@@ -112,17 +112,19 @@ class ExperimentResult:
 class VerifyConfig:
     """Knobs shared by every experiment.
 
-    `replicates` caps ensemble sizes and seed-sweep counts (never raises
-    them); reduced runs finish fast but verdicts near a tolerance edge may
-    flip from sampling noise.
+    `replicates`, an integer of at least 2, caps ensemble sizes and
+    seed-sweep counts (never raises them); reduced runs finish fast but
+    verdicts near a tolerance edge may flip from sampling noise.
     """
 
     replicates: Optional[int] = None
 
+    def __post_init__(self) -> None:
+        if self.replicates is not None:
+            object.__setattr__(self, "replicates", integer(self.replicates, "replicates", 2))
+
     def scaled(self, default: int) -> int:
-        if self.replicates is None:
-            return default
-        return max(2, min(default, int(self.replicates)))
+        return default if self.replicates is None else min(default, self.replicates)
 
 
 def _close(name, target, estimate, tolerance, detail="") -> CheckResult:
@@ -354,8 +356,7 @@ def _hurst_sweep(method: str, H: float, n: int, root: int, seeds: int) -> np.nda
         if method == "rescaled-range":
             out[s] = rescaled_range_hurst(np.diff(path.values)).h_hat
         else:
-            # short rough paths can push the crossover past the default bracket
-            out[s] = variation_index(path, p_hi=12.0).h_hat
+            out[s] = variation_index(path).h_hat
     return out
 
 
@@ -485,8 +486,8 @@ EXPERIMENTS = {
 
 
 def run_experiment(exp_id: str, cfg: Optional[VerifyConfig] = None) -> ExperimentResult:
-    if exp_id not in EXPERIMENTS:
-        raise KeyError(f"unknown experiment {exp_id!r}; choose from {', '.join(EXPERIMENTS)}")
+    if not isinstance(exp_id, str) or exp_id not in EXPERIMENTS:
+        raise ValueError(f"exp_id must be one of {', '.join(EXPERIMENTS)}, got {exp_id!r:.60}")
     title, fn = EXPERIMENTS[exp_id]
     cfg = VerifyConfig() if cfg is None else instance(cfg, VerifyConfig, "cfg")
     start = time.perf_counter()

@@ -36,8 +36,8 @@ __all__ = [
 #: |log-log slope| below this reads as mesh-independent (neither shrinking nor blowing up)
 SLOPE_BAND = 0.2
 
-#: the least order p the variation index brackets, and the width in 1/p its bisection ends at
-_P_LO = 0.8
+#: the orders p the variation index brackets, and the width in 1/p its bisection ends at
+_P_LO, _P_HI = 0.8, 12.0
 _H_TOL = 1e-3
 
 
@@ -146,17 +146,16 @@ def p_variation(path: SamplePath, p: float) -> VariationEstimate:
     return VariationEstimate(p, sums, verdict)
 
 
-def variation_index(path: SamplePath, p_hi: float = 8.0) -> HurstEstimate:
+def variation_index(path: SamplePath) -> HurstEstimate:
     """Hurst estimate 1/p* from the order p* where variation sums flip regime.
 
     Below p* the dyadic sums blow up under refinement, above it they vanish;
     the crossover is located by bisecting the sign of the mesh-scaling slope
-    on [0.8, p_hi] until the bracket is 1e-3 wide in 1/p units.  Its final
-    half-width is reported as the stderr.
+    on [0.8, 12], so H down to 1/12, until the bracket is 1e-3 wide in 1/p
+    units.  Its final half-width is reported as the stderr.
     """
     integer(instance(path, SamplePath, "path").grid.n_steps, "path n_steps", 2**10)
-    lo = _P_LO
-    hi = real(p_hi, "p_hi", lo)
+    lo, hi = _P_LO, _P_HI
     increments = _dyadic_increments(path.values, path.dt)[0]  # formed once, for every p
 
     def slope(p):
@@ -168,7 +167,7 @@ def variation_index(path: SamplePath, p_hi: float = 8.0) -> HurstEstimate:
     s_lo, s_hi = slope(lo), slope(hi)
     if not (s_lo < 0.0 < s_hi):
         raise ValueError(
-            f"no regime change in p bracket [{lo}, {p_hi}] "
+            f"no regime change in p bracket [{lo}, {hi}] "
             f"(slopes {s_lo:.3f}, {s_hi:.3f})"
         )
     trace = {lo: s_lo, hi: s_hi}
@@ -226,19 +225,16 @@ def theoretical_acf(H: float, n: int) -> float:
 def empirical_acf(path: SamplePath, max_lag: int) -> np.ndarray:
     """Sample autocorrelations of unit-spaced increments, lags 0..max_lag.
 
-    Paths sampled finer than unit spacing are linearly resampled onto
-    integer times first; a coarser path has no unit-spaced increments.
+    Every path is linearly resampled onto integer times first, a unit-spaced
+    one onto its own samples; a coarser path has no unit-spaced increments.
     """
     max_lag = integer(max_lag, "max_lag", 1)
     if instance(path, SamplePath, "path").dt - 1.0 > 1e-12:
         raise ValueError(f"path dt must be at most 1 to resample at unit spacing, got {path.dt!r}")
-    if abs(path.dt - 1.0) <= 1e-12:
-        vals = path.values
-    else:
-        m = int(math.floor(path.grid.t_max + 1e-9))
-        if m < 8:
-            raise ValueError("path too short to resample at unit spacing")
-        vals = np.interp(np.arange(m + 1, dtype=float), path.times, path.values)
+    m = int(math.floor(path.grid.t_max + 1e-9))
+    if m < 8:
+        raise ValueError("path too short to resample at unit spacing")
+    vals = np.interp(np.arange(m + 1, dtype=float), path.times, path.values)
     x = np.diff(vals)
     if max_lag >= x.size / 4:
         raise ValueError("max_lag must be below a quarter of the increment count")

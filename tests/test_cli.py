@@ -246,13 +246,6 @@ class TestIto:
         assert result.exit_code == 2
         assert "hurst" in result.output.lower()
 
-    def test_malformed_csv_reports_the_line(self, runner, tmp_path):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("t,value\n0.0,0.0\nbroken line\n")
-        result = runner.invoke(main, ["ito", "--input", str(bad)])
-        assert result.exit_code == 2
-        assert "line 3" in result.output
-
 
 class TestFbmIntegrate:
     def test_symmetric_of_one_matches_module(self, runner, tmp_path):
@@ -395,8 +388,14 @@ class TestVerify:
         assert "E99" in result.output and "E1" in result.output
 
     def test_replicate_floor(self, runner, tmp_path):
-        result = runner.invoke(main, ["verify", "--suite", "E1", "--replicates", "1", "--out", str(tmp_path / "v")])
+        # the library's refusal, reported under verify's usage line before any experiment runs
+        out = tmp_path / "v"
+        argv = ["verify", "--suite", "E1", "--replicates", "1", "--out", str(out)]
+        result = runner.invoke(main, argv, prog_name="fracbm")
         assert result.exit_code == 2
+        assert "Usage: fracbm verify [OPTIONS]" in result.output
+        assert "replicates must be an integer of at least 2, got 1" in result.output
+        assert not out.exists()
 
     def test_failing_experiment_exits_nonzero(self, runner, tmp_path, monkeypatch):
         bad = ExperimentResult(
@@ -456,6 +455,26 @@ def test_a_library_value_error_is_a_usage_error_of_its_subcommand(runner, tmp_pa
     assert result.exit_code == 2, result.output
     assert f"Usage: fracbm {command} [OPTIONS]" in result.output
     assert message in result.output and "Traceback" not in result.output
+
+
+@pytest.mark.parametrize(
+    "command, args",
+    [
+        ("fracint", ["--alpha", "0.5", "--out", "{out}"]),
+        ("ito", []),
+        ("fbm-integrate", []),
+        ("stats", []),
+    ],
+)
+def test_a_malformed_csv_is_named_with_its_line_by_every_reader(runner, tmp_path, command, args):
+    # fracint once reported "malformed CSV at line 3" without the file's name
+    bad = tmp_path / "bad.csv"
+    bad.write_text("t,value\n0.0,0.0\nbroken line\n")
+    argv = [command, "--input", str(bad), *(a.format(out=tmp_path / "out.csv") for a in args)]
+    result = runner.invoke(main, argv, prog_name="fracbm")
+    assert result.exit_code == 2, result.output
+    assert f"Usage: fracbm {command} [OPTIONS]" in result.output
+    assert f"{bad}: malformed CSV at line 3" in result.output and "Traceback" not in result.output
 
 
 def test_config_preseeds_every_subcommand(runner, tmp_path):

@@ -13,9 +13,11 @@ def test_registry_covers_twelve_experiments():
     assert list(EXPERIMENTS) == [f"E{k}" for k in range(1, 13)]
 
 
-def test_unknown_id_raises():
-    with pytest.raises(KeyError):
-        run_experiment("E99")
+@pytest.mark.parametrize("exp_id", ["E99", "e1", None, True, 2.5])
+def test_unknown_id_raises(exp_id):
+    # once a KeyError, unlike every other bad argument
+    with pytest.raises(ValueError, match=r"^exp_id must be one of E1, E2, .*, E12, got "):
+        run_experiment(exp_id)
 
 
 def test_check_record_shape():
@@ -51,8 +53,15 @@ def test_replicate_cap_scales_down_only():
     assert cfg.scaled(10_000) == 100
     assert cfg.scaled(50) == 50
     assert VerifyConfig().scaled(10_000) == 10_000
-    # floor of 2 keeps variance estimates defined
-    assert VerifyConfig(replicates=1).scaled(10_000) == 2
+    assert VerifyConfig(replicates=2).scaled(10_000) == 2
+
+
+@pytest.mark.parametrize("replicates", [1, 0, -5, 2.5, "abc", True])
+def test_a_replicate_count_below_two_or_not_an_integer_is_refused(replicates):
+    # two replicates keep variance estimates defined; once -5 and 2.5 ran clamped to 2
+    # and "abc" raised int()'s message, which does not name the parameter
+    with pytest.raises(ValueError, match=rf"^replicates must be an integer of at least 2, got {replicates!r}$"):
+        VerifyConfig(replicates=replicates)
 
 
 def test_reduced_replicates_still_run():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from fracbm._nodecalc import binary_units
 from fracbm.gaussianpaths import (
     GridSpec,
     RngSeed,
@@ -93,58 +94,55 @@ class TestVariationIndex:
 
     @pytest.mark.parametrize("H", [0.25, 0.5, 0.75])
     def test_the_bracket_end_moves_the_index_by_at_most_the_tolerance(self, H):
-        # [0.8, p_hi] is bisected until 1/lo - 1/hi is at most 1e-3, so the two ends that
-        # callers pass, 8 and 12, bracket the same crossover to within that width
+        # [0.8, 12] is bisected until 1/lo - 1/hi is at most 1e-3, so it brackets the
+        # crossover of the former default [0.8, 8] to within that width
         grid = GridSpec(1.0, 2**12)
         path = generate_bm(grid, RngSeed(6, 2)) if H == 0.5 else fbm(H, 6, 2, grid)
-        assert abs(variation_index(path).h_hat - variation_index(path, 12.0).h_hat) <= 1e-3
+        lo, hi, _ = _per_step_bisection(path, 8.0)
+        assert abs(variation_index(path).h_hat - 1.0 / (0.5 * (lo + hi))) <= 1e-3
 
     @pytest.mark.parametrize("H", [0.25, 0.75])
     def test_increments_formed_once_give_the_per_step_estimate(self, H):
-        # the bisection as it was: |increments| formed anew at every order p, here
-        # in units of the power of two at the largest of them
         path = fbm(H, 6, 1, GridSpec(1.0, 2**12))
-        largest = max(np.abs(np.diff(path.values[:: 2**j])).max() for j in range(5))
-        unit = 2.0 ** np.frexp(largest)[1]
-
-        def slope(p):
-            pairs = [
-                (2**j * path.dt, float(np.sum((np.abs(np.diff(path.values[:: 2**j])) / unit) ** p)))
-                for j in range(4, -1, -1)
-            ]
-            x, y = np.log([m for m, _ in pairs]), np.log([v for _, v in pairs])
-            xm, ym = x - x.mean(), y - y.mean()
-            return float(np.dot(xm, ym)) / float(np.dot(xm, xm))
-
-        lo, hi = 0.8, 8.0
-        trace = {lo: slope(lo), hi: slope(hi)}
-        while 1.0 / lo - 1.0 / hi > 1e-3:
-            mid = 0.5 * (lo + hi)
-            trace[mid] = slope(mid)
-            lo, hi = (mid, hi) if trace[mid] < 0.0 else (lo, mid)
+        lo, hi, trace = _per_step_bisection(path, 12.0)
         est = variation_index(path)
         assert est.h_hat == 1.0 / (0.5 * (lo + hi))
         assert est.stderr == 0.5 * (1.0 / lo - 1.0 / hi)
         assert est.block_data == tuple(sorted(trace.items()))
+
+    def test_a_path_rougher_than_an_eighth_gets_an_estimate(self):
+        # 1/p* = 0.1 lies below 1/8: the former bracket [0.8, 8] found no regime change
+        est = variation_index(fbm(0.1, 9, 3, GridSpec(1.0, 2**12)))
+        assert 1.0 / 12.0 < est.h_hat <= 0.15
 
     def test_degenerate_path_rejected(self):
         flat = SamplePath(GridSpec(1.0, 2**12), np.zeros(2**12 + 1), None)
         with pytest.raises(ValueError):
             variation_index(flat)
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"p_hi": 0.5},  # below the bracket's lower end, 0.8
-            {"p_hi": np.inf},
-        ],
-        ids=repr,
-    )
-    def test_bad_arguments_are_named(self, kwargs):
-        path = fbm(0.7, 6, 2, GridSpec(1.0, 2**10))
-        (name,) = kwargs
-        with pytest.raises(ValueError, match=rf"^{name} must "):
-            variation_index(path, **kwargs)
+
+def _per_step_bisection(path, p_hi):
+    """The bisection as it was, on [0.8, p_hi]: |increments| formed anew at every order p,
+    in units of the power of two at the largest of them.  Returns lo, hi and the slopes."""
+    largest = max(np.abs(np.diff(path.values[:: 2**j])).max() for j in range(5))
+    unit = 2.0 ** np.frexp(largest)[1]
+
+    def slope(p):
+        pairs = [
+            (2**j * path.dt, float(np.sum((np.abs(np.diff(path.values[:: 2**j])) / unit) ** p)))
+            for j in range(4, -1, -1)
+        ]
+        x, y = np.log([m for m, _ in pairs]), np.log([v for _, v in pairs])
+        xm, ym = x - x.mean(), y - y.mean()
+        return float(np.dot(xm, ym)) / float(np.dot(xm, xm))
+
+    lo, hi = 0.8, p_hi
+    trace = {lo: slope(lo), hi: slope(hi)}
+    while 1.0 / lo - 1.0 / hi > 1e-3:
+        mid = 0.5 * (lo + hi)
+        trace[mid] = slope(mid)
+        lo, hi = (mid, hi) if trace[mid] < 0.0 else (lo, mid)
+    return lo, hi, trace
 
 
 SCALED = fbm(0.7, 8, 0, GridSpec(1.0, 4096))
@@ -301,6 +299,21 @@ class TestAutocorrelation:
         p = fbm(0.75, 8, 2, GridSpec(1024.0, 4096))
         unit = SamplePath(GridSpec(1024.0, 1024), p.values[::4], 0.75)
         assert np.array_equal(empirical_acf(p, 10), empirical_acf(unit, 10))
+
+    @pytest.mark.parametrize("n", [8, 9, 100, 4097, 12345])
+    def test_a_unit_spaced_path_resamples_to_its_own_samples(self, n):
+        # the lag sums of the raw increments, as read before unit-spaced paths were resampled too
+        p = generate_bm(GridSpec(float(n), n), RngSeed(8, n))
+        lags = min(10, (n - 1) // 4)
+        x, _ = binary_units(np.diff(p.values) - np.diff(p.values).mean())
+        want = [float(np.dot(x[: n - k], x[k:])) / float(np.dot(x, x)) for k in range(lags + 1)]
+        assert np.array_equal(empirical_acf(p, lags), want)
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_a_unit_spaced_path_below_eight_steps_is_refused(self, n):
+        p = generate_bm(GridSpec(float(n), n), RngSeed(8, n))
+        with pytest.raises(ValueError, match="path too short to resample at unit spacing"):
+            empirical_acf(p, 1)
 
     @pytest.mark.parametrize("t_max", [2048.0, 1e300])
     def test_a_grid_coarser_than_unit_spacing_is_named(self, t_max):

@@ -210,8 +210,7 @@ TABLE = {
     # the five dyadic meshes need a path of at least 32 steps
     "p_variation": (p_variation, dict(path=LONG, p=2.0), {
         "path": (OBJECT, "path"), "p": (NONNEGATIVE, "p")}),
-    "variation_index": (variation_index, dict(path=LONG, p_hi=8.0), {
-        "path": (OBJECT, "path"), "p_hi": (NONNEGATIVE, "p_hi")}),
+    "variation_index": (variation_index, dict(path=LONG), {"path": (OBJECT, "path")}),
     "holder_exponent": (holder_exponent, dict(path=LONG), {"path": (OBJECT, "path")}),
     "rescaled_range_hurst": (rescaled_range_hurst, dict(series=LONG.values), {
         "series": (FINITE, "series")}),
@@ -285,8 +284,11 @@ TABLE = {
              g_xx=lambda t, x: 2.0, process=ItoProcess(0.0, ONE, ONE, BM)), {
             "g": (OBJECT, "g"), "g_t": (OBJECT, "g_t"), "g_x": (OBJECT, "g_x"),
             "g_xx": (OBJECT, "g_xx"), "process": (OBJECT, "process")}),
+    # replicates is optional: None runs the frozen sizes
+    "VerifyConfig": (VerifyConfig, dict(replicates=2), {"replicates": (INTEGER[1:], "replicates")}),
+    # an experiment id is one of the registry's strings, so any other string, a number or an object is none
     "run_experiment": (run_experiment, dict(exp_id="E3", cfg=VerifyConfig()), {
-        "cfg": (OPTIONAL_OBJECT, "cfg")}),
+        "exp_id": (OBJECT + ("bool", "complex", "negative integer"), "exp_id"), "cfg": (OPTIONAL_OBJECT, "cfg")}),
 }
 
 # settings that only tests ever changed: each is a module constant, with no argument in its place
@@ -300,7 +302,7 @@ REMOVED = {
     "riemann_stieltjes_integral": ("levels",),
     "p_variation": ("levels",),
     "extended_forward_integral": ("eps_levels", "u_points"),
-    "variation_index": ("p_lo", "levels", "h_tol"),
+    "variation_index": ("p_lo", "levels", "h_tol", "p_hi"),
     "generate_fbm_cholesky": ("max_nodes",),
     "fbm_cholesky_ensemble": ("max_nodes",),
 }
