@@ -223,24 +223,28 @@ def _first_bad_line(fh) -> ValueError:
     return ValueError("malformed CSV")
 
 
-def read_csv(source, what: str, min_samples: int):
-    """Returns (header dict, t, v); the t column must be finite and uniformly spaced."""
-    header: dict[str, str] = {}
-    with open(source, "r", encoding="utf-8-sig") as fh:  # a byte-order mark is no data
-        first = _skip_header(enumerate(fh, start=1), header)
-        try:
-            rows = _parse(itertools.chain([first[1]], fh)) if first else np.empty((0, 2))
-        except ValueError:
-            rows = None
-        if rows is None or rows.shape[1] != 2:
-            fh.seek(0)
-            raise _first_bad_line(fh)
-    if len(rows) < min_samples:
-        raise ValueError(f"{what} CSV must hold at least {min_samples} samples")
-    # contiguous copies: BLAS dot products round differently on strided columns
-    t, v = finite(rows[:, 0].copy(), f"{what} CSV column 't'"), rows[:, 1].copy()
-    h = (t[-1] - t[0]) / (t.size - 1)
-    # each step within 1e-9 of h, plus 1e-9 of max|t| for t written at 10 significant digits
-    if h <= 0 or np.max(np.abs(np.diff(t) - h)) > 1e-9 * (h + np.max(np.abs(t))):
-        raise ValueError(f"{what} CSV must be uniformly spaced in t")
-    return header, t, v
+def read_csv(source, what: str, min_samples: int, build=lambda header, t, v: (header, t, v)):
+    """build(header, t, v), by default the triple, of the CSV at source, whose t column must be finite and
+    uniformly spaced; every ValueError, from the format, a header or build's checks of the samples, names source."""
+    try:
+        header: dict[str, str] = {}
+        with open(source, "r", encoding="utf-8-sig") as fh:  # a byte-order mark is no data
+            first = _skip_header(enumerate(fh, start=1), header)
+            try:
+                rows = _parse(itertools.chain([first[1]], fh)) if first else np.empty((0, 2))
+            except ValueError:
+                rows = None
+            if rows is None or rows.shape[1] != 2:
+                fh.seek(0)
+                raise _first_bad_line(fh)
+        if len(rows) < min_samples:
+            raise ValueError(f"{what} CSV must hold at least {min_samples} samples")
+        # contiguous copies: BLAS dot products round differently on strided columns
+        t, v = finite(rows[:, 0].copy(), f"{what} CSV column 't'"), rows[:, 1].copy()
+        h = (t[-1] - t[0]) / (t.size - 1)
+        # each step within 1e-9 of h, plus 1e-9 of max|t| for t written at 10 significant digits
+        if h <= 0 or np.max(np.abs(np.diff(t) - h)) > 1e-9 * (h + np.max(np.abs(t))):
+            raise ValueError(f"{what} CSV must be uniformly spaced in t")
+        return build(header, t, v)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from exc

@@ -12,7 +12,7 @@ body, and `verify` alone loads every layer, through `experiments`.
 
 from __future__ import annotations
 
-import contextlib
+import errno
 import functools
 import json
 import os
@@ -29,15 +29,6 @@ def _write_json(dest, payload: dict) -> None:
     with rewrite(dest) as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
-
-
-@contextlib.contextmanager
-def _writing(out):
-    """Reports a failure to write an output file under out as a usage error naming it."""
-    try:
-        yield
-    except OSError as exc:
-        raise click.UsageError(f"{exc.filename or out}: {exc.strerror or exc}")
 
 
 def _sha256(path) -> str:
@@ -88,31 +79,41 @@ def _coerce(text: str):
 
 
 def _read_config(path, names) -> dict:
-    """key = value per line; # starts a comment; keys are among the parameter names `names`."""
+    """key = value per line of UTF-8 text; # starts a comment; keys are among the parameter names `names`."""
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if not sep or not key:
-                raise click.UsageError(f"malformed config at line {lineno}: {raw.rstrip()!r}")
-            if key not in names:
-                raise click.UsageError(f"config key {key!r} at line {lineno} is no option of any subcommand")
-            out[key] = _coerce(value)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise click.UsageError(f"config {path} is not UTF-8 text: {exc}")
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if not sep or not key:
+            raise click.UsageError(f"malformed config at line {lineno}: {raw.rstrip()!r}")
+        if key not in names:
+            raise click.UsageError(f"config key {key!r} at line {lineno} is no option of any subcommand")
+        out[key] = _coerce(value)
     return out
 
 
 class _Command(click.Command):
-    """A subcommand that reports a library ValueError as a usage error under its own usage line."""
+    """A subcommand that reports a refused value, an unreadable input or an unwritable output as a usage
+    error under its own usage line, naming the file where there is one; a broken stdout pipe exits 1 silently."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
         except ValueError as exc:
             raise click.UsageError(str(exc), ctx)
+        except OSError as exc:
+            if exc.errno == errno.EPIPE:
+                raise
+            name = exc.filename or ctx.params.get("out", ctx.params.get("source"))
+            raise click.UsageError(f"{name}: {exc.strerror or exc}", ctx)
 
 
 @click.group()
@@ -134,14 +135,6 @@ def main(ctx, config_path):
 
 
 main.command_class = _Command
-
-
-def _load(read, source):
-    """read(source), a file it cannot read a usage error that names the file."""
-    try:
-        return read(source)
-    except (ValueError, OSError) as exc:
-        raise click.UsageError(f"{source}: {exc}")
 
 
 @main.command()
@@ -184,10 +177,9 @@ def generate(ctx, hurst, steps, tmax, seed, stream, generator, out):
         path = generate_fbm_moving_average(grid, hurst, rng_seed)
     csv_path = os.path.join(out, "path.csv")
     flags = {name: value for name, value in ctx.params.items() if name != "out"}
-    with _writing(out):
-        os.makedirs(out, exist_ok=True)
-        write_path_csv(path, csv_path)
-        _write_manifest(out, "generate", flags, ["path.csv"], seed)
+    os.makedirs(out, exist_ok=True)
+    write_path_csv(path, csv_path)
+    _write_manifest(out, "generate", flags, ["path.csv"], seed)
     click.echo(f"wrote {csv_path} and {os.path.join(out, 'manifest.json')}")
 
 
@@ -209,11 +201,8 @@ def fracint(source, alpha, side, kind, out):
         write_grid_csv,
     )
 
-    f = _load(read_grid_csv, source)
     op = fractional_integral if kind == "integral" else fractional_derivative
-    result = op(f, DifferintegralSpec(alpha, side, kind))
-    with _writing(out):
-        write_grid_csv(result, out)
+    write_grid_csv(op(read_grid_csv(source), DifferintegralSpec(alpha, side, kind)), out)
     click.echo(f"wrote {out}")
 
 
@@ -230,9 +219,9 @@ def fracint(source, alpha, side, kind, out):
 def ito(source, integrand, stride):
     """Left-endpoint integral of an adapted integrand against an imported path."""
     from .gaussianpaths import read_path_csv
-    from .itocalc import AdaptedIntegrand, AdaptednessError, ito_integral
+    from .itocalc import AdaptedIntegrand, ito_integral
 
-    path = _load(read_path_csv, source)
+    path = read_path_csv(source)
     if stride < 1:
         raise click.BadParameter("stride must be >= 1", param_hint="--stride")
     f = {
@@ -240,11 +229,7 @@ def ito(source, integrand, stride):
         "time": lambda: AdaptedIntegrand.deterministic(lambda t: t),
         "one": lambda: AdaptedIntegrand.constant(1.0),
     }[integrand]()
-    try:
-        sub = None if stride == 1 else path.times[::stride]
-        value = ito_integral(f, path, sub_partition=sub)
-    except AdaptednessError as exc:
-        raise click.UsageError(str(exc))
+    value = ito_integral(f, path, sub_partition=None if stride == 1 else path.times[::stride])
     click.echo(json.dumps({
         "integrand": integrand,
         "n_steps": path.grid.n_steps,
@@ -283,7 +268,7 @@ def fbm_integrate(source, int_type, f_choice):
     )
     from .gaussianpaths import read_path_csv
 
-    g = _load(read_path_csv, source)
+    g = read_path_csv(source)
     f = {"self": g, "one": 1.0, "time": g.times}[f_choice]
     ops = {
         "symmetric": symmetric_integral,
@@ -315,7 +300,7 @@ def stats(source, estimator):
         variation_index,
     )
 
-    path = _load(read_path_csv, source)
+    path = read_path_csv(source)
     if estimator == "quadratic-variation":
         rec = {
             "estimator": estimator,
@@ -364,47 +349,42 @@ def verify(ctx, suite, replicates, out):
 
     ids = _parse_suite(suite)
     cfg = experiments.VerifyConfig(replicates=replicates)
-    with _writing(out):
-        os.makedirs(out, exist_ok=True)
-        rows = []
-        results = {}
-        for eid in ids:
-            try:
-                res = experiments.run_experiment(eid, cfg)
-                rec = res.record()
-            except Exception as exc:
-                rec = {
-                    "experiment": eid,
-                    "title": experiments.EXPERIMENTS[eid][0],
-                    "verdict": "error",
-                    "error": f"{type(exc).__name__}: {exc}",
-                    "checks": [],
-                }
-            _write_json(os.path.join(out, f"{eid}.json"), rec)
-            results[eid] = {
-                "verdict": rec["verdict"],
-                "checks_passed": sum(1 for c in rec["checks"] if c["verdict"] == "pass"),
-                "checks_total": len(rec["checks"]),
-                "elapsed_seconds": rec.get("elapsed_seconds"),
+    os.makedirs(out, exist_ok=True)
+    rows = []
+    results = {}
+    for eid in ids:
+        try:
+            res = experiments.run_experiment(eid, cfg)
+            rec = res.record()
+        except Exception as exc:
+            rec = {
+                "experiment": eid,
+                "title": experiments.EXPERIMENTS[eid][0],
+                "verdict": "error",
+                "error": f"{type(exc).__name__}: {exc}",
+                "checks": [],
             }
-            for c in rec["checks"]:
-                rows.append(
-                    (eid, c["name"], c["target"], c["estimate"], c["tolerance"], c["verdict"])
-                )
-            if rec["verdict"] == "error":
-                rows.append((eid, "", "", "", "", "error"))
-            click.echo(f"{eid} {rec['verdict']}")
-        with rewrite(os.path.join(out, "summary.csv")) as fh:
-            fh.write("experiment,check,target,estimate,tolerance,verdict\n")
-            for row in rows:
-                fh.write(",".join(
-                    f"{v:.17g}" if isinstance(v, float) else str(v) for v in row
-                ) + "\n")
-        verdicts = {eid: r["verdict"] for eid, r in results.items()}
-        _write_manifest(
-            out, "verify", {"suite": ",".join(ids), "replicates": replicates},
-            [f"{eid}.json" for eid in ids] + ["summary.csv"], results=results, verdicts=verdicts,
-        )
+        _write_json(os.path.join(out, f"{eid}.json"), rec)
+        results[eid] = {
+            "verdict": rec["verdict"],
+            "checks_passed": sum(1 for c in rec["checks"] if c["verdict"] == "pass"),
+            "checks_total": len(rec["checks"]),
+            "elapsed_seconds": rec.get("elapsed_seconds"),
+        }
+        for c in rec["checks"]:
+            rows.append((eid, c["name"], c["target"], c["estimate"], c["tolerance"], c["verdict"]))
+        if rec["verdict"] == "error":
+            rows.append((eid, "", "", "", "", "error"))
+        click.echo(f"{eid} {rec['verdict']}")
+    with rewrite(os.path.join(out, "summary.csv")) as fh:
+        fh.write("experiment,check,target,estimate,tolerance,verdict\n")
+        for row in rows:
+            fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n")
+    verdicts = {eid: r["verdict"] for eid, r in results.items()}
+    _write_manifest(
+        out, "verify", {"suite": ",".join(ids), "replicates": replicates},
+        [f"{eid}.json" for eid in ids] + ["summary.csv"], results=results, verdicts=verdicts,
+    )
     click.echo(f"wrote {os.path.join(out, 'summary.csv')}")
     if any(v != "pass" for v in verdicts.values()):
         ctx.exit(1)

@@ -336,8 +336,12 @@ def fractal_integral(f: GridFunction, g: GridFunction, alpha: float) -> float:
     if fv.size != gv.size or not coincide((f.a, f.b), (g.a, g.b)):
         raise ValueError("f and g must share one grid")
     h = f.h
-    f_low, ef = binary_units(fv - fv[0])
-    g_up, eg = binary_units(gv - gv[-1])
+    # in units before the differences, which may leave the float range where the samples do not
+    f_low, ef = binary_units(fv)
+    g_up, eg = binary_units(gv)
+    f_a = f_low[0]
+    f_low = f_low - f_a
+    g_up = g_up - g_up[-1]
     if alpha == 0.0:
         df = f_low
         dg = -np.gradient(g_up, h)
@@ -348,7 +352,7 @@ def fractal_integral(f: GridFunction, g: GridFunction, alpha: float) -> float:
         df = _left_derivative(f_low, alpha, h)
         dg = _left_derivative(g_up[::-1], 1.0 - alpha, h)[::-1]
     inner = -float(np.trapezoid(df[1:-1] * dg[1:-1], dx=h))
-    return from_binary_units(inner - math.ldexp(fv[0], -ef) * g_up[0], ef + eg, "the fractal integral")
+    return from_binary_units(inner - f_a * g_up[0], ef + eg, "the fractal integral")
 
 
 def write_grid_csv(f: GridFunction, path) -> None:
@@ -357,6 +361,5 @@ def write_grid_csv(f: GridFunction, path) -> None:
 
 
 def read_grid_csv(path) -> GridFunction:
-    """Read a uniformly spaced (t,value) CSV, e.g. from write_grid_csv or write_path_csv."""
-    _, t, v = read_csv(path, "grid", 3)
-    return GridFunction(t[0], t[-1], v)
+    """Read a uniformly spaced (t,value) CSV, e.g. from write_grid_csv or write_path_csv; every ValueError names it."""
+    return read_csv(path, "grid", 3, lambda _, t, v: GridFunction(t[0], t[-1], v))

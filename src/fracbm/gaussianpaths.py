@@ -43,14 +43,16 @@ covariance error of the law against the exact one, at t_max = 1:
     8 steps    6.7e-3    8.6e-3   4.3e-3   7.3e-4   6.7e-4   4.0e-4
     64 steps   5.4e-3    5.7e-3   1.5e-3   2.0e-4   2.3e-4   1.5e-4
 
-At H = 1/2 it is exact to rounding.  A grid whose n x (3n + 15) table has at
-most _GEMV_MAX entries, up to 362 steps, applies it by one gemv per row;
-a larger grid convolves the step normals with r by `_nodecalc.convolve`, the
-operators' FFT pair, at the least 2^a 3^b 5^c length of at least 3n, reads
-the n + 1 nodes, subtracts the value at t_0, reads the hybrid normals by
-index and applies the far and history columns as one table.  The crossover
-depends only on the grid, so a single path and an ensemble row take the
-same route.
+At H = 1/2 it is exact to rounding.  A grid of up to _TABLE_STEPS (96)
+steps applies the n x (3n + 15) table by one gemv per row; a longer grid
+convolves the step normals with r by `_nodecalc.convolve`, the operators'
+FFT pair, at the least 2^a 3^b 5^c length of at least 3n, reads the n + 1
+nodes, subtracts the value at t_0, reads the hybrid normals by index and
+applies the far and history columns as one table.  The crossover is a
+measured speed (one BLAS thread): up to 96 steps the routes were even; the
+FFT took half the table's time for single draws from 112 steps and 3/4 of it
+for ensembles of 1,000 and 3,000 paths from 160.  It depends only on the
+grid, so a single path and an ensemble row take the same route.
 
 Every generator, Brownian increments included, is set up once per call.
 Each stream then draws its normals into one row of a block of streams, and
@@ -123,11 +125,14 @@ _HISTORY_START = 8.0
 _HISTORY_TERMS = 60
 _HISTORY_NORMALS = 6
 
-#: entries (3 MiB) of the largest matrix one gemv applies: a Cholesky factor is
-#: applied in row chunks of at most this size, and a larger moving-average table
-#: is not formed.  OpenBLAS (0.3.31) threads a gemv from 460,800 entries, which
-#: rounds differently, so smaller gemvs keep paths independent of BLAS threads
+#: entries (3 MiB) of the largest matrix one gemv applies: a Cholesky factor and
+#: the moving-average tables are applied in row chunks of at most this size.
+#: OpenBLAS (0.3.31) threads a gemv from 460,800 entries, which rounds
+#: differently, so smaller gemvs keep paths independent of BLAS threads
 _GEMV_MAX = 400_000
+
+#: the longest grid whose moving-average table is applied, one gemv a row; a longer one convolves
+_TABLE_STEPS = 96
 
 
 @dataclass(frozen=True)
@@ -233,6 +238,9 @@ class SamplePath(_OnGrid):
         object.__setattr__(self, "values", vals)
         if vals[0] != 0.0:
             raise ValueError("paths start at exactly zero")
+        hi, lo = float(vals.max()), float(vals.min())
+        if hi - lo == math.inf:  # every sum over increments would leave the float range on the way
+            raise ValueError(f"path values must span a finite range, got max {hi!r} and min {lo!r}")
         if self.hurst is not None:
             _validate.hurst(self.hurst, "hurst")
         if self.seed is not None:
@@ -551,7 +559,7 @@ def _moving_average_law(grid: GridSpec, H: float):
     history = np.einsum("nk,kj->nj", t ** np.arange(1.0, _HISTORY_TERMS + 1), _history_factor(H))
     rest = np.hstack([far, history]) * (grid.t_max**H / C)
     count = 3 * n + 1 + rest.shape[1]  # the step normals, n + 1 hybrid normals, then the rest
-    if n * count <= _GEMV_MAX:
+    if n <= _TABLE_STEPS:
         w = sliding_window_view(R, 2 * n)  # w[a] = R[a : a + 2n]
         near = np.subtract(w[n - 1 :: -1], w[n])
         S = np.eye(n, n + 1, 1) * hybrid  # node k takes hybrid (b_k - b_0)
@@ -670,8 +678,11 @@ def _header_value(header: dict, key: str, parse):
 
 
 def read_path_csv(source) -> SamplePath:
-    """Inverse of write_path_csv; unheadered two-column CSVs import as EXTERNAL."""
-    header, t, v = read_csv(source, "path", 2)
+    """Inverse of write_path_csv; unheadered CSVs import as EXTERNAL; every ValueError names source."""
+    return read_csv(source, "path", 2, _path_from_csv)
+
+
+def _path_from_csv(header: dict, t: np.ndarray, v: np.ndarray) -> SamplePath:
     hurst = _header_value(header, "hurst", float)
     seed = _header_value(header, "seed", _parse_seed)
     generator = _header_value(header, "generator", PathGenerator) or PathGenerator.EXTERNAL

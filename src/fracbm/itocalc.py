@@ -202,8 +202,9 @@ def ito_integral(f: AdaptedIntegrand, path: SamplePath, sub_partition=None) -> f
     idx = grid_steps(part, path.dt, "partition time", 0, path.grid.n_steps)
     left = idx[:-1]
     steps = path.values[idx[1:]] - path.values[left]
-    e = instance(f, AdaptedIntegrand, "f").on_nodes(path.times, path.values, left)
-    return float(np.dot(e, steps))
+    e, ee = binary_units(instance(f, AdaptedIntegrand, "f").on_nodes(path.times, path.values, left))
+    steps, es = binary_units(steps)
+    return from_binary_units(float(np.dot(e, steps)), ee + es, "the Ito integral")
 
 
 def _finite_units(a: np.ndarray, refuse, out: np.ndarray) -> tuple:

@@ -185,6 +185,15 @@ class TestGenerate:
         assert "'hurts' at line 2" in result.output
         assert not out.exists()
 
+    def test_a_config_that_is_not_utf8_is_a_usage_error_naming_it(self, runner, tmp_path):
+        # a UnicodeDecodeError once escaped as a traceback, exit 1
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"steps = 8\n\xff\xfe = 1\n")
+        out = tmp_path / "g"
+        result = runner.invoke(main, ["--config", str(cfg), "generate", "--steps", "8", "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert f"config {cfg} is not UTF-8 text" in result.output and not out.exists()
+
 
 class TestFracint:
     def test_round_trips_through_the_module(self, runner, tmp_path):
@@ -475,6 +484,47 @@ def test_a_malformed_csv_is_named_with_its_line_by_every_reader(runner, tmp_path
     assert result.exit_code == 2, result.output
     assert f"Usage: fracbm {command} [OPTIONS]" in result.output
     assert f"{bad}: malformed CSV at line 3" in result.output and "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("command, args", [("fracint", ["--alpha", "0.5", "--out", "{out}"]), ("ito", []), ("stats", [])])
+def test_an_input_that_is_not_utf8_is_named_by_every_reader(runner, tmp_path, command, args):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"t,value\n0.0,0.0\n\xff\xfe,1\n")
+    argv = [command, "--input", str(bad), *(a.format(out=tmp_path / "out.csv") for a in args)]
+    result = runner.invoke(main, argv, prog_name="fracbm")
+    assert result.exit_code == 2, result.output
+    assert f"Usage: fracbm {command} [OPTIONS]" in result.output
+    assert f"{bad}: 'utf-8' codec can't decode" in result.output and "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("command", ["generate", "fracint"])
+def test_an_output_blocked_by_a_file_is_named(runner, tmp_path, command):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    src = tmp_path / "path.csv"
+    write_path_csv(generate_fbm_circulant(GridSpec(1.0, 8), 0.75, RngSeed(1, 0)), src)
+    out = blocker / ("run" if command == "generate" else "x.csv")
+    args = ["--out", str(out)] + (["--input", str(src), "--alpha", "0.5"] if command == "fracint" else [])
+    result = runner.invoke(main, [command, *args], prog_name="fracbm")
+    assert result.exit_code == 2, result.output
+    assert f"Usage: fracbm {command} [OPTIONS]" in result.output
+    assert f"{out}: Not a directory" in result.output and "Traceback" not in result.output
+
+
+def test_a_broken_stdout_pipe_exits_1_silently(tmp_path):
+    # verify echoes each verdict while it writes its run directory; a closed stdout
+    # was once reported as "Error: v: Broken pipe", exit 2
+    env = {**os.environ, "PYTHONPATH": str(Path(fracbm.__file__).parents[1])}
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fracbm.cli", "verify", "--suite", "E1", "--out", "v"],
+            cwd=tmp_path, env=env, stdout=w, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    finally:
+        os.close(w)
+    assert (proc.returncode, proc.stderr) == (1, "")
 
 
 def test_config_preseeds_every_subcommand(runner, tmp_path):

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -493,6 +494,18 @@ class TestFractalIntegral:
         assert g.b != f.b
         assert fractal_integral(f, g, 0.5) == fractal_integral(f, f, 0.5)
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 1.0])
+    def test_samples_whose_differences_leave_the_float_range(self, alpha):
+        # g alternating +-1.5e308 once gave nan at alpha = 0, -inf at 1 and "integrand too
+        # rough for the grid" between: g - g(b) overflowed before it was put in units
+        v = np.zeros(65)
+        v[1::2], v[2::2] = 1.5e308, -1.5e308
+        f = GridFunction(0.0, 1.0, np.linspace(0.0, 1.0, 65))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = fractal_integral(f, GridFunction(0.0, 1.0, v), alpha)
+        assert value == fractal_integral(f, GridFunction(0.0, 1.0, np.ldexp(v, -600)), alpha) * 2.0**600
+
 
 def test_grid_csv_round_trip(tmp_path):
     f = GridFunction.from_callable(lambda x: np.sin(3.0 * x), 0.25, 1.5, 257)
@@ -522,6 +535,22 @@ def test_grid_csv_non_finite_time_rejected(tmp_path, bad):
     dest = tmp_path / "bad.csv"
     dest.write_text(f"t,value\n0,1\n{bad},2\n2,3\n")
     with pytest.raises(ValueError, match="column 't'"):
+        read_grid_csv(dest)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("t,value\n0,0\n1,1\n2,oops\n", "malformed CSV at line 4"),
+        ("t,value\n0,0\n1,1\n", "grid CSV must hold at least 3 samples"),
+        ("t,value\n0,0\n1,nan\n2,1\n", "interior samples must be finite"),
+    ],
+    ids=["format", "length", "samples"],
+)
+def test_grid_csv_errors_name_the_file(tmp_path, text, message):
+    dest = tmp_path / "bad.csv"
+    dest.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(dest))}: .*{message}"):
         read_grid_csv(dest)
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -48,6 +49,7 @@ from fracbm.gaussianpaths import (
     _HISTORY_START,
     _history_factor,
     _GEMV_MAX,
+    _TABLE_STEPS,
     _moving_average_law,
     _rowwise_gemv,
 )
@@ -483,7 +485,7 @@ class TestFbmGenerators:
         assert np.isfinite(path.values).all() and np.array_equal(ens[0], path.values)
         assert path.values[1:].any()
 
-    # one table up to 362 steps, the convolution at 512
+    # one table up to 96 steps, the convolution at 512
     @pytest.mark.parametrize("n", [8, 512])
     @pytest.mark.parametrize("t_max", [1e-300, 1e300])
     @pytest.mark.parametrize("H", [0.05, 0.95])
@@ -589,13 +591,13 @@ class TestFbmGenerators:
         b = generate_fbm_moving_average(grid, 0.6, RngSeed(7, 2))
         assert np.array_equal(a.values, b.values)
 
-    # the last table size and the first FFT sizes: n (3n + 15) <= _GEMV_MAX up to 362 steps
-    @pytest.mark.parametrize("n, table", [(8, True), (362, True), (363, False), (364, False)])
+    # the last table size and the first FFT sizes: tables up to _TABLE_STEPS = 96 steps
+    @pytest.mark.parametrize("n, table", [(8, True), (96, True), (97, False), (98, False)])
     def test_moving_average_rows_match_single_draws_around_the_crossover(self, n, table):
         grid = GridSpec(1.0, n)
         count = 3 * n + 15
         assert _moving_average_law(grid, 0.3)[0] == count
-        assert (n * count <= _GEMV_MAX) is table
+        assert (n <= _TABLE_STEPS) is table
         rows = _BLOCK_NORMALS // count
         replicates = 2 * rows + 1
         ens = fbm_moving_average_ensemble(grid, 0.3, 2**64 - 1, replicates)
@@ -603,8 +605,8 @@ class TestFbmGenerators:
             single = generate_fbm_moving_average(grid, 0.3, RngSeed(2**64 - 1, r))
             assert np.array_equal(ens[r], single.values)
 
-    # tables up to 362 steps, FFTs beyond
-    @pytest.mark.parametrize("n", [8, 64, 362, 363, 1000])
+    # tables up to 96 steps, FFTs beyond
+    @pytest.mark.parametrize("n", [8, 64, 96, 97, 1000])
     @pytest.mark.parametrize("H", [0.05, 0.25, 0.5, 0.75, 0.95])
     def test_moving_average_is_the_per_node_reference(self, n, H):
         grid = GridSpec(1.0, n)
@@ -651,12 +653,12 @@ class TestFbmGenerators:
             assert not any(smooth(k) for k in range(n, size))
 
     def test_moving_average_ignores_the_blas_thread_count(self):
-        # tables up to 362 steps, FFTs from 363; at 390 steps a table would pass
+        # tables up to 96 steps, FFTs from 97; at 390 steps a table would pass
         # the 460,800 entries from which OpenBLAS threads a gemv, and from 28,572
         # steps the table of 8 far cells and 6 history normals takes two row chunks
         runs = hashes_under_blas_threads(
             """
-            for n in (8, 64, 362, 363, 390, 28572):
+            for n in (8, 64, 96, 97, 390, 28572):
                 grid = GridSpec(1.0, n)
                 single = generate_fbm_moving_average(grid, 0.7, RngSeed(3, 1)).values
                 ens = fbm_moving_average_ensemble(grid, 0.3, 3, 3)
@@ -691,6 +693,17 @@ class TestLawConformance:
         grid = GridSpec(1.0, n)
         assert law_covariance_error(gaussianpaths._cholesky_law(grid, H), grid, H) <= 1e-13
 
+    # the circulant law's columns are its spectral synthesis of unit normals, which
+    # law_matrix reads as it reads a table: measured at most 8.9e-16 on 8 steps and
+    # 9.6e-15 on 64; a law 0.02 off in H errs by at least 7.5e-3, which the bound catches
+    @pytest.mark.parametrize("H", [0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99])
+    @pytest.mark.parametrize("n, bound", [(8, 2e-15), (64, 2e-14)])
+    def test_circulant_is_exact_to_rounding(self, n, bound, H):
+        grid = GridSpec(1.0, n)
+        assert law_covariance_error(gaussianpaths._circulant_law(grid, H), grid, H) <= bound
+        wrong = H + 0.02 if H < 0.5 else H - 0.02
+        assert law_covariance_error(gaussianpaths._circulant_law(grid, wrong), grid, H) > bound
+
     # the bounds sit above the measured errors (H = 0.01, 0.05, 0.1, 0.25, 0.75, 0.9, 0.95,
     # 0.99 on 8 steps: 1.9e-3, 6.7e-3, 8.6e-3, 4.3e-3, 7.3e-4, 6.7e-4, 4.0e-4, 9.2e-5; on 64
     # steps: 1.8e-3, 5.4e-3, 5.7e-3, 1.5e-3, 2.0e-4, 2.3e-4, 1.5e-4, 3.7e-5).  The law of
@@ -710,7 +723,7 @@ class TestLawConformance:
         assert law[0] == 3 * n + 15
         assert law_covariance_error(law, grid, H) <= bound
 
-    # 512 steps take the convolution route, 512 (3 512 + 15) > _GEMV_MAX; measured 1.7e-3,
+    # 512 steps take the convolution route, 512 > _TABLE_STEPS; measured 1.7e-3,
     # 4.4e-3, 3.7e-3, 5.4e-4, 1.1e-16, 1.6e-4, 2.1e-4, 1.4e-4 and 3.4e-5.  At H = 1/2 the
     # bound leaves room for the FFT's rounding, which measured 6.8e-15 on 400 steps
     @pytest.mark.parametrize(
@@ -721,7 +734,7 @@ class TestLawConformance:
     def test_moving_average_convolution_covariance_error(self, H, bound):
         grid = GridSpec(1.0, 512)
         law = _moving_average_law(grid, H)
-        assert law[0] == 3 * 512 + 15 and 512 * law[0] > gaussianpaths._GEMV_MAX
+        assert law[0] == 3 * 512 + 15 and 512 > gaussianpaths._TABLE_STEPS
         assert law_covariance_error(law, grid, H) <= bound
 
     # table and convolution; the FFT rounds the a-weights within 2.8e-14 and the step's
@@ -955,6 +968,16 @@ class TestPathContainer:
         with pytest.raises(ValueError):
             SamplePath(GridSpec(1.0, 4), np.zeros(4), 0.5)
 
+    def test_values_must_span_a_finite_range(self):
+        # finite samples alternating +-1.5e308 once made quadratic_variation and
+        # telescoping_tolerance inf, ito_integral_qv (inf, 1.0) and holder_exponent nan
+        values = np.zeros(65)
+        values[1::2], values[2::2] = 1.5e308, -1.5e308
+        with pytest.raises(ValueError, match=re.escape("path values must span a finite range, got max 1.5e+308")):
+            SamplePath(GridSpec(1.0, 64), values, 0.5)
+        values[2::2] = 0.0  # the widest finite span is a path
+        assert SamplePath(GridSpec(1.0, 64), values, 0.5).values.max() == 1.5e308
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_empirical_covariance_names_the_first_non_finite_row(self, bad):
         ens = bm_ensemble(GridSpec(1.0, 8), 1, 10)
@@ -1010,6 +1033,24 @@ class TestCsvRoundTrip:
         dest.write_text(f"# {line}\nt,value\n0,0\n1,1\n")
         key = line.partition("=")[0]
         with pytest.raises(ValueError, match=f"header {key}="):
+            read_path_csv(dest)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("t,value\n0,0\n1,oops\n", "malformed CSV at line 3"),
+            ("# hurst=abc\nt,value\n0,0\n1,1\n", "malformed path CSV header hurst=abc"),
+            ("t,value\n0,0\n", "path CSV must hold at least 2 samples"),
+            ("t,value\n0,0\n1,nan\n2,1\n", "path values must be finite"),
+            ("t,value\n0,0\n1,1.5e308\n2,-1.5e308\n", "path values must span"),
+        ],
+        ids=["format", "header", "length", "samples", "span"],
+    )
+    def test_every_error_names_the_file(self, tmp_path, text, message):
+        # library callers get the file's name as the CLI does
+        dest = tmp_path / "bad.csv"
+        dest.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{dest}: {message}")):
             read_path_csv(dest)
 
     @settings(max_examples=40, deadline=None)

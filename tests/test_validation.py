@@ -111,6 +111,7 @@ UNIT_SPACED = generate_fbm_circulant(GridSpec(64.0, 64), 0.7, SEED)
 F = GridFunction.from_callable(np.sin, 0.0, 1.0, 16)
 SPEC = {"side": Side.LEFT, "kind": OperatorKind.INTEGRAL}
 ONE = AdaptedIntegrand.constant(1.0)
+TIME = AdaptedIntegrand.deterministic(lambda t: t)
 
 REJECTED = {
     "none": st.none(),
@@ -421,7 +422,8 @@ AT_SCALE = {
     "ForwardProcess": lambda s: dict(grid=s.grid, values=s.path.values, hurst=s.H),
     "fbm_ito_formula_check": lambda s: dict(g_fn=lambda t, x: x, **LINEAR, X=s.path),
     "integral_record": lambda s: dict(result=forward_integral(1.0, s.path)),
-    "ito_integral": lambda s: dict(f=ONE, path=s.bm, sub_partition=[0.0, 0.5 * s.t_max, s.t_max]),
+    # f(t) = t: on [0, 1e300] the plain sum of t dB once overflowed to nan
+    "ito_integral": lambda s: dict(f=TIME, path=s.bm, sub_partition=[0.0, 0.5 * s.t_max, s.t_max]),
     "ito_integral_qv": lambda s: dict(f=AdaptedIntegrand.path_value(), path=s.bm),
     "empirical_covariance": lambda s: dict(values=s.ensemble),
     "endpoint_comparison": lambda s: dict(values=s.ensemble, grid=s.grid, T=0.5 * s.t_max),
@@ -507,7 +509,7 @@ def test_an_ensemble_sum_past_the_float_range_gives_finite_values_or_names_it(en
 
 ENSEMBLE_INTEGRANDS = {
     "one": ONE,
-    "time": AdaptedIntegrand.deterministic(lambda t: t),
+    "time": TIME,
     "path": AdaptedIntegrand.path_value(),
 }
 
